@@ -19,6 +19,7 @@ parallel-count formula for Riemannian products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -321,15 +322,25 @@ def _so_model(n: int) -> HolonomyModel:
 
 
 def holonomy_model(kind: str, parameter: Optional[int] = None) -> HolonomyModel:
-    """Build the weight-lattice model for a holonomy group.
+    """The weight-lattice model for a holonomy group.
 
     ``kind`` is one of su, u, sp, sp1sp, g2, spin7, so; the parameter is
     n for SU(n)/U(n)/Sp(n)/SO(n) and m for Sp(1)Sp(m), and must be
-    omitted for g2 and spin7.
+    omitted for g2 and spin7.  Models are immutable apart from their own
+    lazy Sigma_3/2, so the most recently used ones are kept and returned
+    again for the same (kind, parameter).
     """
     token = kind.strip().lower()
     if token not in HOLONOMY_KINDS:
         raise InputError(f"unknown holonomy kind {kind!r}; expected {HOLONOMY_KINDS}")
+    return _build_model(token, parameter)
+
+
+# `rslab verify-paper` builds 9 distinct models 19 times; keeping eight
+# serves 9 of its 10 repeats, while a sweep over every model keeps at most
+# eight alive (peak memory stays that of building each model afresh).
+@lru_cache(maxsize=8)
+def _build_model(token: str, parameter: Optional[int]) -> HolonomyModel:
     if token in ("g2", "spin7"):
         if parameter is not None:
             raise InputError(f"{token} takes no parameter")

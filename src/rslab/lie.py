@@ -8,25 +8,46 @@ allowed, and G2 sits in the trace-zero hyperplane of three coordinates.
 Products concatenate coordinates componentwise.
 
 On top of the realizations: Weyl's dimension formula, Casimir eigenvalues
-``<lambda+2*delta, lambda>``, Freudenthal's multiplicity recursion over a
-saturated weight set, the Klimyk tensor-product rule, and a brute-force
+``<lambda+2*delta, lambda>``, Freudenthal's multiplicity recursion over the
+dominant weights, the Klimyk tensor-product rule, and a brute-force
 character oracle that evaluates moment sums of full weight systems at a
 rational point (enough to separate every decomposition handled here).
+
+Internally weights are int tuples of Dynkin labels <w, alpha_i^vee>: Weyl
+reflections, Freudenthal and the (memoized) Weyl dimension run on them,
+against integer tables built the first time a system needs them.  Labels
+miss only the constant tuple on an A or G2 block, which no root sees, and
+roots keep each block's coordinate sum, so labels plus block sums give
+back the Euclidean coordinates exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, InputError
 
 Weight = Tuple[Fraction, ...]
+Labels = Tuple[int, ...]
+Sparse = Tuple[Tuple[int, int], ...]
 
 
 def _weight(values: Iterable) -> Weight:
     return tuple(Fraction(v) for v in values)
+
+
+def _fmt(w: Iterable) -> str:
+    """A weight with exact p/q entries, for messages."""
+    return "(" + ", ".join(str(x) for x in w) + ")"
+
+
+def _nonzero(values: Iterable) -> Sparse:
+    """The nonzero entries (index, value) of an integral vector, as ints."""
+    return tuple((i, int(x)) for i, x in enumerate(values) if x)
 
 
 def _add(u: Weight, v: Weight) -> Weight:
@@ -42,7 +63,7 @@ def _scale(u: Weight, c: Fraction) -> Weight:
 
 
 def _dot(u: Weight, v: Weight) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -54,8 +75,9 @@ class _Component:
 class RootSystem:
     """A root system of classical or G2 type, or a product of such.
 
-    Instances are immutable after construction apart from an internal
-    weight-system cache, which is only ever appended to.
+    Instances are immutable after construction apart from internal caches
+    (integer tables, Weyl dimensions, weight systems), which are only ever
+    appended to.
     """
 
     def __init__(
@@ -76,9 +98,18 @@ class RootSystem:
             tuple(sum(r[i] for r in self.positive_roots) for i in range(self.coords)),
             Fraction(1, 2),
         )
-        self._weights_cache: Dict[Weight, Dict[Weight, int]] = {}
-        self._dominant_cache: Dict[Weight, Dict[Weight, int]] = {}
+        # blocks whose constant tuple no root sees: labels omit their sums
+        central = ("A", "G2")
+        self._central = [(lo, hi) for c, lo, hi in self._blocks() if c.kind in central]
+        self._dims: Dict[Weight, int] = {}
+        self._weights_cache: Dict[Weight, Dict[Labels, int]] = {}
+        self._dominant_cache: Dict[Weight, Tuple[Dict[Labels, int], Dict]] = {}
         self._validate()
+        # simple coroots 2*alpha/|alpha|^2 as nonzero (coordinate, value)
+        # integer pairs over the common denominator _coden
+        coroots = [_scale(a, 2 / _dot(a, a)) for a in self.simple_roots]
+        self._coden = math.lcm(*(x.denominator for a in coroots for x in a))
+        self._coroots = [_nonzero(x * self._coden for x in a) for a in coroots]
 
     # -- construction checks ------------------------------------------------
 
@@ -86,19 +117,24 @@ class RootSystem:
         for i, a in enumerate(self.simple_roots):
             norm = _dot(a, a)
             if norm == 0:
-                raise ConsistencyError("degenerate simple root")
+                raise ConsistencyError(f"{self.name}: simple root {_fmt(a)} has norm 0")
             for b in self.simple_roots:
                 entry = 2 * _dot(b, a) / norm
-                if entry.denominator != 1:
-                    raise ConsistencyError("Cartan matrix is not integral")
-                if b is not a and entry > 0:
-                    raise ConsistencyError("simple roots must meet obtusely")
+                if entry.denominator != 1 or (b is not a and entry > 0):
+                    raise ConsistencyError(
+                        f"{self.name}: Cartan entry of {_fmt(b)} on {_fmt(a)} is "
+                        f"{entry}; need an integer, <= 0 off the diagonal"
+                    )
         # delta equals the sum of fundamental weights, up to the central
         # (constant per A-component) directions that GL coordinates carry
-        diff = _sub(self.delta, self._sum_fundamentals())
+        omega = self._sum_fundamentals()
+        diff = _sub(self.delta, omega)
         for alpha in self.positive_roots:
             if _dot(diff, alpha) != 0:
-                raise ConsistencyError("delta does not match fundamental weights")
+                raise ConsistencyError(
+                    f"{self.name}: <delta, a> = {_dot(self.delta, alpha)} but <sum of "
+                    f"fundamental weights, a> = {_dot(omega, alpha)}, a = {_fmt(alpha)}"
+                )
 
     def _sum_fundamentals(self) -> Weight:
         total = [Fraction(0)] * self.coords
@@ -113,173 +149,212 @@ class RootSystem:
             yield comp, start, start + comp.coords
             start += comp.coords
 
+    # -- integer tables (built on first use) and labels --------------------------
+
+    @cached_property
+    def _cartan(self) -> List[Sparse]:
+        """Row i: the nonzero labels <alpha_i, alpha_j^vee> of alpha_i."""
+        return [_nonzero(self._labels(a)) for a in self.simple_roots]
+
+    @cached_property
+    def _roots(self) -> List[Tuple[Labels, Sparse, Fraction]]:
+        """Per positive root: its labels, the nonzero c_j = 2<alpha, omega_j>
+        / |alpha|^2 of alpha^vee = sum_j c_j alpha_j^vee, and |alpha|^2 / 2."""
+        out = []
+        for alpha in self.positive_roots:
+            half = _dot(alpha, alpha) / 2
+            coroot = _nonzero(_dot(alpha, w) / half for w in self.fundamental_weights)
+            out.append((self._labels(alpha), coroot, half))
+        return out
+
+    @cached_property
+    def _omega(self) -> Tuple[int, List[Sparse]]:
+        """Fundamental weights as integer rows over one common denominator."""
+        den = math.lcm(*(x.denominator for w in self.fundamental_weights for x in w))
+        return den, [_nonzero(x * den for x in w) for w in self.fundamental_weights]
+
+    def _labels(self, w: Weight) -> tuple:
+        """Dynkin labels <w, alpha_i^vee>, as ints where integral."""
+        den = math.lcm(*(x.denominator for x in w))
+        ints = [x.numerator * (den // x.denominator) for x in w]
+        den *= self._coden
+        out = (sum(ints[i] * c for i, c in row) for row in self._coroots)
+        return tuple(x // den if x % den == 0 else Fraction(x, den) for x in out)
+
+    def _sums(self, w: Weight) -> Weight:
+        return tuple(sum(w[lo:hi], Fraction(0)) for lo, hi in self._central)
+
+    def _from_labels(self, labels: tuple, sums: Weight) -> Weight:
+        """Euclidean coordinates from labels and the central block sums."""
+        den, omega = self._omega
+        acc = [0] * self.coords
+        for x, row in zip(labels, omega):
+            for i, v in row:
+                acc[i] += x * v
+        w = [Fraction(a, den) for a in acc]
+        for (lo, hi), s in zip(self._central, sums):
+            shift = (s - sum(w[lo:hi])) / (hi - lo)
+            w[lo:hi] = [x + shift for x in w[lo:hi]]
+        return tuple(w)
+
     # -- chamber geometry ----------------------------------------------------
-
-    def pairing(self, w: Weight, alpha: Weight) -> Fraction:
-        """Evaluation against the coroot of alpha, 2<w,a>/<a,a>."""
-        return 2 * _dot(w, alpha) / _dot(alpha, alpha)
-
-    def is_dominant(self, w: Weight) -> bool:
-        return all(self.pairing(w, a) >= 0 for a in self.simple_roots)
-
-    def is_integral(self, w: Weight) -> bool:
-        return all(self.pairing(w, a).denominator == 1 for a in self.simple_roots)
 
     def trivial_weight(self) -> Weight:
         return (Fraction(0),) * self.coords
 
     def is_trivial_weight(self, w: Weight) -> bool:
-        """Highest weight of the trivial representation.
+        """Highest weight of the trivial representation: all labels zero (so
+        any constant A block, which the roots do not see) and G2 blocks zero."""
+        g2 = [sum(w[lo:hi]) for c, lo, hi in self._blocks() if c.kind == "G2"]
+        return not any(self._labels(w)) and not any(g2)
 
-        In GL coordinates the center is invisible to the roots, so for an
-        A-component any constant tuple is trivial; elsewhere only zero is.
-        """
-        for comp, lo, hi in self._blocks():
-            block = w[lo:hi]
-            if comp.kind == "A":
-                if any(x != block[0] for x in block):
-                    return False
-            elif any(x != 0 for x in block):
-                return False
-        return True
+    def _mirror(self, labels: tuple, i: int) -> tuple:
+        """The simple reflection s_i on labels: l <- l - l_i * C[i]."""
+        out = list(labels)
+        for j, a in self._cartan[i]:
+            out[j] -= labels[i] * a
+        return tuple(out)
+
+    def _reflect(self, labels: tuple) -> Tuple[tuple, int]:
+        """Dominant labels of the Weyl orbit and the determinant sign."""
+        current, sign, moved = tuple(labels), 1, True
+        while moved:
+            moved = False
+            for i in range(len(current)):
+                if current[i] < 0:
+                    current, sign, moved = self._mirror(current, i), -sign, True
+        return current, sign
 
     def to_dominant(self, w: Weight) -> Tuple[Weight, int]:
         """Dominant Weyl-orbit representative and the determinant sign."""
-        current = list(w)
-        sign = 1
-        moved = True
-        while moved:
-            moved = False
-            for alpha in self.simple_roots:
-                m = 2 * _dot(tuple(current), alpha) / _dot(alpha, alpha)
-                if m < 0:
-                    for i, a in enumerate(alpha):
-                        current[i] -= m * a
-                    sign = -sign
-                    moved = True
-        return tuple(current), sign
+        w = _weight(w)
+        labels, sign = self._reflect(self._labels(w))
+        return self._from_labels(labels, self._sums(w)), sign
 
     def to_dominant_strict(self, w: Weight) -> Optional[Tuple[Weight, int]]:
         """As to_dominant, but None when the weight lies on a chamber wall."""
         dom, sign = self.to_dominant(w)
-        for alpha in self.simple_roots:
-            if _dot(dom, alpha) == 0:
-                return None
-        return dom, sign
+        return None if 0 in self._labels(dom) else (dom, sign)
 
-    def _require_dominant(self, w: Weight) -> Weight:
+    def _require_dominant(self, w) -> Tuple[Weight, Labels]:
+        """A checked highest weight, with its labels."""
         w = _weight(w)
         if len(w) != self.coords:
-            raise InputError(f"{self.name} weights have {self.coords} coordinates")
-        if not self.is_dominant(w):
-            raise InputError(f"{w} is not dominant for {self.name}")
-        if not self.is_integral(w):
-            raise InputError(f"{w} is not an integral weight for {self.name}")
-        return w
+            raise InputError(
+                f"{_fmt(w)}: {self.name} weights have {self.coords} coordinates"
+            )
+        if any(sum(w[lo:hi]) for c, lo, hi in self._blocks() if c.kind == "G2"):
+            raise InputError(f"{_fmt(w)} is off the trace-zero plane of G2")
+        labels = self._labels(w)
+        if any(x < 0 for x in labels):
+            raise InputError(f"{_fmt(w)} is not dominant for {self.name}")
+        if any(x.denominator != 1 for x in labels):
+            raise InputError(f"{_fmt(w)} is not an integral weight for {self.name}")
+        return w, labels
 
     # -- numeric invariants ---------------------------------------------------
 
     def weyl_dimension(self, lam: Weight) -> int:
-        lam = self._require_dominant(lam)
-        shifted = _add(lam, self.delta)
-        num = Fraction(1)
-        for alpha in self.positive_roots:
-            num *= _dot(shifted, alpha) / _dot(self.delta, alpha)
-        if num.denominator != 1:
-            raise ConsistencyError("Weyl dimension came out non-integral")
-        return int(num)
+        """prod <lam + delta, alpha^vee> / <delta, alpha^vee>, memoized."""
+        lam = tuple(lam)
+        if lam not in self._dims:
+            lam, labels = self._require_dominant(lam)
+            num = den = 1
+            for _, coroot, _ in self._roots:
+                num *= sum(c * (labels[j] + 1) for j, c in coroot)
+                den *= sum(c for _, c in coroot)
+            if num % den:
+                raise ConsistencyError(f"{self.name}: dim V{_fmt(lam)} = {num}/{den}")
+            self._dims[lam] = num // den
+        return self._dims[lam]
 
     def casimir(self, lam: Weight) -> Fraction:
         """Eigenvalue <lambda + 2*delta, lambda> of the quadratic Casimir.
 
         For A-components the central (trace) part of a GL weight does not
-        act through the simple Lie algebra and is projected away first.
+        act through the simple Lie algebra: it is dropped by taking the
+        weight with the same labels and block sums zero.
         """
-        lam = self._require_dominant(lam)
-        projected: List[Fraction] = []
-        for comp, lo, hi in self._blocks():
-            block = lam[lo:hi]
-            if comp.kind == "A":
-                mean = sum(block, Fraction(0)) / comp.coords
-                projected.extend(x - mean for x in block)
-            else:
-                projected.extend(block)
-        p = tuple(projected)
+        _, labels = self._require_dominant(lam)
+        p = self._from_labels(labels, [0] * len(self._central))
         return _dot(_add(p, _scale(self.delta, Fraction(2))), p)
 
     # -- weight systems ---------------------------------------------------------
 
-    def _saturate(self, lam: Weight) -> List[Weight]:
-        """All weights of the irreducible module: the saturated set of lam."""
-        seen = {lam}
-        work = [lam]
+    def dominant_weight_multiplicities(self, lam: Weight) -> Dict[Weight, int]:
+        """Freudenthal recursion over the dominant weights of V(lam), on labels.
+
+        The dominant weights are the chains of positive roots below lam
+        (Stembridge); a weight lies in V(lam) when its dominant Weyl
+        representative does.  The label table is cached for
+        weight_multiplicities.
+        """
+        lam, top = self._require_dominant(lam)
+        if lam in self._dominant_cache:
+            mult, coords = self._dominant_cache[lam]
+            return {coords[w]: m for w, m in mult.items()}
+        dominant, work = {top}, [top]
         while work:
             mu = work.pop()
-            for alpha in self.positive_roots:
-                m = self.pairing(mu, alpha)
-                steps = int(m) if m >= 0 else -int(-m)
-                if steps == 0:
-                    continue
-                direction = 1 if steps > 0 else -1
-                for k in range(1, abs(steps) + 1):
-                    nu = tuple(
-                        x - direction * k * a for x, a in zip(mu, alpha)
-                    )
-                    if nu not in seen:
-                        seen.add(nu)
-                        work.append(nu)
-        return list(seen)
-
-    def dominant_weight_multiplicities(self, lam: Weight) -> Dict[Weight, int]:
-        """Freudenthal recursion over the dominant weights of V(lam)."""
-        lam = self._require_dominant(lam)
-        if lam in self._dominant_cache:
-            return dict(self._dominant_cache[lam])
-        full = self._saturate(lam)
-        full_set = set(full)
-        dominant = [w for w in full if self.is_dominant(w)]
+            for alpha, _, _ in self._roots:
+                nu = tuple(x - a for x, a in zip(mu, alpha))
+                if min(nu) >= 0 and nu not in dominant:
+                    dominant.add(nu)
+                    work.append(nu)
+        sums = self._sums(lam)
+        coords = {w: self._from_labels(w, sums) for w in dominant}
+        shifted = {w: _add(x, self.delta) for w, x in coords.items()}
+        norm = {w: _dot(x, x) for w, x in shifted.items()}
         # descending height guarantees every weight above mu is known
-        dominant.sort(key=lambda w: _dot(self.delta, w), reverse=True)
-
-        mult: Dict[Weight, int] = {lam: 1}
-        c_top = _dot(_add(lam, self.delta), _add(lam, self.delta))
-        for mu in dominant:
-            if mu == lam:
-                continue
+        order = sorted(dominant, key=lambda w: -_dot(self.delta, coords[w]))
+        mult: Dict[Labels, int] = {top: 1}
+        for mu in order[1:]:
             total = Fraction(0)
-            for alpha in self.positive_roots:
-                k = 1
-                while True:
-                    nu = tuple(x + k * a for x, a in zip(mu, alpha))
-                    if nu not in full_set:
-                        break
-                    rep, _ = self.to_dominant(nu)
-                    total += mult[rep] * _dot(nu, alpha)
-                    k += 1
-            denom = c_top - _dot(_add(mu, self.delta), _add(mu, self.delta))
+            for alpha, coroot, half in self._roots:
+                # <nu, alpha^vee> = <mu, alpha^vee> + 2k at nu = mu + k*alpha
+                pair, part = sum(c * mu[j] for j, c in coroot), 0
+                nu = tuple(x + a for x, a in zip(mu, alpha))
+                while (rep := self._reflect(nu)[0]) in dominant:
+                    pair += 2
+                    part += mult[rep] * pair
+                    nu = tuple(x + a for x, a in zip(nu, alpha))
+                total += half * part
+            at = f"{self.name}: V{_fmt(lam)} at {_fmt(coords[mu])}"
+            denom = norm[top] - norm[mu]
             if denom <= 0:
-                raise ConsistencyError("Freudenthal denominator must be positive")
+                raise ConsistencyError(f"{at}: Freudenthal denominator {denom} <= 0")
             value = 2 * total / denom
             if value.denominator != 1 or value <= 0:
-                raise ConsistencyError("non-integral weight multiplicity")
+                raise ConsistencyError(f"{at}: multiplicity {value}, not in 1, 2, ...")
             mult[mu] = int(value)
-        self._dominant_cache[lam] = mult
-        return dict(mult)
+        self._dominant_cache[lam] = mult, coords
+        return {coords[w]: m for w, m in mult.items()}
 
     def weight_multiplicities(self, lam: Weight) -> Dict[Weight, int]:
-        """Full weight-to-multiplicity map of V(lam); sums to the dimension."""
-        lam = self._require_dominant(lam)
-        if lam in self._weights_cache:
-            return dict(self._weights_cache[lam])
-        dominant = self.dominant_weight_multiplicities(lam)
-        full: Dict[Weight, int] = {}
-        for w in self._saturate(lam):
-            rep, _ = self.to_dominant(w)
-            full[w] = dominant[rep]
-        if sum(full.values()) != self.weyl_dimension(lam):
-            raise ConsistencyError("weight multiplicities do not sum to the dimension")
-        self._weights_cache[lam] = full
-        return dict(full)
+        """Full weight-to-multiplicity map of V(lam); sums to the dimension.
+
+        Each dominant multiplicity spreads along its Weyl orbit, walked on
+        labels by the simple reflections at positive labels.
+        """
+        lam, _ = self._require_dominant(lam)
+        if lam not in self._weights_cache:
+            self.dominant_weight_multiplicities(lam)
+            labels: Dict[Labels, int] = {}
+            for mu, m in self._dominant_cache[lam][0].items():
+                labels[mu], work = m, [mu]
+                while work:
+                    w = work.pop()
+                    for i in range(len(w)):
+                        if w[i] > 0 and (nu := self._mirror(w, i)) not in labels:
+                            labels[nu] = m
+                            work.append(nu)
+            size, dim = sum(labels.values()), self.weyl_dimension(lam)
+            if size != dim:
+                where = f"{self.name}: multiplicities of V{_fmt(lam)}"
+                raise ConsistencyError(f"{where} sum to {size}, not {dim}")
+            self._weights_cache[lam] = labels
+        sums, table = self._sums(lam), self._weights_cache[lam]
+        return {self._from_labels(w, sums): m for w, m in table.items()}
 
 
 # -- factories -----------------------------------------------------------------
@@ -459,8 +534,10 @@ class RepSum:
     def subtract(self, other: "RepSum", virtual: bool = False) -> "RepSum":
         result = self.add(other.scale(-1))
         if not virtual and result.is_virtual():
-            bad = {w: m for w, m in result.terms.items() if m < 0}
-            raise ConsistencyError(f"subtraction left negative multiplicities: {bad}")
+            bad = ", ".join(f"{_fmt(w)}: {m}" for w, m in result.terms.items() if m < 0)
+            raise ConsistencyError(
+                f"{self.system.name}: subtraction left negative multiplicities {bad}"
+            )
         return result
 
     def trivial_multiplicity(self) -> int:
@@ -470,7 +547,7 @@ class RepSum:
 
 
 def irreducible(system: RootSystem, lam) -> RepSum:
-    return RepSum(system, {system._require_dominant(lam): 1})
+    return RepSum(system, {system._require_dominant(lam)[0]: 1})
 
 
 # -- public operations --------------------------------------------------------
@@ -496,26 +573,30 @@ def tensor_decompose(system: RootSystem, lam, mu) -> RepSum:
     drop out) and contributes its sign.  The result is checked to be an
     honest representation of the right total dimension.
     """
-    lam = system._require_dominant(_weight(lam))
-    mu = system._require_dominant(_weight(mu))
+    lam, _ = system._require_dominant(lam)
+    mu, _ = system._require_dominant(mu)
     if system.weyl_dimension(mu) > system.weyl_dimension(lam):
         lam, mu = mu, lam
+    shift = _add(lam, system.delta)
     counts: Dict[Weight, int] = {}
     for nu, mult in system.weight_multiplicities(mu).items():
-        shifted = _add(_add(lam, nu), system.delta)
-        res = system.to_dominant_strict(shifted)
+        res = system.to_dominant_strict(_add(shift, nu))
         if res is None:
             continue
         dom, sign = res
         w = _sub(dom, system.delta)
         counts[w] = counts.get(w, 0) + sign * mult
     result = RepSum(system, counts)
-    if result.is_virtual():
-        raise ConsistencyError("Klimyk produced a negative multiplicity")
+    where = f"{system.name}: V{_fmt(lam)} (x) V{_fmt(mu)}"
+    for w, m in result.sorted_terms():
+        if m < 0:
+            raise ConsistencyError(
+                f"{where}: Klimyk produced a negative multiplicity {m} at {_fmt(w)}"
+            )
     expected = system.weyl_dimension(lam) * system.weyl_dimension(mu)
     if result.dimension != expected:
         raise ConsistencyError(
-            f"tensor dimension {result.dimension} != {expected}"
+            f"{where} has tensor dimension {result.dimension}, expected {expected}"
         )
     return result
 

@@ -144,6 +144,18 @@ def test_rep_wrong_width(capsys):
     assert _run(capsys, "rep", "q5", "--weight", "1,0")[0] == 2
 
 
+def test_rep_g2_weight_off_trace_zero_plane(capsys):
+    # Dynkin labels (0, 0), but no weight of G2
+    assert main(["rep", "g2", "--weight", "1,1,1"]) == 2
+    assert main(["rep", "g2", "--weight", "1/3,1/3,1/3", "--tensor", "0,-1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: (1, 1, 1) is off the trace-zero plane of G2\n"
+        "error: (1/3, 1/3, 1/3) is off the trace-zero plane of G2\n"
+    )
+
+
 def test_sphere_single_and_range(capsys):
     code, payload = _run_json(capsys, "sphere", "-n", "7", "--json")
     assert code == 0

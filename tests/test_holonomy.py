@@ -124,6 +124,13 @@ def test_model_dispatch_validation():
         holonomy_model("so", 2)
 
 
+def test_models_are_reused_per_input():
+    model = holonomy_model("sp1sp", 2)
+    assert holonomy_model(" Sp1Sp ", 2) is model
+    assert holonomy_model("g2") is holonomy_model("G2")
+    assert holonomy_model("sp", 2) is not holonomy_model("sp", 3)
+
+
 def test_qk_bound_dimension_eight():
     report = qk_kernel_analysis(2)
     assert report.real_dimension == 8

@@ -1,6 +1,8 @@
 """Root systems, Weyl dimensions, Casimirs, multiplicities, tensor products."""
 
+import itertools
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -147,13 +149,25 @@ def test_dominance_utilities():
 
 
 def test_nondominant_weight_rejected():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^\(1/2, 3/2\) is not dominant for B2$"):
         weyl_dim(type_b(2), _w(F(1, 2), F(3, 2)))
 
 
 def test_nonintegral_weight_rejected():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^\(1, 1/2\) is not an integral weight"):
         weyl_dim(type_b(2), _w(1, F(1, 2)))
+
+
+def test_g2_weight_off_trace_zero_plane_rejected():
+    # Dynkin labels (0, 0), but no weight of G2
+    off = _w(F(1, 3), F(1, 3), F(1, 3))
+    for w in (_w(1, 1, 1), off):
+        with pytest.raises(InputError, match="off the trace-zero plane of G2"):
+            weyl_dim(g2(), w)
+    with pytest.raises(InputError, match=r"\(1/3, 1/3, 1/3\)"):
+        tensor_decompose(g2(), off, _w(0, -1, 1))
+    with pytest.raises(InputError):
+        casimir(product_system(type_a(2), g2()), _w(1, 0, 1, 1, 1))
 
 
 def test_repsum_arithmetic():
@@ -193,3 +207,67 @@ def test_scalar_factor_rejected():
         type_a(1)
     with pytest.raises(InputError):
         type_d(1)
+
+
+def test_klimyk_failure_names_its_inputs(monkeypatch):
+    sys = type_b(3)
+    vector, spinor = _w(1, 0, 0), _w(F(1, 2), F(1, 2), F(1, 2))
+    assert weight_multiplicities(sys, vector)[vector] == 1
+    # corrupt the cached multiplicity table of the smaller factor
+    table = sys._weights_cache[vector]
+    monkeypatch.setitem(table, (1, 0, 0), -3)
+    with pytest.raises(ConsistencyError) as failure:
+        tensor_decompose(sys, vector, spinor)
+    assert str(failure.value) == (
+        "B3: V(1/2, 1/2, 1/2) (x) V(1, 0, 0): Klimyk produced a negative "
+        "multiplicity -3 at (3/2, 1/2, 1/2)"
+    )
+
+
+# -- the integer label core against Euclidean formulas ------------------------
+
+DIFFERENTIAL_SYSTEMS = {
+    **{f"A{n - 1}": partial(type_a, n) for n in range(2, 7)},
+    **{f"B{m}": partial(type_b, m) for m in range(1, 5)},
+    **{f"C{m}": partial(type_c, m) for m in range(1, 5)},
+    **{f"D{m}": partial(type_d, m) for m in range(2, 6)},
+    "G2": g2,
+    "C1xC6": lambda: product_system(type_c(1), type_c(6)),
+    "A1xB2": lambda: product_system(type_a(2), type_b(2)),
+}
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), F(0))
+
+
+def _dominant_weights(system, largest):
+    """Every dominant weight with Dynkin label sum <= largest, in coordinates."""
+    omega = system.fundamental_weights
+    for labels in itertools.product(range(largest + 1), repeat=len(omega)):
+        if sum(labels) <= largest:
+            yield tuple(
+                sum((a * w[i] for a, w in zip(labels, omega)), F(0))
+                for i in range(system.coords)
+            )
+
+
+def _weyl_product(system, lam):
+    """Weyl's formula prod <lam + delta, a> / <delta, a> over Fraction."""
+    shifted = tuple(x + d for x, d in zip(lam, system.delta))
+    value = F(1)
+    for alpha in system.positive_roots:
+        value *= _dot(shifted, alpha) / _dot(system.delta, alpha)
+    return value
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_SYSTEMS))
+def test_integer_core_matches_euclidean_formulas(name):
+    sys = DIFFERENTIAL_SYSTEMS[name]()
+    assert sys.name == name
+    for lam in _dominant_weights(sys, 2):
+        dim = weyl_dim(sys, lam)
+        assert dim == _weyl_product(sys, lam), lam
+        assert sum(weight_multiplicities(sys, lam).values()) == dim, lam
+    for lam, mu in itertools.combinations(_dominant_weights(sys, 1), 2):
+        assert tensor_decompose(sys, lam, mu) == tensor_decompose(sys, mu, lam)
