@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -131,7 +132,8 @@ class GenusSpec:
     """Characteristic power series Q(x) of a multiplicative genus.
 
     ``series`` is Q expanded in the formal Chern-root variable x (plus the
-    parameter y for the CHI_Y family); its constant term is one.
+    parameter y for the CHI_Y family); its constant term is one.  CHI_Y
+    series have two variables, every other genus one.
     """
 
     name: str
@@ -140,12 +142,28 @@ class GenusSpec:
     def __post_init__(self):
         if self.name not in GENUS_NAMES:
             raise InputError(f"unknown genus {self.name!r}")
+        count = 2 if self.name == "CHI_Y" else 1
+        if len(self.series.variables) != count:
+            raise InputError(
+                f"{self.name} series needs {count} variable(s), "
+                f"got {len(self.series.variables)}"
+            )
         if self.series.constant_term != 1:
             raise ConsistencyError("genus series must start at one")
 
+    @cached_property
+    def log_series(self) -> TruncatedPoly:
+        """log Q, computed once per spec."""
+        return series_log(self.series)
 
+
+@lru_cache(maxsize=64)
 def genus_spec(name: str, order: int) -> GenusSpec:
-    """Build the named genus with Q(x) expanded to x**order."""
+    """Build the named genus with Q(x) expanded to x**order.
+
+    Memoized per (name, order), together with its ``log_series``; the
+    returned spec is shared, so callers must not modify its series.
+    """
     if order < 1:
         raise InputError("order must be positive")
     if name == "AHAT":
@@ -201,8 +219,11 @@ def genus_spec(name: str, order: int) -> GenusSpec:
 def _coerce_genus(genus: Union[str, GenusSpec], order: int) -> GenusSpec:
     if isinstance(genus, str):
         return genus_spec(genus, order)
-    if genus.series.cutoffs[0] < order:
-        raise InputError("genus series expanded to too low an order")
+    if min(genus.series.cutoffs) < order:
+        raise InputError(
+            f"{genus.name} series has cutoffs {genus.series.cutoffs}, "
+            f"every one must be at least {order}"
+        )
     return genus
 
 
@@ -210,24 +231,18 @@ def multiplicative_class(genus: Union[str, GenusSpec], profile: ChernProfile) ->
     """The genus class of the tangent bundle, as a polynomial in h (and y)."""
     n = profile.dim
     g = _coerce_genus(genus, n)
-    log_q = series_log(g.series)
+    log_q = g.log_series
     sums = chern_to_power_sums(profile)
     two_var = len(g.series.variables) == 2
-    if two_var:
-        acc = TruncatedPoly.zero(("h", "y"), (n, n))
-        for exps, coeff in log_q.items():
-            k = exps[0]
-            if k == 0:
-                raise ConsistencyError("log of a genus series has no pure-y part")
-            if k <= n:
-                acc = acc + acc.monomial((k, exps[1]), coeff * sums[k - 1])
-        return series_exp(acc)
-    acc = TruncatedPoly.zero(("h",), (n,))
+    coeffs: Dict[Tuple[int, ...], Fraction] = {}
     for exps, coeff in log_q.items():
         k = exps[0]
+        if k == 0 and two_var:
+            raise ConsistencyError("log of a genus series has no pure-y part")
         if 1 <= k <= n:
-            acc = acc + acc.monomial((k,), coeff * sums[k - 1])
-    return series_exp(acc)
+            coeffs[(k,) + exps[1:]] = coeff * sums[k - 1]
+    variables = ("h", "y") if two_var else ("h",)
+    return series_exp(TruncatedPoly(variables, (n,) * len(variables), coeffs))
 
 
 def evaluate_genus(
@@ -375,8 +390,7 @@ def _solve_linear(rows: List[List[Fraction]], rhs: List[Fraction]) -> List[Fract
 
 
 def _genus_log_coeffs(name: str, order: int) -> Dict[int, Fraction]:
-    log_q = series_log(genus_spec(name, order).series)
-    return {exps[0]: c for exps, c in log_q.items()}
+    return {exps[0]: c for exps, c in genus_spec(name, order).log_series.items()}
 
 
 def _elementary(values: Sequence[Fraction]) -> List[Fraction]:

@@ -8,17 +8,40 @@ n-dimensional cohomology ring or an order-n series expansion wants.
 
 Coefficients are stored in a dict keyed by exponent tuples; zero
 coefficients are never stored, so dict equality is polynomial equality.
+Coefficients must be ``int`` or ``Fraction``; floats are refused.
+
+``series_inverse``, ``series_exp`` and ``series_log`` are graded
+recurrences over the homogeneous components p_k of total degree k:
+
+    inverse  q_k = -(1/p_0) * sum_{j>=1} p_j q_{k-j}
+    exp      k f_k = sum_{j>=1} j g_j f_{k-j}                (f = exp g)
+    log      k g_k = k p_k - sum_{1<=j<k} j g_j p_{k-j}      (g = log p)
+
+The truncation ideal is monomial, so it is graded and stable under the
+Euler derivation sum_v v*d/dv; the recurrences are therefore exact for any
+per-variable cutoffs.  Each component is computed once, which costs O(n^4)
+coefficient products in two variables at cutoff n, against O(n^5) for the
+n full truncated products of a geometric or power series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 from .errors import InputError
 
 Exponent = Tuple[int, ...]
 RationalLike = Union[int, Fraction]
+# homogeneous components by total degree, each a list of (first exponent, coefficient)
+Components = List[List[Tuple[int, Fraction]]]
+
+
+def _rational(value: RationalLike) -> Fraction:
+    """``value`` as a Fraction; floats and other inexact types are refused."""
+    if not isinstance(value, (int, Fraction)):
+        raise InputError(f"coefficient {value!r} is not an exact rational")
+    return Fraction(value)
 
 
 class TruncatedPoly:
@@ -43,9 +66,9 @@ class TruncatedPoly:
             key = tuple(int(e) for e in exps)
             if len(key) != len(self.variables) or any(e < 0 for e in key):
                 raise InputError(f"bad exponent tuple {exps!r}")
+            value = _rational(value)
             if any(e > c for e, c in zip(key, self.cutoffs)):
                 continue  # truncated away by construction
-            value = Fraction(value)
             if value:
                 clean[key] = clean.get(key, Fraction(0)) + value
                 if not clean[key]:
@@ -126,7 +149,7 @@ class TruncatedPoly:
                         continue
                     out[key] = out.get(key, Fraction(0)) + ca * cb
             return self._like(out)
-        factor = Fraction(other)
+        factor = _rational(other)
         return self._like({k: v * factor for k, v in self.coeffs.items()})
 
     __rmul__ = __mul__
@@ -177,63 +200,89 @@ class TruncatedPoly:
         return " + ".join(terms).replace("+ -", "- ")
 
 
-def poly_mul(a: TruncatedPoly, b: TruncatedPoly) -> TruncatedPoly:
-    """Product in the common truncated ring of ``a`` and ``b``."""
-    return a * b
+def _components(p: TruncatedPoly) -> Components:
+    """Homogeneous components of ``p`` by total degree 0 .. sum(cutoffs).
+
+    A monomial of total degree k is determined by its first exponent i
+    (the second, if any, is k - i), so component k is a list of (i, c).
+    """
+    comps: Components = [[] for _ in range(sum(p.cutoffs) + 1)]
+    for exps, c in p.coeffs.items():
+        comps[sum(exps)].append((exps[0], c))
+    return comps
+
+
+def _convolve(a: Components, b: Components, k: int, cutoffs: Exponent) -> Dict[int, Fraction]:
+    """Degree-k part of sum_{j>=1} a_j * b_{k-j}, truncated, keyed by first exponent."""
+    # a first exponent s is kept when s <= c_0 and the second, k - s, is
+    # within its cutoff (one variable: the second exponent is always 0)
+    lo = max(0, k - cutoffs[1]) if len(cutoffs) == 2 else k
+    hi = cutoffs[0]
+    out: Dict[int, Fraction] = {}
+    for j in range(1, k + 1):
+        bj = b[k - j]
+        if not bj:
+            continue
+        for ia, ca in a[j]:
+            for ib, cb in bj:
+                s = ia + ib
+                if lo <= s <= hi:
+                    out[s] = out[s] + ca * cb if s in out else ca * cb
+    return out
+
+
+def _from_components(p: TruncatedPoly, comps: Components) -> TruncatedPoly:
+    two = len(p.variables) == 2
+    return p._like(
+        {((i, k - i) if two else (i,)): c for k, comp in enumerate(comps) for i, c in comp}
+    )
 
 
 def series_inverse(p: TruncatedPoly) -> TruncatedPoly:
-    """Multiplicative inverse of a series with nonzero constant term."""
+    """Multiplicative inverse of a series with nonzero constant term.
+
+    Graded long division: q_k = -(1/p_0) * sum_{j>=1} p_j q_{k-j}.
+    """
     c0 = p.constant_term
     if not c0:
         raise InputError("series has no inverse: constant term is zero")
-    one = TruncatedPoly.constant(1, p.variables, p.cutoffs)
-    # p = c0*(1 - r) with r nilpotent under truncation, so the geometric
-    # series terminates on its own.
-    r = one - p * (Fraction(1) / c0)
-    result = one
-    term = one
-    while True:
-        term = term * r
-        if term.is_zero():
-            break
-        result = result + term
-    return result * (Fraction(1) / c0)
+    inv0 = 1 / c0
+    a = _components(p)
+    q = [[(0, inv0)]]
+    for k in range(1, len(a)):
+        q.append([(i, -c * inv0) for i, c in _convolve(a, q, k, p.cutoffs).items() if c])
+    return _from_components(p, q)
 
 
 def series_exp(p: TruncatedPoly) -> TruncatedPoly:
-    """exp of a series with zero constant term."""
+    """exp of a series with zero constant term.
+
+    With f = exp(g) and the Euler derivation: k f_k = sum_{j>=1} j g_j f_{k-j}.
+    """
     if p.constant_term:
         raise InputError("series_exp needs a zero constant term")
-    result = TruncatedPoly.constant(1, p.variables, p.cutoffs)
-    term = result
-    k = 1
-    while True:
-        term = term * p * Fraction(1, k)
-        if term.is_zero():
-            break
-        result = result + term
-        k += 1
-    return result
+    dg = [[(i, k * c) for i, c in comp] for k, comp in enumerate(_components(p))]
+    f = [[(0, Fraction(1))]]
+    for k in range(1, len(dg)):
+        f.append([(i, c / k) for i, c in _convolve(dg, f, k, p.cutoffs).items() if c])
+    return _from_components(p, f)
 
 
 def series_log(p: TruncatedPoly) -> TruncatedPoly:
-    """log of a series with constant term one."""
+    """log of a series with constant term one.
+
+    With g = log(p): k g_k = k p_k - sum_{j<k} j g_j p_{k-j}.
+    """
     if p.constant_term != 1:
         raise InputError("series_log needs constant term one")
-    u = p - TruncatedPoly.constant(1, p.variables, p.cutoffs)
-    result = TruncatedPoly.zero(p.variables, p.cutoffs)
-    power = TruncatedPoly.constant(1, p.variables, p.cutoffs)
-    k = 1
-    sign = 1
-    while True:
-        power = power * u
-        if power.is_zero():
-            break
-        result = result + power * Fraction(sign, k)
-        k += 1
-        sign = -sign
-    return result
+    a = _components(p)
+    dg: Components = [[]]  # j g_j, component by component
+    for k in range(1, len(a)):
+        acc = {i: k * c for i, c in a[k]}
+        for i, c in _convolve(a, dg, k, p.cutoffs).items():
+            acc[i] = acc[i] - c if i in acc else -c
+        dg.append([(i, c) for i, c in acc.items() if c])
+    return _from_components(p, [[(i, c / k) for i, c in comp] for k, comp in enumerate(dg)])
 
 
 class RationalFunctionSeries:

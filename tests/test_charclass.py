@@ -13,6 +13,7 @@ from rslab.charclass import (
     elementary_from_power_sums,
     euler_characteristic,
     evaluate_genus,
+    GenusSpec,
     genus_spec,
     hodge_from_chi_y,
     pontryagin_numbers,
@@ -21,6 +22,7 @@ from rslab.charclass import (
     verify_dimension_identities,
 )
 from rslab.errors import InputError, NotApplicableError
+from rslab.exactpoly import TruncatedPoly
 from rslab.intersections import CISpec, build_ci
 
 # Tangent profile of the quartic surface: c1 = 0 and c2 h^2 pairs to 24.
@@ -102,6 +104,43 @@ def test_genus_spec_validation():
         genus_spec("ZETA", 4)
     with pytest.raises(InputError):
         genus_spec("L", 0)
+
+
+def test_genus_spec_is_memoized_and_stable():
+    for name in ("AHAT", "L", "TODD", "CHI_Y"):
+        first = genus_spec(name, 6)
+        again = genus_spec(name, 6)
+        assert again.series == first.series
+        assert genus_spec(name, 5).series.cutoffs[0] == 5
+
+
+def test_caller_supplied_genus_matches_named_genus():
+    sextic = build_ci(CISpec(4, (6,))).profile
+    for name in ("AHAT", "L", "CHI_Y"):
+        spec = genus_spec(name, 4)
+        copy = TruncatedPoly(spec.series.variables, spec.series.cutoffs, spec.series.coeffs)
+        supplied = GenusSpec(name, copy)
+        assert evaluate_genus(supplied, sextic) == evaluate_genus(name, sextic)
+    assert evaluate_genus("CHI_Y", sextic) == (2, -427, 1752, -427, 2)
+
+
+def test_chi_y_spec_with_short_y_cutoff_rejected():
+    # y**0..y**2 only: evaluate_genus used to return (2, -427, 1752, -375/4, 75/16)
+    sextic = build_ci(CISpec(4, (6,))).profile
+    full = genus_spec("CHI_Y", 4).series
+    short = GenusSpec("CHI_Y", TruncatedPoly(("x", "y"), (4, 2), full.coeffs))
+    with pytest.raises(InputError, match=r"\(4, 2\)"):
+        evaluate_genus(short, sextic)
+    with pytest.raises(InputError):
+        evaluate_genus(GenusSpec("CHI_Y", genus_spec("CHI_Y", 3).series), sextic)
+
+
+def test_genus_spec_variable_count_matches_name():
+    chi_y = genus_spec("CHI_Y", 4).series
+    with pytest.raises(InputError, match="AHAT series needs 1 variable"):
+        GenusSpec("AHAT", chi_y)
+    with pytest.raises(InputError, match="CHI_Y series needs 2 variable"):
+        GenusSpec("CHI_Y", genus_spec("TODD", 4).series)
 
 
 @pytest.mark.parametrize("real_dim", [4, 8, 12])

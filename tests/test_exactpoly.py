@@ -1,5 +1,6 @@
 """Truncated polynomial ring and rational-series arithmetic."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -122,3 +123,92 @@ def test_constructor_validation():
         TruncatedPoly(("x",), (-1,), {})
     with pytest.raises(InputError):
         TruncatedPoly(("x",), (2,), {(0, 0): 1})
+
+
+def test_inexact_coefficients_rejected():
+    with pytest.raises(InputError, match="not an exact rational"):
+        TruncatedPoly(("x",), (2,), {(0,): 0.1})
+    with pytest.raises(InputError):
+        TruncatedPoly(("x",), (2,), {(5,): 0.5})  # even where truncated away
+    with pytest.raises(InputError):
+        _poly({0: 1}) * 0.5
+    assert _poly({0: Fraction(1, 10)}) * 3 == _poly({0: Fraction(3, 10)})
+
+
+# -- differential tests: the graded recurrences against the plain loops -------
+
+
+def _reference_inverse(p):
+    c0 = p.constant_term
+    one = TruncatedPoly.constant(1, p.variables, p.cutoffs)
+    r = one - p * (Fraction(1) / c0)
+    result = term = one
+    while True:
+        term = term * r
+        if term.is_zero():
+            break
+        result = result + term
+    return result * (Fraction(1) / c0)
+
+
+def _reference_exp(p):
+    result = term = TruncatedPoly.constant(1, p.variables, p.cutoffs)
+    k = 1
+    while True:
+        term = term * p * Fraction(1, k)
+        if term.is_zero():
+            break
+        result = result + term
+        k += 1
+    return result
+
+
+def _reference_log(p):
+    u = p - TruncatedPoly.constant(1, p.variables, p.cutoffs)
+    result = TruncatedPoly.zero(p.variables, p.cutoffs)
+    power = TruncatedPoly.constant(1, p.variables, p.cutoffs)
+    k, sign = 1, 1
+    while True:
+        power = power * u
+        if power.is_zero():
+            break
+        result = result + power * Fraction(sign, k)
+        k, sign = k + 1, -sign
+    return result
+
+
+def _random_series(rng, cutoffs, constant):
+    """Sparse random series; pure-second-variable terms included."""
+    variables = ("x", "y")[: len(cutoffs)]
+    coeffs = {(0,) * len(cutoffs): constant}
+    for _ in range(rng.randint(1, 8)):
+        exps = tuple(rng.randint(0, c) for c in cutoffs)
+        if any(exps):
+            coeffs[exps] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    if len(cutoffs) == 2 and cutoffs[1]:
+        coeffs[(0, rng.randint(1, cutoffs[1]))] = Fraction(rng.randint(1, 5))
+    return TruncatedPoly(variables, cutoffs, coeffs)
+
+
+def _random_cutoffs(rng):
+    if rng.random() < 0.4:
+        return (rng.randint(0, 9),)
+    return (rng.randint(0, 6), rng.randint(0, 6))
+
+
+def test_series_ops_match_reference_loops():
+    rng = random.Random(1804)
+    for _ in range(60):
+        cutoffs = _random_cutoffs(rng)
+        one = TruncatedPoly.constant(1, ("x", "y")[: len(cutoffs)], cutoffs)
+        c0 = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+        unit = _random_series(rng, cutoffs, c0)
+        assert series_inverse(unit) == _reference_inverse(unit)
+        assert unit * series_inverse(unit) == one
+        one_plus = _random_series(rng, cutoffs, 1)
+        assert series_log(one_plus) == _reference_log(one_plus)
+        assert series_exp(series_log(one_plus)) == one_plus
+        nilpotent = one_plus - one
+        assert series_exp(nilpotent) == _reference_exp(nilpotent)
+        assert series_log(series_exp(nilpotent)) == nilpotent
+
