@@ -23,12 +23,9 @@ from .holonomy import (
     holonomy_model,
     hyperkahler_kernel_identity,
     kernel_dimension,
-    parallel_rs_dimension,
-    parallel_spinor_dimension,
     product_parallel_from_models,
     product_parallel_rs,
     qk_kernel_analysis,
-    sigma_three_half,
     sphere_check,
     spin7_betti_identity,
     symmetric_space_catalog,
@@ -43,7 +40,6 @@ from .intersections import (
     fermat_signature,
     hodge_numbers,
     quadric,
-    rs_index_report,
 )
 from .lie import (
     RepSum,
@@ -92,8 +88,6 @@ __all__ = [
     "hyperkahler_kernel_identity",
     "irreducible",
     "kernel_dimension",
-    "parallel_rs_dimension",
-    "parallel_spinor_dimension",
     "product_parallel_from_models",
     "product_parallel_rs",
     "product_rs_index",
@@ -101,8 +95,6 @@ __all__ = [
     "qk_kernel_analysis",
     "quadric",
     "rs_index",
-    "rs_index_report",
-    "sigma_three_half",
     "sphere_check",
     "spin7_betti_identity",
     "symmetric_space_catalog",

@@ -52,17 +52,18 @@ class ChernProfile:
         if self.pairing == 0:
             raise InputError("pairing must be nonzero")
 
-
-def chern_to_power_sums(profile: ChernProfile) -> Tuple[Fraction, ...]:
-    """Power sums s_1..s_n of the Chern roots, via Newton's identities."""
-    e = (Fraction(1),) + profile.chern
-    s: List[Fraction] = []
-    for k in range(1, profile.dim + 1):
-        acc = Fraction((-1) ** (k - 1) * k) * e[k]
-        for i in range(1, k):
-            acc += Fraction((-1) ** (i - 1)) * e[i] * s[k - 1 - i]
-        s.append(acc)
-    return tuple(s)
+    @cached_property
+    def power_sums(self) -> Tuple[Fraction, ...]:
+        """Power sums s_1..s_n of the Chern roots, via Newton's identities,
+        computed once per profile."""
+        e = (Fraction(1),) + self.chern
+        s: List[Fraction] = []
+        for k in range(1, self.dim + 1):
+            acc = Fraction((-1) ** (k - 1) * k) * e[k]
+            for i in range(1, k):
+                acc += Fraction((-1) ** (i - 1)) * e[i] * s[k - 1 - i]
+            s.append(acc)
+        return tuple(s)
 
 
 def elementary_from_power_sums(sums: Sequence[Fraction], count: int) -> Tuple[Fraction, ...]:
@@ -85,7 +86,7 @@ def chern_to_pontryagin(profile: ChernProfile) -> Tuple[Fraction, ...]:
     ``prod (1 + x_i**2)``, so p_k is the k-th elementary symmetric function
     of the squared Chern roots, recovered from s_2, s_4, ...
     """
-    s = chern_to_power_sums(profile)
+    s = profile.power_sums
     count = profile.dim // 2
     squared_sums = [s[2 * k - 1] for k in range(1, count + 1)]
     return elementary_from_power_sums(squared_sums, count)
@@ -232,7 +233,7 @@ def multiplicative_class(genus: Union[str, GenusSpec], profile: ChernProfile) ->
     n = profile.dim
     g = _coerce_genus(genus, n)
     log_q = g.log_series
-    sums = chern_to_power_sums(profile)
+    sums = profile.power_sums
     two_var = len(g.series.variables) == 2
     coeffs: Dict[Tuple[int, ...], Fraction] = {}
     for exps, coeff in log_q.items():
@@ -274,7 +275,7 @@ def ch_complexified_tangent(profile: ChernProfile) -> TruncatedPoly:
     ``2n + 2 * sum_{k even} s_k/k! * h**k``.
     """
     n = profile.dim
-    sums = chern_to_power_sums(profile)
+    sums = profile.power_sums
     coeffs: Dict[Tuple[int, ...], Fraction] = {(0,): Fraction(2 * n)}
     for k in range(2, n + 1, 2):
         coeffs[(k,)] = Fraction(2, math.factorial(k)) * sums[k - 1]
@@ -298,13 +299,21 @@ def rs_index(profile: ChernProfile) -> RSIndexReport:
     """
     n = profile.dim
     ahat_cls = multiplicative_class("AHAT", profile)
-    ch = ch_complexified_tangent(profile)
-    one = TruncatedPoly.constant(1, ("h",), (n,))
-    total = (ahat_cls * (ch + one)).coefficient((n,)) * profile.pairing
-    dirac = ahat_cls.coefficient((n,)) * profile.pairing
-    twisted = (ahat_cls * ch).coefficient((n,)) * profile.pairing
+    ahat = [ahat_cls.coefficient((k,)) for k in range(n + 1)]
+    ch = [ch_complexified_tangent(profile).coefficient((k,)) for k in range(n + 1)]
+
+    def top(factor: List[Fraction]) -> Fraction:
+        """The h**n coefficient of Ahat * factor, paired with [M]."""
+        return sum((a * b for a, b in zip(ahat, reversed(factor))), Fraction(0)) * profile.pairing
+
+    total = top([ch[0] + 1] + ch[1:])
+    twisted = top(ch)
+    dirac = ahat[n] * profile.pairing
     if total != twisted + dirac:
-        raise ConsistencyError("index split failed to recombine")
+        raise ConsistencyError(
+            f"index split failed to recombine in complex dimension {n}: "
+            f"total {total}, twisted + plain {twisted + dirac}"
+        )
     return RSIndexReport(total=total, dirac_tangent=twisted, dirac=dirac)
 
 
@@ -542,7 +551,7 @@ def product_genus(
     order = max(cut)
     logc = _genus_log_coeffs(name, order)
     cls = _lifted_power_sum_class(
-        logc, chern_to_power_sums(left), chern_to_power_sums(right), cut
+        logc, left.power_sums, right.power_sums, cut
     )
     return cls.coefficient(cut) * left.pairing * right.pairing
 
@@ -559,7 +568,7 @@ def product_rs_index(left: ChernProfile, right: ChernProfile) -> Fraction:
     order = max(cut)
     log_ahat = _genus_log_coeffs("AHAT", order)
     ahat_cls = _lifted_power_sum_class(
-        log_ahat, chern_to_power_sums(left), chern_to_power_sums(right), cut
+        log_ahat, left.power_sums, right.power_sums, cut
     )
 
     def lift(profile: ChernProfile, slot: int) -> TruncatedPoly:

@@ -358,18 +358,6 @@ def _build_model(token: str, parameter: Optional[int]) -> HolonomyModel:
     return _so_model(parameter)
 
 
-def sigma_three_half(model: HolonomyModel) -> SpinThreeHalf:
-    return model.sigma_three_half()
-
-
-def parallel_rs_dimension(model: HolonomyModel) -> int:
-    return model.parallel_rs_dimension()
-
-
-def parallel_spinor_dimension(model: HolonomyModel) -> int:
-    return model.parallel_spinor_dimension()
-
-
 # ---------------------------------------------------------------------------
 # quaternion-Kaehler curvature bounds
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from typing import List, Optional, Tuple
 
 from .charclass import (
     ChernProfile,
-    RSIndexReport,
     euler_characteristic,
     evaluate_genus,
     hodge_from_chi_y,
@@ -346,8 +345,3 @@ def ahat_survey(max_half_dim: int, max_degree: int) -> List[AhatSurveyEntry]:
                 )
             )
     return entries
-
-
-def rs_index_report(m: CIManifold) -> RSIndexReport:
-    """Convenience passthrough exposing the index split for a built CI."""
-    return rs_index(m.profile)

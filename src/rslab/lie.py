@@ -13,9 +13,14 @@ dominant weights, the Klimyk tensor-product rule, and a brute-force
 character oracle that evaluates moment sums of full weight systems at a
 rational point (enough to separate every decomposition handled here).
 
-Internally weights are int tuples of Dynkin labels <w, alpha_i^vee>: Weyl
-reflections, Freudenthal and the (memoized) Weyl dimension run on them,
-against integer tables built the first time a system needs them.  Labels
+Root data is integer from construction on: the constructor turns the roots
+and the fundamental weights into sparse integer rows over a common
+denominator and computes delta, the construction checks, the simple
+coroots and the Cartan rows from them with int arithmetic; the per-root
+table (labels, coroot coefficients, |alpha|^2 / 2) follows on first use.
+The public attributes stay Fraction tuples.  Internally weights are int
+tuples of Dynkin labels <w, alpha_i^vee>: Weyl reflections, Freudenthal and
+the (memoized) Weyl dimension run on them against those tables.  Labels
 miss only the constant tuple on an A or G2 block, which no root sees, and
 roots keep each block's coordinate sum, so labels plus block sums give
 back the Euclidean coordinates exactly.
@@ -45,9 +50,25 @@ def _fmt(w: Iterable) -> str:
     return "(" + ", ".join(str(x) for x in w) + ")"
 
 
-def _nonzero(values: Iterable) -> Sparse:
-    """The nonzero entries (index, value) of an integral vector, as ints."""
-    return tuple((i, int(x)) for i, x in enumerate(values) if x)
+def _rows(vectors: Sequence[Weight]) -> Tuple[int, List[Sparse]]:
+    """Vectors as sparse integer rows (index, value) over one common denominator."""
+    nonzero = [[(i, x) for i, x in enumerate(v) if x] for v in vectors]
+    den = math.lcm(*(x.denominator for row in nonzero for _, x in row))
+    return den, [tuple((i, x.numerator * den // x.denominator) for i, x in row) for row in nonzero]
+
+
+def _columns(rows: Sequence[Sparse], n: int) -> List[List[Tuple[int, int]]]:
+    """Sparse rows transposed: per coordinate, its (row, value) pairs."""
+    out: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for j, row in enumerate(rows):
+        for i, v in row:
+            out[i].append((j, v))
+    return out
+
+
+def _exact(values: Iterable[int], den: int) -> tuple:
+    """values / den, as ints where integral."""
+    return tuple(x // den if x % den == 0 else Fraction(x, den) for x in values)
 
 
 def _add(u: Weight, v: Weight) -> Weight:
@@ -56,10 +77,6 @@ def _add(u: Weight, v: Weight) -> Weight:
 
 def _sub(u: Weight, v: Weight) -> Weight:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def _scale(u: Weight, c: Fraction) -> Weight:
-    return tuple(a * c for a in u)
 
 
 def _dot(u: Weight, v: Weight) -> Fraction:
@@ -94,54 +111,68 @@ class RootSystem:
         self.positive_roots = tuple(positive_roots)
         self.fundamental_weights = tuple(fundamental_weights)
         self.name = name
-        self.delta = _scale(
-            tuple(sum(r[i] for r in self.positive_roots) for i in range(self.coords)),
-            Fraction(1, 2),
-        )
+        # roots as sparse integer rows over the denominator _den, fundamental
+        # weights likewise over their own (_omega); delta = acc / (2 _den)
+        rank = len(self.simple_roots)
+        self._den, rows = _rows(self.simple_roots + self.positive_roots)
+        self._simple, self._positive = rows[:rank], rows[rank:]
+        self._omega = _rows(self.fundamental_weights)
+        acc = [0] * self.coords
+        for row in self._positive:
+            for i, v in row:
+                acc[i] += v
+        self.delta = tuple(Fraction(x, 2 * self._den) for x in acc)
         # blocks whose constant tuple no root sees: labels omit their sums
         central = ("A", "G2")
         self._central = [(lo, hi) for c, lo, hi in self._blocks() if c.kind in central]
         self._dims: Dict[Weight, int] = {}
         self._weights_cache: Dict[Weight, Dict[Labels, int]] = {}
         self._dominant_cache: Dict[Weight, Tuple[Dict[Labels, int], Dict]] = {}
-        self._validate()
-        # simple coroots 2*alpha/|alpha|^2 as nonzero (coordinate, value)
-        # integer pairs over the common denominator _coden
-        coroots = [_scale(a, 2 / _dot(a, a)) for a in self.simple_roots]
-        self._coden = math.lcm(*(x.denominator for a in coroots for x in a))
-        self._coroots = [_nonzero(x * self._coden for x in a) for a in coroots]
+        norms = [sum(v * v for _, v in row) for row in self._simple]
+        self._validate(norms, acc)
+        # simple coroots 2*alpha/|alpha|^2 = 2 _den row / norm as nonzero
+        # (coordinate, value) integer pairs over the common denominator _coden
+        simple, twice = list(zip(self._simple, norms)), 2 * self._den
+        self._coden = math.lcm(*(n // math.gcd(twice * v, n) for r, n in simple for _, v in r))
+        self._coroots = [tuple((i, twice * v * self._coden // n) for i, v in r) for r, n in simple]
 
     # -- construction checks ------------------------------------------------
 
-    def _validate(self) -> None:
-        for i, a in enumerate(self.simple_roots):
-            norm = _dot(a, a)
+    def _validate(self, norms: List[int], acc: List[int]) -> None:
+        """Cartan entries and delta, on the integer rows; keeps the Cartan
+        rows _cartan (row i: the nonzero labels <alpha_i, alpha_j^vee>)."""
+        cartan: List[list] = [[] for _ in norms]
+        for j, (a, norm) in enumerate(zip(self.simple_roots, norms)):
             if norm == 0:
                 raise ConsistencyError(f"{self.name}: simple root {_fmt(a)} has norm 0")
-            for b in self.simple_roots:
-                entry = 2 * _dot(b, a) / norm
-                if entry.denominator != 1 or (b is not a and entry > 0):
+            a_row = dict(self._simple[j])
+            for i, (b, row) in enumerate(zip(self.simple_roots, self._simple)):
+                twice = 2 * sum(v * a_row.get(k, 0) for k, v in row)
+                entry, rest = divmod(twice, norm)
+                if rest or (b is not a and entry > 0):
                     raise ConsistencyError(
                         f"{self.name}: Cartan entry of {_fmt(b)} on {_fmt(a)} is "
-                        f"{entry}; need an integer, <= 0 off the diagonal"
+                        f"{Fraction(twice, norm)}; need an integer, <= 0 off the diagonal"
                     )
+                if entry:
+                    cartan[i].append((j, entry))
+        self._cartan = [tuple(row) for row in cartan]
         # delta equals the sum of fundamental weights, up to the central
         # (constant per A-component) directions that GL coordinates carry
-        omega = self._sum_fundamentals()
-        diff = _sub(self.delta, omega)
-        for alpha in self.positive_roots:
-            if _dot(diff, alpha) != 0:
+        den, (oden, omega) = self._den, self._omega
+        total = [0] * self.coords
+        for row in omega:
+            for i, v in row:
+                total[i] += v
+        for alpha, row in zip(self.positive_roots, self._positive):
+            on_delta = sum(v * acc[i] for i, v in row)  # over 2 den^2
+            on_omega = sum(v * total[i] for i, v in row)  # over oden den
+            if on_delta * oden != on_omega * 2 * den:
                 raise ConsistencyError(
-                    f"{self.name}: <delta, a> = {_dot(self.delta, alpha)} but <sum of "
-                    f"fundamental weights, a> = {_dot(omega, alpha)}, a = {_fmt(alpha)}"
+                    f"{self.name}: <delta, a> = {Fraction(on_delta, 2 * den * den)} but "
+                    f"<sum of fundamental weights, a> = {Fraction(on_omega, oden * den)}, "
+                    f"a = {_fmt(alpha)}"
                 )
-
-    def _sum_fundamentals(self) -> Weight:
-        total = [Fraction(0)] * self.coords
-        for w in self.fundamental_weights:
-            for i, x in enumerate(w):
-                total[i] += x
-        return tuple(total)
 
     def _blocks(self):
         start = 0
@@ -149,37 +180,36 @@ class RootSystem:
             yield comp, start, start + comp.coords
             start += comp.coords
 
-    # -- integer tables (built on first use) and labels --------------------------
-
-    @cached_property
-    def _cartan(self) -> List[Sparse]:
-        """Row i: the nonzero labels <alpha_i, alpha_j^vee> of alpha_i."""
-        return [_nonzero(self._labels(a)) for a in self.simple_roots]
+    # -- integer tables and labels --------------------------------------------
 
     @cached_property
     def _roots(self) -> List[Tuple[Labels, Sparse, Fraction]]:
         """Per positive root: its labels, the nonzero c_j = 2<alpha, omega_j>
-        / |alpha|^2 of alpha^vee = sum_j c_j alpha_j^vee, and |alpha|^2 / 2."""
+        / |alpha|^2 of alpha^vee = sum_j c_j alpha_j^vee, and |alpha|^2 / 2,
+        from each root's integer row against the coroot and omega columns."""
+        den, (oden, omega) = self._den, self._omega
+        coroot_cols = _columns(self._coroots, self.coords)
+        omega_cols = _columns(omega, self.coords)
         out = []
-        for alpha in self.positive_roots:
-            half = _dot(alpha, alpha) / 2
-            coroot = _nonzero(_dot(alpha, w) / half for w in self.fundamental_weights)
-            out.append((self._labels(alpha), coroot, half))
+        for row in self._positive:
+            labels, pairs = [0] * len(self._coroots), [0] * len(omega)
+            for i, v in row:
+                for j, c in coroot_cols[i]:
+                    labels[j] += v * c
+                for j, w in omega_cols[i]:
+                    pairs[j] += v * w
+            norm = sum(v * v for _, v in row)
+            # c_j = <alpha, omega_j> / (|alpha|^2 / 2) = 2 den p_j / (oden norm)
+            coroot = tuple((j, 2 * den * p // (oden * norm)) for j, p in enumerate(pairs) if p)
+            out.append((_exact(labels, den * self._coden), coroot, Fraction(norm, 2 * den * den)))
         return out
-
-    @cached_property
-    def _omega(self) -> Tuple[int, List[Sparse]]:
-        """Fundamental weights as integer rows over one common denominator."""
-        den = math.lcm(*(x.denominator for w in self.fundamental_weights for x in w))
-        return den, [_nonzero(x * den for x in w) for w in self.fundamental_weights]
 
     def _labels(self, w: Weight) -> tuple:
         """Dynkin labels <w, alpha_i^vee>, as ints where integral."""
         den = math.lcm(*(x.denominator for x in w))
         ints = [x.numerator * (den // x.denominator) for x in w]
-        den *= self._coden
         out = (sum(ints[i] * c for i, c in row) for row in self._coroots)
-        return tuple(x // den if x % den == 0 else Fraction(x, den) for x in out)
+        return _exact(out, den * self._coden)
 
     def _sums(self, w: Weight) -> Weight:
         return tuple(sum(w[lo:hi], Fraction(0)) for lo, hi in self._central)
@@ -277,7 +307,7 @@ class RootSystem:
         """
         _, labels = self._require_dominant(lam)
         p = self._from_labels(labels, [0] * len(self._central))
-        return _dot(_add(p, _scale(self.delta, Fraction(2))), p)
+        return _dot(p, p) + 2 * _dot(self.delta, p)
 
     # -- weight systems ---------------------------------------------------------
 
@@ -360,41 +390,47 @@ class RootSystem:
 # -- factories -----------------------------------------------------------------
 
 
-def _unit(n: int, i: int, value=1) -> Weight:
-    return tuple(Fraction(value) if j == i else Fraction(0) for j in range(n))
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _vec(n: int, *entries: Tuple[int, int]) -> Weight:
+    """The length-n weight with the given (index, value) entries, zero elsewhere."""
+    w = [_ZERO] * n
+    for i, x in entries:
+        w[i] = Fraction(x)
+    return tuple(w)
+
+
+def _chain(n: int) -> List[Weight]:
+    """The simple roots e_i - e_(i+1), i < n - 1."""
+    return [_vec(n, (i, 1), (i + 1, -1)) for i in range(n - 1)]
+
+
+def _pairs(m: int) -> List[Weight]:
+    """The roots e_i - e_j, e_i + e_j (i < j) that B, C and D share."""
+    return [_vec(m, (i, 1), (j, s)) for i in range(m) for j in range(i + 1, m) for s in (-1, 1)]
+
+
+def _steps(n: int, count: int) -> List[Weight]:
+    """The weights e_1 + ... + e_k, k = 1..count."""
+    return [(_ONE,) * k + (_ZERO,) * (n - k) for k in range(1, count + 1)]
 
 
 def type_a(n: int) -> RootSystem:
     """sl(n) in GL coordinates: n entries, roots e_i - e_j."""
     if n < 2:
         raise InputError("type A needs at least two coordinates")
-    simple = [_sub(_unit(n, i), _unit(n, i + 1)) for i in range(n - 1)]
-    positive = [
-        _sub(_unit(n, i), _unit(n, j)) for i in range(n) for j in range(i + 1, n)
-    ]
-    fundamentals = [
-        tuple(Fraction(1) if j <= i else Fraction(0) for j in range(n))
-        for i in range(n - 1)
-    ]
-    return RootSystem([_Component("A", n)], simple, positive, fundamentals, f"A{n - 1}")
+    positive = [_vec(n, (i, 1), (j, -1)) for i in range(n) for j in range(i + 1, n)]
+    return RootSystem([_Component("A", n)], _chain(n), positive, _steps(n, n - 1), f"A{n - 1}")
 
 
 def type_b(m: int) -> RootSystem:
     """so(2m+1): roots e_i +- e_j and the short e_i."""
     if m < 1:
         raise InputError("type B needs rank at least one")
-    simple = [_sub(_unit(m, i), _unit(m, i + 1)) for i in range(m - 1)] + [
-        _unit(m, m - 1)
-    ]
-    positive = [_unit(m, i) for i in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            positive.append(_sub(_unit(m, i), _unit(m, j)))
-            positive.append(_add(_unit(m, i), _unit(m, j)))
-    fundamentals = [
-        tuple(Fraction(1) if j <= i else Fraction(0) for j in range(m))
-        for i in range(m - 1)
-    ] + [(Fraction(1, 2),) * m]
+    simple = _chain(m) + [_vec(m, (m - 1, 1))]
+    positive = [_vec(m, (i, 1)) for i in range(m)] + _pairs(m)
+    fundamentals = _steps(m, m - 1) + [(Fraction(1, 2),) * m]
     return RootSystem([_Component("B", m)], simple, positive, fundamentals, f"B{m}")
 
 
@@ -402,57 +438,28 @@ def type_c(m: int) -> RootSystem:
     """sp(m): roots e_i +- e_j and the long 2e_i."""
     if m < 1:
         raise InputError("type C needs rank at least one")
-    simple = [_sub(_unit(m, i), _unit(m, i + 1)) for i in range(m - 1)] + [
-        _unit(m, m - 1, 2)
-    ]
-    positive = [_unit(m, i, 2) for i in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            positive.append(_sub(_unit(m, i), _unit(m, j)))
-            positive.append(_add(_unit(m, i), _unit(m, j)))
-    fundamentals = [
-        tuple(Fraction(1) if j <= i else Fraction(0) for j in range(m))
-        for i in range(m)
-    ]
-    return RootSystem([_Component("C", m)], simple, positive, fundamentals, f"C{m}")
+    simple = _chain(m) + [_vec(m, (m - 1, 2))]
+    positive = [_vec(m, (i, 2)) for i in range(m)] + _pairs(m)
+    return RootSystem([_Component("C", m)], simple, positive, _steps(m, m), f"C{m}")
 
 
 def type_d(m: int) -> RootSystem:
     """so(2m), m >= 2: roots e_i +- e_j."""
     if m < 2:
         raise InputError("type D needs rank at least two")
-    simple = [_sub(_unit(m, i), _unit(m, i + 1)) for i in range(m - 1)] + [
-        _add(_unit(m, m - 2), _unit(m, m - 1))
-    ]
-    positive = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            positive.append(_sub(_unit(m, i), _unit(m, j)))
-            positive.append(_add(_unit(m, i), _unit(m, j)))
-    fundamentals = [
-        tuple(Fraction(1) if j <= i else Fraction(0) for j in range(m))
-        for i in range(m - 2)
-    ]
+    simple = _chain(m) + [_vec(m, (m - 2, 1), (m - 1, 1))]
     half = Fraction(1, 2)
-    fundamentals.append(tuple([half] * (m - 1) + [-half]))
-    fundamentals.append((half,) * m)
-    return RootSystem([_Component("D", m)], simple, positive, fundamentals, f"D{m}")
+    fundamentals = _steps(m, m - 2) + [(half,) * (m - 1) + (-half,), (half,) * m]
+    return RootSystem([_Component("D", m)], simple, _pairs(m), fundamentals, f"D{m}")
 
 
 def g2() -> RootSystem:
     """G2 in the trace-zero hyperplane of three coordinates."""
-    a1 = _weight((1, -1, 0))
-    a2 = _weight((-2, 1, 1))
-    positive = [
-        a1,
-        a2,
-        _add(a1, a2),
-        _add(_scale(a1, Fraction(2)), a2),
-        _add(_scale(a1, Fraction(3)), a2),
-        _add(_scale(a1, Fraction(3)), _scale(a2, Fraction(2))),
-    ]
+    # a1, a2, a1 + a2, 2a1 + a2, 3a1 + a2, 3a1 + 2a2
+    roots = ((1, -1, 0), (-2, 1, 1), (-1, 0, 1), (0, -1, 1), (1, -2, 1), (-1, -1, 2))
+    positive = [_weight(r) for r in roots]
     fundamentals = [_weight((0, -1, 1)), _weight((-1, -1, 2))]
-    return RootSystem([_Component("G2", 3)], [a1, a2], positive, fundamentals, "G2")
+    return RootSystem([_Component("G2", 3)], positive[:2], positive, fundamentals, "G2")
 
 
 def product_system(*systems: RootSystem) -> RootSystem:

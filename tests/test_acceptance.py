@@ -12,7 +12,6 @@ import pytest
 
 from rslab.charclass import (
     evaluate_genus,
-    chern_to_power_sums,
     ChernProfile,
     elementary_from_power_sums,
     euler_characteristic,
@@ -277,7 +276,7 @@ def test_13_property_suites():
     for _ in range(20):
         n = rng.randint(1, 6)
         chern = tuple(F(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(n))
-        sums = chern_to_power_sums(ChernProfile(n, chern, F(1)))
+        sums = ChernProfile(n, chern, F(1)).power_sums
         assert elementary_from_power_sums(sums, n) == chern
 
     # divisibility on spin complete intersections in real dimensions 4 and 12:

@@ -8,7 +8,6 @@ import pytest
 from rslab.charclass import (
     ChernProfile,
     chern_to_pontryagin,
-    chern_to_power_sums,
     ch_complexified_tangent,
     elementary_from_power_sums,
     euler_characteristic,
@@ -16,6 +15,7 @@ from rslab.charclass import (
     GenusSpec,
     genus_spec,
     hodge_from_chi_y,
+    multiplicative_class,
     pontryagin_numbers,
     product_rs_index,
     rs_index,
@@ -32,8 +32,9 @@ K3 = build_ci(CISpec(2, (4,))).profile
 def test_newton_round_trip_on_known_profiles():
     for spec in [CISpec(2, (4,)), CISpec(3, (5,)), CISpec(4, (2, 3)), CISpec(6, (4,))]:
         profile = build_ci(spec).profile
-        sums = chern_to_power_sums(profile)
+        sums = profile.power_sums
         assert elementary_from_power_sums(sums, profile.dim) == profile.chern
+        assert profile.power_sums is sums  # computed once per profile
 
 
 def test_newton_round_trip_random():
@@ -41,7 +42,7 @@ def test_newton_round_trip_random():
     for _ in range(25):
         n = rng.randint(1, 7)
         chern = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
-        sums = chern_to_power_sums(ChernProfile(n, chern, Fraction(1)))
+        sums = ChernProfile(n, chern, Fraction(1)).power_sums
         assert elementary_from_power_sums(sums, n) == chern
 
 
@@ -97,6 +98,20 @@ def test_rs_index_report_on_quartic_surface():
     assert report.dirac == 2
     assert report.dirac_tangent == -40
     assert report.total == report.dirac_tangent + report.dirac
+
+
+def test_rs_index_matches_full_products():
+    for spec in [CISpec(2, (4,)), CISpec(4, (6,)), CISpec(6, (2, 3)), CISpec(8, (10,))]:
+        profile = build_ci(spec).profile
+        n = profile.dim
+        ahat_cls = multiplicative_class("AHAT", profile)
+        ch = ch_complexified_tangent(profile)
+        one = TruncatedPoly.constant(1, ("h",), (n,))
+        report = rs_index(profile)
+        top = (n,)
+        assert report.total == (ahat_cls * (ch + one)).coefficient(top) * profile.pairing
+        assert report.dirac_tangent == (ahat_cls * ch).coefficient(top) * profile.pairing
+        assert report.dirac == ahat_cls.coefficient(top) * profile.pairing
 
 
 def test_genus_spec_validation():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from rslab.charclass import rs_index
 from rslab.errors import ConsistencyError, InputError, NotApplicableError
 from rslab.intersections import (
     CISpec,
@@ -12,7 +13,6 @@ from rslab.intersections import (
     fermat_signature,
     hodge_numbers,
     quadric,
-    rs_index_report,
 )
 
 
@@ -156,7 +156,7 @@ def test_kernel_report_requires_spin():
 
 def test_rs_index_report_composition():
     for spec in [CISpec(2, (4,)), CISpec(4, (2,)), CISpec(3, (3,))]:
-        report = rs_index_report(build_ci(spec))
+        report = rs_index(build_ci(spec).profile)
         assert report.total == report.dirac_tangent + report.dirac
 
 

@@ -1,6 +1,7 @@
 """Root systems, Weyl dimensions, Casimirs, multiplicities, tensor products."""
 
 import itertools
+import math
 from fractions import Fraction
 from functools import partial
 
@@ -9,6 +10,8 @@ import pytest
 from rslab.errors import ConsistencyError, InputError
 from rslab.lie import (
     RepSum,
+    RootSystem,
+    _Component,
     casimir,
     character_oracle,
     g2,
@@ -238,7 +241,7 @@ DIFFERENTIAL_SYSTEMS = {
 
 
 def _dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), F(0))
+    return sum((a * b for a, b in zip(u, v) if a and b), F(0))
 
 
 def _dominant_weights(system, largest):
@@ -271,3 +274,102 @@ def test_integer_core_matches_euclidean_formulas(name):
         assert sum(weight_multiplicities(sys, lam).values()) == dim, lam
     for lam, mu in itertools.combinations(_dominant_weights(sys, 1), 2):
         assert tensor_decompose(sys, lam, mu) == tensor_decompose(sys, mu, lam)
+
+
+# -- integer construction against the Fraction formulas ----------------------
+
+CONSTRUCTION_SYSTEMS = {
+    **{f"A{n - 1}": partial(type_a, n) for n in range(2, 13)},
+    **{f"B{m}": partial(type_b, m) for m in range(1, 19)},
+    **{f"C{m}": partial(type_c, m) for m in range(1, 13)},
+    **{f"D{m}": partial(type_d, m) for m in range(2, 19)},
+    "G2": g2,
+    "C1xC6": DIFFERENTIAL_SYSTEMS["C1xC6"],
+    "A1xB2": DIFFERENTIAL_SYSTEMS["A1xB2"],
+}
+
+
+def _sparse_ints(values):
+    return tuple((i, int(x)) for i, x in enumerate(values) if x)
+
+
+def _over_lcm(vectors):
+    den = math.lcm(*(x.denominator for v in vectors for x in v))
+    return den, [_sparse_ints(x * den for x in v) for v in vectors]
+
+
+def _as_int(x):
+    return int(x) if x.denominator == 1 else x
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTION_SYSTEMS))
+def test_integer_construction_matches_fraction_formulas(name):
+    sys = CONSTRUCTION_SYSTEMS[name]()
+    assert sys.name == name
+    simple, positive = sys.simple_roots, sys.positive_roots
+    fundamentals = sys.fundamental_weights
+    for vector in simple + positive + fundamentals + (sys.delta,):
+        assert len(vector) == sys.coords
+        assert all(type(x) is F for x in vector)
+    # half the sum of the positive roots, never read back from sys.delta
+    delta = tuple(sum((a[i] for a in positive), F(0)) / 2 for i in range(sys.coords))
+    assert sys.delta == delta
+    coroots = [tuple(2 * x / _dot(a, a) for x in a) for a in simple]
+    cartan = [
+        _sparse_ints(_dot(a, c) for c in coroots) for a in simple
+    ]
+    assert [tuple(row) for row in sys._cartan] == cartan
+    assert (sys._coden, [tuple(r) for r in sys._coroots]) == _over_lcm(coroots)
+    den, omega = sys._omega
+    assert (den, [tuple(r) for r in omega]) == _over_lcm(fundamentals)
+    roots = []
+    for alpha in positive:
+        half = _dot(alpha, alpha) / 2
+        labels = tuple(_as_int(_dot(alpha, c)) for c in coroots)
+        coroot = _sparse_ints(_dot(alpha, w) / half for w in fundamentals)
+        roots.append((labels, coroot, half))
+    assert [(tuple(l), tuple(c), h) for l, c, h in sys._roots] == roots
+
+
+# -- construction checks reject bad root data ---------------------------------
+
+
+@pytest.mark.parametrize(
+    "simple, positive, fundamentals, message",
+    [
+        (
+            [(1, 1, 1), (-1, 0, 0)],
+            [(1, 1, 1), (-1, 0, 0)],
+            [(1, 0, 0), (0, 1, 0)],
+            "X: Cartan entry of (-1, 0, 0) on (1, 1, 1) is -2/3; "
+            "need an integer, <= 0 off the diagonal",
+        ),
+        (
+            [(1, -1, 0), (0, -1, 0)],
+            [(1, -1, 0), (0, -1, 0)],
+            [(1, 0, 0), (0, 1, 0)],
+            "X: Cartan entry of (0, -1, 0) on (1, -1, 0) is 1; "
+            "need an integer, <= 0 off the diagonal",
+        ),
+        (
+            # B2 with the spin weight (1/2, 1/2) replaced by (1, 1)
+            [(1, -1, 0), (0, 1, 0)],
+            [(1, 0, 0), (0, 1, 0), (1, -1, 0), (1, 1, 0)],
+            [(1, 0, 0), (1, 1, 0)],
+            "X: <delta, a> = 3/2 but <sum of fundamental weights, a> = 2, "
+            "a = (1, 0, 0)",
+        ),
+        (
+            [(1, -1, 0), (0, 0, 0)],
+            [(1, -1, 0)],
+            [(1, 0, 0), (0, 1, 0)],
+            "X: simple root (0, 0, 0) has norm 0",
+        ),
+    ],
+    ids=["nonintegral-cartan", "positive-off-diagonal", "wrong-fundamental", "zero-norm"],
+)
+def test_bad_root_data_rejected(simple, positive, fundamentals, message):
+    vectors = [[_w(*v) for v in group] for group in (simple, positive, fundamentals)]
+    with pytest.raises(ConsistencyError) as failure:
+        RootSystem([_Component("B", 3)], *vectors, "X")
+    assert str(failure.value) == message
