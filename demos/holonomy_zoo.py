@@ -7,7 +7,7 @@ gets special attention because its curvature term leaves two summands
 with a vanishing lower bound, which is where the kernel lives.
 """
 
-from rslab import holonomy_model, qk_kernel_analysis, sphere_check, weyl_dim
+from rslab import holonomy_model, qk_kernel_analysis, sphere_check
 
 FAMILIES = [
     ("su", 3, "Calabi-Yau threefold"),
@@ -24,7 +24,7 @@ for kind, parameter, blurb in FAMILIES:
     model = holonomy_model(kind, parameter)
     sigma = model.sigma_three_half()
     dims = sorted(
-        weyl_dim(model.system, w)
+        model.system.weyl_dimension(w)
         for w, mult in sigma.total.sorted_terms()
         for _ in range(mult)
     )

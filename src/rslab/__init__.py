@@ -44,8 +44,6 @@ from .intersections import (
 from .lie import (
     RepSum,
     RootSystem,
-    casimir,
-    character_oracle,
     g2,
     irreducible,
     product_system,
@@ -54,8 +52,6 @@ from .lie import (
     type_b,
     type_c,
     type_d,
-    weight_multiplicities,
-    weyl_dim,
 )
 from .manifest import RegressionManifest
 
@@ -75,8 +71,6 @@ __all__ = [
     "TopologicalInput",
     "ahat_survey",
     "build_ci",
-    "casimir",
-    "character_oracle",
     "ci_invariants",
     "ci_rs_kernel",
     "euler_characteristic",
@@ -104,6 +98,4 @@ __all__ = [
     "type_c",
     "type_d",
     "verify_dimension_identities",
-    "weight_multiplicities",
-    "weyl_dim",
 ]

@@ -48,40 +48,19 @@ from .intersections import (
 )
 from .lie import (
     RootSystem,
-    casimir,
-    character_oracle,
     g2,
-    irreducible,
     product_system,
     tensor_decompose,
     type_a,
     type_b,
     type_c,
     type_d,
-    weight_multiplicities,
-    weyl_dim,
 )
-from .manifest import RegressionManifest
+from .manifest import RegressionManifest, encode
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def _scalar(value: Any) -> Any:
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else str(value)
-    raise InputError(f"cannot serialize a {type(value).__name__} into a report")
-
-
-def _jsonify(value: Any) -> Any:
-    if isinstance(value, dict):
-        return {str(key): _jsonify(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(item) for item in value]
-    return _scalar(value)
+# output
 
 
 def _render(value: Any, indent: int = 0) -> List[str]:
@@ -117,8 +96,8 @@ def _emit(
 ) -> None:
     envelope = {
         "command": command,
-        "inputs": _jsonify(inputs),
-        "results": _jsonify(results),
+        "inputs": encode(inputs),
+        "results": encode(results),
         "citations": list(citations),
     }
     if as_json:
@@ -198,7 +177,7 @@ def _weight_entry(system: RootSystem, w: Tuple[Fraction, ...], mult: int) -> Dic
     return {
         "weight": [str(c) for c in w],
         "multiplicity": mult,
-        "dimension": weyl_dim(system, w),
+        "dimension": system.weyl_dimension(w),
     }
 
 
@@ -362,29 +341,20 @@ def _cmd_holonomy(args: argparse.Namespace) -> int:
 def _cmd_rep(args: argparse.Namespace) -> int:
     system = _parse_system(args.system)
     lam = _parse_fraction_list(args.weight)
-    width = len(system.delta)
-    if len(lam) != width:
-        raise InputError(
-            f"{system.name} weights take {width} coordinates, got {len(lam)}"
-        )
     results: Dict[str, Any] = {
         "system": system.name,
         "weight": [str(c) for c in lam],
-        "dimension": weyl_dim(system, lam),
-        "casimir": casimir(system, lam),
+        "dimension": system.weyl_dimension(lam),
+        "casimir": system.casimir(lam),
     }
     if args.multiplicities:
-        mults = weight_multiplicities(system, lam)
+        mults = system.weight_multiplicities(lam)
         results["weights"] = [
             {"weight": [str(c) for c in w], "multiplicity": m}
             for w, m in sorted(mults.items())
         ]
     if args.tensor:
         mu = _parse_fraction_list(args.tensor)
-        if len(mu) != width:
-            raise InputError(
-                f"{system.name} weights take {width} coordinates, got {len(mu)}"
-            )
         product = tensor_decompose(system, lam, mu)
         results["tensor_with"] = [str(c) for c in mu]
         results["tensor_decomposition"] = [
@@ -393,12 +363,18 @@ def _cmd_rep(args: argparse.Namespace) -> int:
         results["tensor_dimension"] = product.dimension
     if args.point:
         point = _parse_fraction_list(args.point)
-        if len(point) != width:
+        if len(point) != system.coords:
             raise InputError(
-                f"{system.name} points take {width} coordinates, got {len(point)}"
+                f"{system.name} points take {system.coords} coordinates, got {len(point)}"
             )
-        moments = character_oracle(system, irreducible(system, lam), point)
-        results["character_moments"] = [str(m) for m in moments]
+        # moments sum(mult * <nu, point>^k), k = 0..4, over the weights nu of V(lam)
+        values = [
+            (sum((a * b for a, b in zip(nu, point)), Fraction(0)), m)
+            for nu, m in system.weight_multiplicities(lam).items()
+        ]
+        results["character_moments"] = [
+            str(sum((m * v**k for v, m in values), Fraction(0))) for k in range(5)
+        ]
     inputs = {
         "system": args.system,
         "weight": args.weight,

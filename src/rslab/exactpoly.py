@@ -284,40 +284,3 @@ def series_log(p: TruncatedPoly) -> TruncatedPoly:
         dg.append([(i, c) for i, c in acc.items() if c])
     return _from_components(p, [[(i, c / k) for i, c in comp] for k, comp in enumerate(dg)])
 
-
-class RationalFunctionSeries:
-    """Power-series expansion of a quotient of exact polynomials.
-
-    The denominator must have a nonzero constant term.  Coefficients come
-    from the long-division recurrence
-    ``e_k = (n_k - sum_{i>=1} d_i * e_{k-i}) / d_0`` and are cached, so
-    arbitrary orders can be asked for regardless of the cutoffs the inputs
-    were built with (both inputs are exact polynomials, not truncations).
-    """
-
-    def __init__(self, numerator: TruncatedPoly, denominator: TruncatedPoly) -> None:
-        if len(numerator.variables) != 1 or len(denominator.variables) != 1:
-            raise InputError("rational function series are univariate")
-        if not denominator.constant_term:
-            raise InputError("denominator constant term must be nonzero")
-        self._num = {e[0]: c for e, c in numerator.items()}
-        self._den = {e[0]: c for e, c in denominator.items()}
-        self._den_deg = max(self._den) if self._den else 0
-        self._cache: list[Fraction] = []
-
-    def series_coefficient(self, k: int) -> Fraction:
-        if k < 0:
-            raise InputError("coefficient index must be nonnegative")
-        d0 = self._den[0]
-        while len(self._cache) <= k:
-            j = len(self._cache)
-            acc = self._num.get(j, Fraction(0))
-            for i in range(1, min(j, self._den_deg) + 1):
-                di = self._den.get(i)
-                if di:
-                    acc -= di * self._cache[j - i]
-            self._cache.append(acc / d0)
-        return self._cache[k]
-
-    def coefficients(self, count: int) -> list[Fraction]:
-        return [self.series_coefficient(k) for k in range(count)]

@@ -22,7 +22,7 @@ from .charclass import (
     rs_index,
 )
 from .errors import ConsistencyError, InputError, NotApplicableError
-from .exactpoly import RationalFunctionSeries, TruncatedPoly, series_inverse
+from .exactpoly import TruncatedPoly, series_inverse
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,9 @@ def fermat_signature(m: int, d: int) -> Fraction:
     """Signature of the degree-d hypersurface X_m(d) by series extraction.
 
     Independent of the L-genus route: the value is the coefficient of
-    z^(m+1) in  ((1+z)^d - (1-z)^d) / ((1-z^2) ((1+z)^d + (1-z)^d)).
+    z^(m+1) in  ((1+z)^d - (1-z)^d) / ((1-z^2) ((1+z)^d + (1-z)^d)),
+    a generating function that uses no Chern class; the division is
+    ``series_inverse``.
     """
     if m < 1 or d < 1:
         raise InputError("need m >= 1 and d >= 1")
@@ -153,7 +155,7 @@ def fermat_signature(m: int, d: int) -> Fraction:
     p = TruncatedPoly(("z",), (order,), plus)
     q = TruncatedPoly(("z",), (order,), minus)
     one_minus = TruncatedPoly(("z",), (order,), {(0,): 1, (2,): -1})
-    return RationalFunctionSeries(p - q, one_minus * (p + q)).series_coefficient(order)
+    return ((p - q) * series_inverse(one_minus * (p + q))).coefficient((order,))
 
 
 def hodge_numbers(m: CIManifold) -> Tuple[Tuple[int, ...], ...]:

@@ -9,9 +9,7 @@ Products concatenate coordinates componentwise.
 
 On top of the realizations: Weyl's dimension formula, Casimir eigenvalues
 ``<lambda+2*delta, lambda>``, Freudenthal's multiplicity recursion over the
-dominant weights, the Klimyk tensor-product rule, and a brute-force
-character oracle that evaluates moment sums of full weight systems at a
-rational point (enough to separate every decomposition handled here).
+dominant weights and the Klimyk tensor-product rule.
 
 Root data is integer from construction on: the constructor turns the roots
 and the fundamental weights into sparse integer rows over a common
@@ -560,18 +558,6 @@ def irreducible(system: RootSystem, lam) -> RepSum:
 # -- public operations --------------------------------------------------------
 
 
-def weyl_dim(system: RootSystem, lam) -> int:
-    return system.weyl_dimension(_weight(lam))
-
-
-def casimir(system: RootSystem, lam) -> Fraction:
-    return system.casimir(_weight(lam))
-
-
-def weight_multiplicities(system: RootSystem, lam) -> Dict[Weight, int]:
-    return system.weight_multiplicities(_weight(lam))
-
-
 def tensor_decompose(system: RootSystem, lam, mu) -> RepSum:
     """Decompose V(lam) (x) V(mu) by Klimyk's dominant-reflection rule.
 
@@ -618,46 +604,3 @@ def tensor_product_sum(system: RootSystem, a: RepSum, b: RepSum) -> RepSum:
             out = out.add(tensor_decompose(system, wa, wb).scale(ma * mb))
     return out
 
-
-def character_oracle(
-    system: RootSystem, rep: RepSum, point: Sequence, max_order: int = 4
-) -> Tuple[Fraction, ...]:
-    """Moments sum(mult * <weight, point>^k), k = 0..max_order.
-
-    A cheap stand-in for full character evaluation: order zero is the
-    dimension, and at a generic rational point the first few moments
-    separate all the representation sums this project compares.  Moments
-    of a tensor product are binomial convolutions of factor moments,
-    which is what the cross-checks exploit.
-    """
-    pt = _weight(point)
-    if len(pt) != system.coords:
-        raise InputError("evaluation point has the wrong number of coordinates")
-    moments = [Fraction(0)] * (max_order + 1)
-    for w, mult in rep.terms.items():
-        for nu, inner_mult in system.weight_multiplicities(w).items():
-            value = _dot(nu, pt)
-            power = Fraction(1)
-            for k in range(max_order + 1):
-                moments[k] += mult * inner_mult * power
-                power *= value
-    return tuple(moments)
-
-
-def moment_convolution(
-    a: Sequence[Fraction], b: Sequence[Fraction]
-) -> Tuple[Fraction, ...]:
-    """Moments of a tensor product from factor moments (weights add)."""
-    if len(a) != len(b):
-        raise InputError("moment sequences must have equal length")
-    import math
-
-    out = []
-    for k in range(len(a)):
-        out.append(
-            sum(
-                (math.comb(k, j) * a[j] * b[k - j] for j in range(k + 1)),
-                Fraction(0),
-            )
-        )
-    return tuple(out)

@@ -27,21 +27,18 @@ ENV_VAR = "RSLAB_MANIFEST"
 DEFAULT_PATH = Path(__file__).resolve().parent / "data" / "regressions.json"
 
 
-def _encode(value):
-    """Normalize a computed value into JSON-comparable form."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
+def encode(value):
+    """JSON form of a computed value: an integral Fraction becomes an int,
+    any other a "p/q" string; tuples become lists and dict keys strings."""
     if isinstance(value, dict):
-        return {str(k): _encode(v) for k, v in value.items()}
-    raise InputError(f"cannot encode {type(value).__name__} for the manifest")
+        return {str(k): encode(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [encode(v) for v in value]
+    if isinstance(value, Fraction):
+        return int(value) if value.denominator == 1 else str(value)
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    raise InputError(f"cannot encode a {type(value).__name__} as JSON")
 
 
 def _as_int(value: Fraction) -> int:
@@ -269,12 +266,19 @@ class RegressionManifest:
         if not isinstance(raw, list):
             raise InputError("manifest must be a JSON list of entries")
         entries = []
-        for item in raw:
+        for index, item in enumerate(raw):
+            where = f"manifest entry {index}"
+            if not isinstance(item, dict):
+                raise InputError(f"{where} is not an object")
             missing = {"id", "description", "check", "args", "expected", "source"} - set(item)
             if missing:
-                raise InputError(f"manifest entry missing fields: {sorted(missing)}")
+                raise InputError(f"{where} missing fields: {sorted(missing)}")
+            if not all(isinstance(item[k], str) for k in ("id", "description", "check", "source")):
+                raise InputError(f"{where}: id, description, check and source must be strings")
+            if not isinstance(item["args"], dict):
+                raise InputError(f"{where}: args must be an object")
             if item["check"] not in CHECKS:
-                raise InputError(f"unknown manifest check {item['check']!r}")
+                raise InputError(f"{where}: unknown check {item['check']!r}")
             entries.append(
                 ManifestEntry(
                     entry_id=item["id"],
@@ -293,7 +297,7 @@ class RegressionManifest:
             if id_filter is not None and id_filter not in entry.entry_id:
                 continue
             try:
-                actual = _encode(CHECKS[entry.check](**entry.args))
+                actual = encode(CHECKS[entry.check](**entry.args))
             except Exception as exc:  # a failing check must not stop the run
                 results.append(
                     ManifestResult(

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from characters import assert_tensor_character
 from rslab.charclass import (
     evaluate_genus,
     ChernProfile,
@@ -38,7 +39,6 @@ from rslab.intersections import (
     hodge_numbers,
     quadric,
 )
-from rslab.lie import character_oracle, irreducible, moment_convolution, weyl_dim
 
 F = Fraction
 
@@ -140,7 +140,7 @@ def test_07_kernel_dimensions():
 def test_08_decompositions_and_bookkeeping():
     g2 = holonomy_model("g2")
     dims = sorted(
-        weyl_dim(g2.system, w)
+        g2.system.weyl_dimension(w)
         for w, mult in g2.sigma_three_half().total.sorted_terms()
         for _ in range(mult)
     )
@@ -149,10 +149,10 @@ def test_08_decompositions_and_bookkeeping():
     spin7 = holonomy_model("spin7")
     sigma = spin7.sigma_three_half()
     assert sorted(
-        weyl_dim(spin7.system, w) for w, _ in sigma.plus.sorted_terms()
+        spin7.system.weyl_dimension(w) for w, _ in sigma.plus.sorted_terms()
     ) == [8, 48]
     assert sorted(
-        weyl_dim(spin7.system, w) for w, _ in sigma.minus.sorted_terms()
+        spin7.system.weyl_dimension(w) for w, _ in sigma.minus.sorted_terms()
     ) == [21, 35]
 
     cases = (
@@ -253,7 +253,7 @@ def test_13_property_suites():
         if profile.dim % 2 == 0:
             assert sum(chi_p) == evaluate_genus("L", profile)
 
-    # tensor decompositions against the character-moment oracle
+    # Sigma (x) T = Sigma_3/2 (+) Sigma as exact characters (weight multisets)
     scoped = (
         [("g2", None), ("spin7", None), ("so", 7), ("so", 8)]
         + [("su", k) for k in range(2, 6)]
@@ -261,15 +261,8 @@ def test_13_property_suites():
     )
     for kind, parameter in scoped:
         model = holonomy_model(kind, parameter)
-        system = model.system
-        point = tuple(F(k) for k in range(1, len(system.delta) + 1))
-        sigma = model.sigma_three_half()
-        lhs = character_oracle(system, sigma.total.add(model.spinor), point)
-        rhs = moment_convolution(
-            character_oracle(system, model.spinor, point),
-            character_oracle(system, model.tangent, point),
-        )
-        assert lhs == rhs, (kind, parameter)
+        total = model.sigma_three_half().total.add(model.spinor)
+        assert_tensor_character(total, model.spinor, model.tangent)
 
     # Newton identity round trips on random exact Chern data
     rng = random.Random(77)
@@ -294,4 +287,4 @@ def test_13_property_suites():
         assert inv.signature.denominator == 1 and int(inv.signature) % 16 == 0, spec
         assert inv.dirac_index.denominator == 1 and int(inv.dirac_index) % 2 == 0, spec
         assert inv.rs_index.denominator == 1 and int(inv.rs_index) % 2 == 0, spec
-    _passline(13, "chi_y, oracle, Newton and divisibility property suites")
+    _passline(13, "chi_y, exact character, Newton and divisibility property suites")

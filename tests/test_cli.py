@@ -128,7 +128,9 @@ def test_rep_tensor_and_point(capsys):
         14,
         27,
     ]
-    assert len(results["character_moments"]) == 5
+    # moments sum(mult * <nu, (1, 2, 3)>^k), k = 0..4, over the weights nu of V(0, -1, 1)
+    assert results["character_moments"] == ["7", "0", "12", "0", "36"]
+    assert payload["inputs"]["point"] == "1,2,3"
 
 
 def test_rep_product_token(capsys):
@@ -140,7 +142,14 @@ def test_rep_product_token(capsys):
 
 
 def test_rep_wrong_width(capsys):
-    assert _run(capsys, "rep", "b3", "--weight", "1,0")[0] == 2
+    assert main(["rep", "b3", "--weight", "1,0"]) == 2
+    assert main(["rep", "b3", "--weight", "1,0,0", "--tensor", "1,0"]) == 2
+    assert main(["rep", "b3", "--weight", "1,0,0", "--point", "1,2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: (1, 0): B3 weights have 3 coordinates\n"
+        "error: (1, 0): B3 weights have 3 coordinates\n"
+        "error: B3 points take 3 coordinates, got 2\n"
+    )
     assert _run(capsys, "rep", "q5", "--weight", "1,0")[0] == 2
 
 
@@ -225,6 +234,22 @@ def test_verify_paper_reports_mismatch(tmp_path, monkeypatch, capsys):
     code, out = _run(capsys, "verify-paper")
     assert code == 1
     assert "FAIL" in out and "broken" in out
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[1], [{"id": "x", "description": "d", "check": "ci_ahat", "args": [2, [4]],
+            "expected": 2, "source": "s"}]],
+    ids=["not-an-object", "args-list"],
+)
+def test_verify_paper_malformed_manifest_exits_2(tmp_path, monkeypatch, capsys, entries):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(entries), encoding="utf-8")
+    monkeypatch.setenv("RSLAB_MANIFEST", str(bad))
+    assert main(["verify-paper"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: manifest entry 0")
 
 
 def test_json_output_is_reproducible(capsys):

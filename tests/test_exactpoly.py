@@ -1,4 +1,4 @@
-"""Truncated polynomial ring and rational-series arithmetic."""
+"""Truncated polynomial ring and series arithmetic."""
 
 import random
 from fractions import Fraction
@@ -7,7 +7,6 @@ import pytest
 
 from rslab.errors import InputError
 from rslab.exactpoly import (
-    RationalFunctionSeries,
     TruncatedPoly,
     series_exp,
     series_inverse,
@@ -85,33 +84,6 @@ def test_exp_log_round_trip():
         series_exp(_poly({0: 1}))
     with pytest.raises(InputError):
         series_log(_poly({0: 2}))
-
-
-def test_geometric_series():
-    num = _poly({0: 1}, cutoff=10, var="z")
-    den = _poly({0: 1, 1: -1}, cutoff=10, var="z")
-    geo = RationalFunctionSeries(num, den)
-    assert geo.coefficients(6) == [1, 1, 1, 1, 1, 1]
-
-
-def test_rational_series_coefficients():
-    # (1+z)/(1-z) = 1 + 2z + 2z^2 + ...
-    num = _poly({0: 1, 1: 1}, cutoff=12, var="z")
-    den = _poly({0: 1, 1: -1}, cutoff=12, var="z")
-    series = RationalFunctionSeries(num, den)
-    assert series.series_coefficient(0) == 1
-    assert all(series.series_coefficient(k) == 2 for k in range(1, 8))
-    with pytest.raises(InputError):
-        series.series_coefficient(-1)
-
-
-def test_rational_series_preconditions():
-    num = _poly({0: 1}, var="z")
-    with pytest.raises(InputError):
-        RationalFunctionSeries(num, _poly({1: 1}, var="z"))
-    two_var = TruncatedPoly(("h", "y"), (2, 2), {(0, 0): 1})
-    with pytest.raises(InputError):
-        RationalFunctionSeries(two_var, two_var)
 
 
 def test_constructor_validation():

@@ -21,7 +21,6 @@ from rslab.holonomy import (
     spin7_betti_identity,
     symmetric_space_catalog,
 )
-from rslab.lie import weyl_dim
 
 F = Fraction
 
@@ -29,7 +28,7 @@ F = Fraction
 def _summand_dims(model):
     sigma = model.sigma_three_half()
     return sorted(
-        weyl_dim(model.system, w)
+        model.system.weyl_dimension(w)
         for w, mult in sigma.total.sorted_terms()
         for _ in range(mult)
     )
@@ -48,12 +47,12 @@ def test_spin7_graded_decomposition():
     sigma = model.sigma_three_half()
     assert sigma.graded
     plus = sorted(
-        weyl_dim(model.system, w)
+        model.system.weyl_dimension(w)
         for w, mult in sigma.plus.sorted_terms()
         for _ in range(mult)
     )
     minus = sorted(
-        weyl_dim(model.system, w)
+        model.system.weyl_dimension(w)
         for w, mult in sigma.minus.sorted_terms()
         for _ in range(mult)
     )

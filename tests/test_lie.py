@@ -7,24 +7,20 @@ from functools import partial
 
 import pytest
 
+from characters import assert_tensor_character
 from rslab.errors import ConsistencyError, InputError
 from rslab.lie import (
     RepSum,
     RootSystem,
     _Component,
-    casimir,
-    character_oracle,
     g2,
     irreducible,
-    moment_convolution,
     product_system,
     tensor_decompose,
     type_a,
     type_b,
     type_c,
     type_d,
-    weight_multiplicities,
-    weyl_dim,
 )
 
 F = Fraction
@@ -40,16 +36,16 @@ def test_b2_half_sum():
 
 def test_g2_dimensions():
     sys = g2()
-    assert weyl_dim(sys, _w(0, -1, 1)) == 7
-    assert weyl_dim(sys, _w(-1, -1, 2)) == 14
-    assert weyl_dim(sys, _w(0, -2, 2)) == 27
-    assert weyl_dim(sys, sys.trivial_weight()) == 1
+    assert sys.weyl_dimension(_w(0, -1, 1)) == 7
+    assert sys.weyl_dimension(_w(-1, -1, 2)) == 14
+    assert sys.weyl_dimension(_w(0, -2, 2)) == 27
+    assert sys.weyl_dimension(sys.trivial_weight()) == 1
 
 
 def test_g2_vector_square():
     sys = g2()
     product = tensor_decompose(sys, _w(0, -1, 1), _w(0, -1, 1))
-    dims = sorted(weyl_dim(sys, w) for w, m in product.sorted_terms() for _ in range(m))
+    dims = sorted(sys.weyl_dimension(w) for w, m in product.sorted_terms() for _ in range(m))
     assert dims == [1, 7, 14, 27]
 
 
@@ -58,11 +54,11 @@ def test_so7_dimensions_and_products():
     vector = _w(1, 0, 0)
     spinor = _w(F(1, 2), F(1, 2), F(1, 2))
     rs = _w(F(3, 2), F(1, 2), F(1, 2))
-    assert weyl_dim(sys, vector) == 7
-    assert weyl_dim(sys, spinor) == 8
-    assert weyl_dim(sys, rs) == 48
-    assert weyl_dim(sys, _w(1, 1, 0)) == 21
-    assert weyl_dim(sys, _w(1, 1, 1)) == 35
+    assert sys.weyl_dimension(vector) == 7
+    assert sys.weyl_dimension(spinor) == 8
+    assert sys.weyl_dimension(rs) == 48
+    assert sys.weyl_dimension(_w(1, 1, 0)) == 21
+    assert sys.weyl_dimension(_w(1, 1, 1)) == 35
 
     twisted = tensor_decompose(sys, vector, spinor)
     assert dict(twisted.sorted_terms()) == {spinor: 1, rs: 1}
@@ -77,34 +73,46 @@ def test_so7_dimensions_and_products():
 
 
 def test_casimir_values():
-    assert casimir(type_b(3), _w(F(3, 2), F(1, 2), F(1, 2))) == F(49, 4)
-    assert casimir(type_b(4), _w(F(3, 2), F(1, 2), F(1, 2), F(1, 2))) == 18
-    assert casimir(type_d(4), _w(F(3, 2), F(1, 2), F(1, 2), F(1, 2))) == 15
-    assert casimir(type_b(1), _w(F(3, 2))) == F(15, 4)
-    assert casimir(type_d(2), _w(F(3, 2), F(1, 2))) == F(11, 2)
+    assert type_b(3).casimir(_w(F(3, 2), F(1, 2), F(1, 2))) == F(49, 4)
+    assert type_b(4).casimir(_w(F(3, 2), F(1, 2), F(1, 2), F(1, 2))) == 18
+    assert type_d(4).casimir(_w(F(3, 2), F(1, 2), F(1, 2), F(1, 2))) == 15
+    assert type_b(1).casimir(_w(F(3, 2))) == F(15, 4)
+    assert type_d(2).casimir(_w(F(3, 2), F(1, 2))) == F(11, 2)
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [(1, 0, 0), ("1", "0", "0"), (F(1), F(0), F(0)), [1, "0", F(0)]],
+    ids=["int", "str", "Fraction", "mixed"],
+)
+def test_methods_accept_int_str_and_fraction_coordinates(coords):
+    sys = type_b(3)
+    assert sys.weyl_dimension(coords) == 7
+    assert sys.casimir(coords) == 6
+    assert sys.weight_multiplicities(coords) == sys.weight_multiplicities(_w(1, 0, 0))
 
 
 def test_type_a_center_invariance():
     sys = type_a(3)
     adjoint = _w(1, 0, -1)
-    assert weyl_dim(sys, adjoint) == 8
-    assert casimir(sys, adjoint) == 6
+    assert sys.weyl_dimension(adjoint) == 8
+    assert sys.casimir(adjoint) == 6
     # shifting by the central direction changes nothing
-    assert casimir(sys, _w(2, 1, 0)) == 6
-    assert weyl_dim(sys, _w(2, 1, 0)) == 8
-    assert casimir(sys, _w(1, 0, 0)) == F(8, 3)
+    assert sys.casimir(_w(2, 1, 0)) == 6
+    assert sys.weyl_dimension(_w(2, 1, 0)) == 8
+    assert sys.casimir(_w(1, 0, 0)) == F(8, 3)
 
 
 def test_weight_multiplicities_a1_adjoint():
     sys = type_a(2)
-    mults = weight_multiplicities(sys, _w(1, -1))
+    mults = sys.weight_multiplicities(_w(1, -1))
     assert mults == {_w(1, -1): 1, _w(0, 0): 1, _w(-1, 1): 1}
 
 
 def test_zero_weight_multiplicities():
-    assert weight_multiplicities(type_a(3), _w(1, 0, -1))[_w(0, 0, 0)] == 2
-    assert weight_multiplicities(g2(), _w(-1, -1, 2))[_w(0, 0, 0)] == 2
-    assert weight_multiplicities(type_b(3), _w(1, 1, 0))[_w(0, 0, 0)] == 3
+    assert type_a(3).weight_multiplicities(_w(1, 0, -1))[_w(0, 0, 0)] == 2
+    assert g2().weight_multiplicities(_w(-1, -1, 2))[_w(0, 0, 0)] == 2
+    assert type_b(3).weight_multiplicities(_w(1, 1, 0))[_w(0, 0, 0)] == 3
 
 
 def test_multiplicities_sum_to_dimension():
@@ -113,16 +121,16 @@ def test_multiplicities_sum_to_dimension():
         (type_c(2), _w(2, 1)),
         (g2(), _w(0, -2, 2)),
     ]:
-        mults = weight_multiplicities(sys, lam)
-        assert sum(mults.values()) == weyl_dim(sys, lam)
+        mults = sys.weight_multiplicities(lam)
+        assert sum(mults.values()) == sys.weyl_dimension(lam)
 
 
 def test_sp4_products():
     sys = type_c(2)
-    assert weyl_dim(sys, _w(1, 0)) == 4
-    assert weyl_dim(sys, _w(1, 1)) == 5
-    assert weyl_dim(sys, _w(2, 0)) == 10
-    assert weyl_dim(sys, _w(2, 1)) == 16
+    assert sys.weyl_dimension(_w(1, 0)) == 4
+    assert sys.weyl_dimension(_w(1, 1)) == 5
+    assert sys.weyl_dimension(_w(2, 0)) == 10
+    assert sys.weyl_dimension(_w(2, 1)) == 16
     square = tensor_decompose(sys, _w(1, 0), _w(1, 0))
     assert dict(square.sorted_terms()) == {_w(2, 0): 1, _w(1, 1): 1, _w(0, 0): 1}
     mixed = tensor_decompose(sys, _w(1, 1), _w(1, 0))
@@ -131,9 +139,9 @@ def test_sp4_products():
 
 def test_product_system_factors():
     sys = product_system(type_c(1), type_c(2))
-    assert weyl_dim(sys, _w(1, 1, 0)) == 8
-    assert weyl_dim(sys, _w(2, 0, 0)) == 3
-    assert casimir(sys, _w(1, 0, 0)) == casimir(type_c(1), _w(1))
+    assert sys.weyl_dimension(_w(1, 1, 0)) == 8
+    assert sys.weyl_dimension(_w(2, 0, 0)) == 3
+    assert sys.casimir(_w(1, 0, 0)) == type_c(1).casimir(_w(1))
     product = tensor_decompose(sys, _w(1, 0, 0), _w(0, 1, 0))
     assert dict(product.sorted_terms()) == {_w(1, 1, 0): 1}
 
@@ -153,12 +161,12 @@ def test_dominance_utilities():
 
 def test_nondominant_weight_rejected():
     with pytest.raises(InputError, match=r"^\(1/2, 3/2\) is not dominant for B2$"):
-        weyl_dim(type_b(2), _w(F(1, 2), F(3, 2)))
+        type_b(2).weyl_dimension(_w(F(1, 2), F(3, 2)))
 
 
 def test_nonintegral_weight_rejected():
     with pytest.raises(InputError, match=r"^\(1, 1/2\) is not an integral weight"):
-        weyl_dim(type_b(2), _w(1, F(1, 2)))
+        type_b(2).weyl_dimension(_w(1, F(1, 2)))
 
 
 def test_g2_weight_off_trace_zero_plane_rejected():
@@ -166,11 +174,11 @@ def test_g2_weight_off_trace_zero_plane_rejected():
     off = _w(F(1, 3), F(1, 3), F(1, 3))
     for w in (_w(1, 1, 1), off):
         with pytest.raises(InputError, match="off the trace-zero plane of G2"):
-            weyl_dim(g2(), w)
+            g2().weyl_dimension(w)
     with pytest.raises(InputError, match=r"\(1/3, 1/3, 1/3\)"):
         tensor_decompose(g2(), off, _w(0, -1, 1))
     with pytest.raises(InputError):
-        casimir(product_system(type_a(2), g2()), _w(1, 0, 1, 1, 1))
+        product_system(type_a(2), g2()).casimir(_w(1, 0, 1, 1, 1))
 
 
 def test_repsum_arithmetic():
@@ -191,20 +199,6 @@ def test_repsum_arithmetic():
     assert vector.trivial_multiplicity() == 0
 
 
-def test_tensor_against_character_moments():
-    sys = type_b(3)
-    vector = _w(1, 0, 0)
-    spinor = _w(F(1, 2), F(1, 2), F(1, 2))
-    point = (F(1), F(2), F(3))
-    product = tensor_decompose(sys, vector, spinor)
-    lhs = character_oracle(sys, product, point)
-    rhs = moment_convolution(
-        character_oracle(sys, irreducible(sys, vector), point),
-        character_oracle(sys, irreducible(sys, spinor), point),
-    )
-    assert lhs == rhs == (56, 0, 420, 0, 7644)
-
-
 def test_scalar_factor_rejected():
     with pytest.raises(InputError):
         type_a(1)
@@ -215,7 +209,7 @@ def test_scalar_factor_rejected():
 def test_klimyk_failure_names_its_inputs(monkeypatch):
     sys = type_b(3)
     vector, spinor = _w(1, 0, 0), _w(F(1, 2), F(1, 2), F(1, 2))
-    assert weight_multiplicities(sys, vector)[vector] == 1
+    assert sys.weight_multiplicities(vector)[vector] == 1
     # corrupt the cached multiplicity table of the smaller factor
     table = sys._weights_cache[vector]
     monkeypatch.setitem(table, (1, 0, 0), -3)
@@ -269,11 +263,22 @@ def test_integer_core_matches_euclidean_formulas(name):
     sys = DIFFERENTIAL_SYSTEMS[name]()
     assert sys.name == name
     for lam in _dominant_weights(sys, 2):
-        dim = weyl_dim(sys, lam)
+        dim = sys.weyl_dimension(lam)
         assert dim == _weyl_product(sys, lam), lam
-        assert sum(weight_multiplicities(sys, lam).values()) == dim, lam
+        assert sum(sys.weight_multiplicities(lam).values()) == dim, lam
     for lam, mu in itertools.combinations(_dominant_weights(sys, 1), 2):
         assert tensor_decompose(sys, lam, mu) == tensor_decompose(sys, mu, lam)
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_SYSTEMS))
+def test_klimyk_matches_exact_character(name):
+    """char(V (x) W) is the Minkowski sum of the weight multisets of V and W;
+    every pair of label sum <= 1 with dim V * dim W <= 2000."""
+    sys = DIFFERENTIAL_SYSTEMS[name]()
+    for lam, mu in itertools.combinations(_dominant_weights(sys, 1), 2):
+        if sys.weyl_dimension(lam) * sys.weyl_dimension(mu) <= 2000:
+            product = tensor_decompose(sys, lam, mu)
+            assert_tensor_character(product, irreducible(sys, lam), irreducible(sys, mu))
 
 
 # -- integer construction against the Fraction formulas ----------------------

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from rslab.errors import InputError
-from rslab.manifest import ManifestEntry, RegressionManifest, _encode
+from rslab.manifest import ManifestEntry, RegressionManifest, encode
 
 
 def test_default_manifest_all_green():
@@ -133,12 +133,42 @@ def test_missing_field_rejected(tmp_path):
         RegressionManifest.load(bad)
 
 
+GOOD_ENTRY = {
+    "id": "x",
+    "description": "d",
+    "check": "ci_ahat",
+    "args": {"n": 2, "degrees": [4]},
+    "expected": 2,
+    "source": "s",
+}
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([1], r"^manifest entry 0 is not an object$"),
+        ([GOOD_ENTRY, dict(GOOD_ENTRY, id="y", args=[2, [4]])],
+         r"^manifest entry 1: args must be an object$"),
+        ([dict(GOOD_ENTRY, id=["x"])],
+         r"^manifest entry 0: id, description, check and source must be strings$"),
+        ([dict(GOOD_ENTRY, check=["ci_ahat"])],
+         r"^manifest entry 0: id, description, check and source must be strings$"),
+    ],
+    ids=["not-an-object", "args-list", "id-list", "check-list"],
+)
+def test_malformed_entries_rejected(tmp_path, entries, message):
+    bad = tmp_path / "bad.json"
+    _write_manifest(bad, entries)
+    with pytest.raises(InputError, match=message):
+        RegressionManifest.load(bad)
+
+
 def test_encode_normalization():
     from fractions import Fraction
 
-    assert _encode(Fraction(3)) == "3"
-    assert _encode(Fraction(49, 4)) == "49/4"
-    assert _encode((1, [Fraction(1, 2)])) == [1, ["1/2"]]
-    assert _encode({"a": True, "b": None}) == {"a": True, "b": None}
-    with pytest.raises(InputError):
-        _encode(object())
+    assert encode(Fraction(3)) == 3
+    assert encode(Fraction(49, 4)) == "49/4"
+    assert encode((1, [Fraction(1, 2)])) == [1, ["1/2"]]
+    assert encode({"a": True, "b": None, 7: Fraction(-2)}) == {"a": True, "b": None, "7": -2}
+    with pytest.raises(InputError, match="cannot encode a object as JSON"):
+        encode(object())
