@@ -21,7 +21,9 @@ tuples of Dynkin labels <w, alpha_i^vee>: Weyl reflections, Freudenthal and
 the (memoized) Weyl dimension run on them against those tables.  Labels
 miss only the constant tuple on an A or G2 block, which no root sees, and
 roots keep each block's coordinate sum, so labels plus block sums give
-back the Euclidean coordinates exactly.
+back the Euclidean coordinates exactly.  Each system also memoizes its
+weight systems in coordinates and its checked Klimyk products; every call
+returns a fresh dict or RepSum.
 """
 
 from __future__ import annotations
@@ -91,8 +93,8 @@ class RootSystem:
     """A root system of classical or G2 type, or a product of such.
 
     Instances are immutable after construction apart from internal caches
-    (integer tables, Weyl dimensions, weight systems), which are only ever
-    appended to.
+    (integer tables, Weyl dimensions, weight systems, Klimyk products),
+    which are only ever appended to.
     """
 
     def __init__(
@@ -124,8 +126,9 @@ class RootSystem:
         central = ("A", "G2")
         self._central = [(lo, hi) for c, lo, hi in self._blocks() if c.kind in central]
         self._dims: Dict[Weight, int] = {}
-        self._weights_cache: Dict[Weight, Dict[Labels, int]] = {}
+        self._weights_cache: Dict[Weight, Dict[Weight, int]] = {}
         self._dominant_cache: Dict[Weight, Tuple[Dict[Labels, int], Dict]] = {}
+        self._products: Dict[Tuple[Weight, Weight], Dict[Weight, int]] = {}
         norms = [sum(v * v for _, v in row) for row in self._simple]
         self._validate(norms, acc)
         # simple coroots 2*alpha/|alpha|^2 = 2 _den row / norm as nonzero
@@ -380,9 +383,9 @@ class RootSystem:
             if size != dim:
                 where = f"{self.name}: multiplicities of V{_fmt(lam)}"
                 raise ConsistencyError(f"{where} sum to {size}, not {dim}")
-            self._weights_cache[lam] = labels
-        sums, table = self._sums(lam), self._weights_cache[lam]
-        return {self._from_labels(w, sums): m for w, m in table.items()}
+            sums = self._sums(lam)
+            self._weights_cache[lam] = {self._from_labels(w, sums): m for w, m in labels.items()}
+        return dict(self._weights_cache[lam])
 
 
 # -- factories -----------------------------------------------------------------
@@ -564,12 +567,15 @@ def tensor_decompose(system: RootSystem, lam, mu) -> RepSum:
     The weight system of the smaller factor is enumerated; each shifted
     weight lam + nu + delta is reflected into the open chamber (walls
     drop out) and contributes its sign.  The result is checked to be an
-    honest representation of the right total dimension.
+    honest representation of the right total dimension, and its terms are
+    memoized per system.
     """
     lam, _ = system._require_dominant(lam)
     mu, _ = system._require_dominant(mu)
     if system.weyl_dimension(mu) > system.weyl_dimension(lam):
         lam, mu = mu, lam
+    if (lam, mu) in system._products:
+        return RepSum(system, system._products[lam, mu])
     shift = _add(lam, system.delta)
     counts: Dict[Weight, int] = {}
     for nu, mult in system.weight_multiplicities(mu).items():
@@ -591,16 +597,17 @@ def tensor_decompose(system: RootSystem, lam, mu) -> RepSum:
         raise ConsistencyError(
             f"{where} has tensor dimension {result.dimension}, expected {expected}"
         )
-    return result
+    system._products[lam, mu] = result.terms
+    return RepSum(system, result.terms)
 
 
 def tensor_product_sum(system: RootSystem, a: RepSum, b: RepSum) -> RepSum:
     """Tensor product of two (honest) representation sums."""
     if a.is_virtual() or b.is_virtual():
         raise InputError("tensor products need honest representations")
-    out = RepSum(system, {})
+    counts: Dict[Weight, int] = {}
     for wa, ma in a.terms.items():
         for wb, mb in b.terms.items():
-            out = out.add(tensor_decompose(system, wa, wb).scale(ma * mb))
-    return out
-
+            for w, m in tensor_decompose(system, wa, wb).terms.items():
+                counts[w] = counts.get(w, 0) + ma * mb * m
+    return RepSum(system, counts)

@@ -13,6 +13,7 @@ downstream users pin their own regression sets.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 from dataclasses import dataclass
@@ -279,6 +280,10 @@ class RegressionManifest:
                 raise InputError(f"{where}: args must be an object")
             if item["check"] not in CHECKS:
                 raise InputError(f"{where}: unknown check {item['check']!r}")
+            try:
+                inspect.signature(CHECKS[item["check"]]).bind(**item["args"])
+            except TypeError as exc:
+                raise InputError(f"{where}: bad args for {item['check']}: {exc}")
             entries.append(
                 ManifestEntry(
                     entry_id=item["id"],

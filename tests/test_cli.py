@@ -239,8 +239,10 @@ def test_verify_paper_reports_mismatch(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "entries",
     [[1], [{"id": "x", "description": "d", "check": "ci_ahat", "args": [2, [4]],
-            "expected": 2, "source": "s"}]],
-    ids=["not-an-object", "args-list"],
+            "expected": 2, "source": "s"}],
+     [{"id": "x", "description": "d", "check": "ci_ahat", "args": {"n": 2, "degree": [4]},
+       "expected": 2, "source": "s"}]],
+    ids=["not-an-object", "args-list", "args-unknown-key"],
 )
 def test_verify_paper_malformed_manifest_exits_2(tmp_path, monkeypatch, capsys, entries):
     bad = tmp_path / "bad.json"

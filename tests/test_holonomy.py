@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from rslab import lie
+from rslab.charclass import rs_index
 from rslab.errors import ConsistencyError, InputError, NotApplicableError
 from rslab.holonomy import (
     ParallelCounts,
     QKSummand,
     TopologicalInput,
+    _so_model,
     family_index,
     holonomy_model,
     hyperkahler_kernel_identity,
@@ -21,6 +24,7 @@ from rslab.holonomy import (
     spin7_betti_identity,
     symmetric_space_catalog,
 )
+from rslab.intersections import CISpec, build_ci
 
 F = Fraction
 
@@ -129,6 +133,25 @@ def test_models_are_reused_per_input():
     assert holonomy_model("g2") is holonomy_model("G2")
     assert holonomy_model("sp", 2) is not holonomy_model("sp", 3)
 
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_sigma_three_half_runs_klimyk_once_per_pair(monkeypatch, n):
+    model = _so_model(n)  # fresh, outside the model cache
+    calls = {"tensor": 0, "klimyk": 0}
+    decompose, weights = lie.tensor_decompose, model.system.weight_multiplicities
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(lie, "tensor_decompose", counted("tensor", decompose))
+    monkeypatch.setattr(model.system, "weight_multiplicities", counted("klimyk", weights))
+    model.sigma_three_half()
+    # Sigma (x) T, then Sigma+ (x) T and Sigma- (x) T: two spinor terms, one tangent
+    assert len(model.spinor.terms) == 2 and len(model.tangent.terms) == 1
+    assert calls == {"tensor": 4, "klimyk": 2}
 
 def test_qk_bound_dimension_eight():
     report = qk_kernel_analysis(2)
@@ -277,6 +300,14 @@ def test_symmetric_space_catalog():
     assert by_name["Q4"].rs_index == -2
     assert all(entry.all_parallel for entry in catalog)
 
+
+def test_klein_quadric_index_matches_the_quadric_fourfold():
+    # Gr2(C4) and Q4 are both the quadric in CP^5; the catalog's index must
+    # agree with the characteristic-class route on that complete intersection
+    quadric = rs_index(build_ci(CISpec(4, (2,))).profile).total
+    assert quadric == -2
+    by_name = {entry.name: entry for entry in symmetric_space_catalog()}
+    assert by_name["Gr2(C4)"].rs_index == by_name["Q4"].rs_index == quadric
 
 def test_product_parallel_counts():
     left = holonomy_model("sp", 2)

@@ -221,6 +221,24 @@ def test_klimyk_failure_names_its_inputs(monkeypatch):
     )
 
 
+
+def test_cached_products_and_weights_are_independent_copies():
+    sys = type_b(3)
+    vector, spinor = _w(1, 0, 0), _w(F(1, 2), F(1, 2), F(1, 2))
+    first = tensor_decompose(sys, vector, spinor)
+    expected = dict(first.terms)
+    first.terms[vector] = 99
+    del first.terms[spinor]
+    for again in (tensor_decompose(sys, vector, spinor), tensor_decompose(sys, spinor, vector)):
+        assert again.terms == expected and again.terms is not first.terms
+        assert again == RepSum(sys, expected)
+    assert list(sys._products) == [(spinor, vector)]
+    weights = sys.weight_multiplicities(spinor)
+    weights[spinor] = 5
+    weights.pop(_w(F(-1, 2), F(-1, 2), F(-1, 2)))
+    fresh = sys.weight_multiplicities(spinor)
+    assert fresh[spinor] == 1 and len(fresh) == 8 and sum(fresh.values()) == 8
+
 # -- the integer label core against Euclidean formulas ------------------------
 
 DIFFERENTIAL_SYSTEMS = {

@@ -153,8 +153,15 @@ GOOD_ENTRY = {
          r"^manifest entry 0: id, description, check and source must be strings$"),
         ([dict(GOOD_ENTRY, check=["ci_ahat"])],
          r"^manifest entry 0: id, description, check and source must be strings$"),
+        ([GOOD_ENTRY, dict(GOOD_ENTRY, id="y", args={"n": 2, "degrees": [4], "degree": [4]})],
+         r"^manifest entry 1: bad args for ci_ahat: got an unexpected keyword "
+         r"argument 'degree'$"),
+        ([dict(GOOD_ENTRY, args={"n": 2})],
+         r"^manifest entry 0: bad args for ci_ahat: missing a required argument: "
+         r"'degrees'$"),
     ],
-    ids=["not-an-object", "args-list", "id-list", "check-list"],
+    ids=["not-an-object", "args-list", "id-list", "check-list", "args-unknown-key",
+         "args-missing-key"],
 )
 def test_malformed_entries_rejected(tmp_path, entries, message):
     bad = tmp_path / "bad.json"
