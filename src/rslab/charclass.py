@@ -300,7 +300,8 @@ def rs_index(profile: ChernProfile) -> RSIndexReport:
     n = profile.dim
     ahat_cls = multiplicative_class("AHAT", profile)
     ahat = [ahat_cls.coefficient((k,)) for k in range(n + 1)]
-    ch = [ch_complexified_tangent(profile).coefficient((k,)) for k in range(n + 1)]
+    ch_cls = ch_complexified_tangent(profile)
+    ch = [ch_cls.coefficient((k,)) for k in range(n + 1)]
 
     def top(factor: List[Fraction]) -> Fraction:
         """The h**n coefficient of Ahat * factor, paired with [M]."""

@@ -8,10 +8,19 @@ n-dimensional cohomology ring or an order-n series expansion wants.
 
 Coefficients are stored in a dict keyed by exponent tuples; zero
 coefficients are never stored, so dict equality is polynomial equality.
-Coefficients must be ``int`` or ``Fraction``; floats are refused.
+Coefficients must be ``int`` or ``Fraction``; floats are refused.  Cutoffs
+and exponents must be ``int``.
+
+``Fraction`` is the boundary type only.  The product and the three series
+operations split their operands into homogeneous components p_k of total
+degree k and hold each component as int numerators over one positive,
+gcd-reduced denominator.  Their inner loops multiply and add ints; each
+output coefficient becomes one ``Fraction`` when the result is built (the
+fraction-free idea of Bareiss, Math. Comp. 22, 1968: divide once per
+result, not once per product).
 
 ``series_inverse``, ``series_exp`` and ``series_log`` are graded
-recurrences over the homogeneous components p_k of total degree k:
+recurrences over the components:
 
     inverse  q_k = -(1/p_0) * sum_{j>=1} p_j q_{k-j}
     exp      k f_k = sum_{j>=1} j g_j f_{k-j}                (f = exp g)
@@ -27,21 +36,30 @@ n full truncated products of a geometric or power series.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 from .errors import InputError
 
 Exponent = Tuple[int, ...]
 RationalLike = Union[int, Fraction]
-# homogeneous components by total degree, each a list of (first exponent, coefficient)
-Components = List[List[Tuple[int, Fraction]]]
+# a homogeneous component: (denominator, [(first exponent, int numerator)])
+Component = Tuple[int, List[Tuple[int, int]]]
+Components = List[Component]
 
 
 def _rational(value: RationalLike) -> Fraction:
     """``value`` as a Fraction; floats and other inexact types are refused."""
     if not isinstance(value, (int, Fraction)):
         raise InputError(f"coefficient {value!r} is not an exact rational")
-    return Fraction(value)
+    return value if type(value) is Fraction else Fraction(value)
+
+
+def _index(value: object, what: str) -> int:
+    """``value`` as a cutoff, exponent or power; anything but an int is refused."""
+    if type(value) is not int:
+        raise InputError(f"{what} {value!r} is not an int")
+    return value
 
 
 class TruncatedPoly:
@@ -54,7 +72,7 @@ class TruncatedPoly:
         coeffs: Mapping[Exponent, RationalLike] | None = None,
     ) -> None:
         self.variables: Tuple[str, ...] = tuple(variables)
-        self.cutoffs: Tuple[int, ...] = tuple(int(c) for c in cutoffs)
+        self.cutoffs: Tuple[int, ...] = tuple(_index(c, "cutoff") for c in cutoffs)
         if not 1 <= len(self.variables) <= 2:
             raise InputError("supported variable counts are 1 and 2")
         if len(self.cutoffs) != len(self.variables):
@@ -63,16 +81,17 @@ class TruncatedPoly:
             raise InputError("cutoffs must be nonnegative")
         clean: Dict[Exponent, Fraction] = {}
         for exps, value in (coeffs or {}).items():
-            key = tuple(int(e) for e in exps)
+            key = tuple(_index(e, "exponent") for e in exps)
             if len(key) != len(self.variables) or any(e < 0 for e in key):
                 raise InputError(f"bad exponent tuple {exps!r}")
             value = _rational(value)
-            if any(e > c for e, c in zip(key, self.cutoffs)):
-                continue  # truncated away by construction
-            if value:
-                clean[key] = clean.get(key, Fraction(0)) + value
-                if not clean[key]:
-                    del clean[key]
+            if not value or any(e > c for e, c in zip(key, self.cutoffs)):
+                continue  # zero, or truncated away by construction
+            total = clean[key] + value if key in clean else value
+            if total:
+                clean[key] = total
+            else:
+                del clean[key]
         self.coeffs = clean
 
     # -- constructors ----------------------------------------------------
@@ -140,22 +159,17 @@ class TruncatedPoly:
     def __mul__(self, other: Union["TruncatedPoly", RationalLike]) -> "TruncatedPoly":
         if isinstance(other, TruncatedPoly):
             self._check_compatible(other)
-            out: Dict[Exponent, Fraction] = {}
-            cut = self.cutoffs
-            for ea, ca in self.coeffs.items():
-                for eb, cb in other.coeffs.items():
-                    key = tuple(a + b for a, b in zip(ea, eb))
-                    if any(e > c for e, c in zip(key, cut)):
-                        continue
-                    out[key] = out.get(key, Fraction(0)) + ca * cb
-            return self._like(out)
+            a, b = _components(self), _components(other)
+            return _from_components(
+                self, [_convolve(a, b, k, self.cutoffs, first=0) for k in range(len(a))]
+            )
         factor = _rational(other)
         return self._like({k: v * factor for k, v in self.coeffs.items()})
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "TruncatedPoly":
-        if n < 0:
+        if _index(n, "power") < 0:
             raise InputError("negative powers: use series_inverse")
         result = TruncatedPoly.constant(1, self.variables, self.cutoffs)
         base = self
@@ -204,37 +218,66 @@ def _components(p: TruncatedPoly) -> Components:
     """Homogeneous components of ``p`` by total degree 0 .. sum(cutoffs).
 
     A monomial of total degree k is determined by its first exponent i
-    (the second, if any, is k - i), so component k is a list of (i, c).
+    (the second, if any, is k - i), so component k is (den, [(i, num)]):
+    int numerators over the lcm of the component's denominators, which is
+    already gcd-reduced against them.
     """
-    comps: Components = [[] for _ in range(sum(p.cutoffs) + 1)]
+    comps: List[List[Tuple[int, Fraction]]] = [[] for _ in range(sum(p.cutoffs) + 1)]
     for exps, c in p.coeffs.items():
         comps[sum(exps)].append((exps[0], c))
-    return comps
+    out: Components = []
+    for comp in comps:
+        den = lcm(*[c.denominator for _, c in comp])
+        out.append((den, [(i, c.numerator * (den // c.denominator)) for i, c in comp]))
+    return out
 
 
-def _convolve(a: Components, b: Components, k: int, cutoffs: Exponent) -> Dict[int, Fraction]:
-    """Degree-k part of sum_{j>=1} a_j * b_{k-j}, truncated, keyed by first exponent."""
+def _reduced(terms: Iterable[Tuple[int, int]], den: int) -> Component:
+    """The component sum_i num_i/den, zeros dropped, over a positive gcd-reduced denominator."""
+    terms = [(i, c) for i, c in terms if c]
+    g = gcd(den, *[c for _, c in terms])
+    if den < 0:
+        g = -g
+    if g == 1:
+        return den, terms
+    return den // g, [(i, c // g) for i, c in terms]
+
+
+def _convolve(
+    a: Components, b: Components, k: int, cutoffs: Exponent, first: int = 1
+) -> Component:
+    """Degree-k part of sum_{j>=first} a_j * b_{k-j}, truncated, as one component.
+
+    The numerators share the lcm of the pairwise denominator products, so
+    the inner loop multiplies and adds ints only; zeros are not dropped.
+    """
     # a first exponent s is kept when s <= c_0 and the second, k - s, is
     # within its cutoff (one variable: the second exponent is always 0)
     lo = max(0, k - cutoffs[1]) if len(cutoffs) == 2 else k
     hi = cutoffs[0]
-    out: Dict[int, Fraction] = {}
-    for j in range(1, k + 1):
-        bj = b[k - j]
-        if not bj:
-            continue
-        for ia, ca in a[j]:
+    pairs = [(a[j], b[k - j]) for j in range(first, k + 1) if a[j][1] and b[k - j][1]]
+    den = lcm(*[da * db for (da, _), (db, _) in pairs])
+    out: Dict[int, int] = {}
+    for (da, aj), (db, bj) in pairs:
+        scale = den // (da * db)
+        for ia, ca in aj:
+            ca *= scale
             for ib, cb in bj:
                 s = ia + ib
                 if lo <= s <= hi:
                     out[s] = out[s] + ca * cb if s in out else ca * cb
-    return out
+    return den, list(out.items())
 
 
 def _from_components(p: TruncatedPoly, comps: Components) -> TruncatedPoly:
+    """The polynomial in ``p``'s ring with these components: one Fraction per coefficient."""
     two = len(p.variables) == 2
     return p._like(
-        {((i, k - i) if two else (i,)): c for k, comp in enumerate(comps) for i, c in comp}
+        {
+            ((i, k - i) if two else (i,)): Fraction(c, den)
+            for k, (den, terms) in enumerate(comps)
+            for i, c in terms
+        }
     )
 
 
@@ -246,11 +289,11 @@ def series_inverse(p: TruncatedPoly) -> TruncatedPoly:
     c0 = p.constant_term
     if not c0:
         raise InputError("series has no inverse: constant term is zero")
-    inv0 = 1 / c0
     a = _components(p)
-    q = [[(0, inv0)]]
+    q = [_reduced([(0, c0.denominator)], c0.numerator)]
     for k in range(1, len(a)):
-        q.append([(i, -c * inv0) for i, c in _convolve(a, q, k, p.cutoffs).items() if c])
+        den, terms = _convolve(a, q, k, p.cutoffs)
+        q.append(_reduced([(i, -c0.denominator * c) for i, c in terms], c0.numerator * den))
     return _from_components(p, q)
 
 
@@ -261,10 +304,14 @@ def series_exp(p: TruncatedPoly) -> TruncatedPoly:
     """
     if p.constant_term:
         raise InputError("series_exp needs a zero constant term")
-    dg = [[(i, k * c) for i, c in comp] for k, comp in enumerate(_components(p))]
-    f = [[(0, Fraction(1))]]
+    dg = [
+        _reduced([(i, k * c) for i, c in terms], den)
+        for k, (den, terms) in enumerate(_components(p))
+    ]
+    f: Components = [(1, [(0, 1)])]
     for k in range(1, len(dg)):
-        f.append([(i, c / k) for i, c in _convolve(dg, f, k, p.cutoffs).items() if c])
+        den, terms = _convolve(dg, f, k, p.cutoffs)
+        f.append(_reduced(terms, k * den))
     return _from_components(p, f)
 
 
@@ -276,11 +323,14 @@ def series_log(p: TruncatedPoly) -> TruncatedPoly:
     if p.constant_term != 1:
         raise InputError("series_log needs constant term one")
     a = _components(p)
-    dg: Components = [[]]  # j g_j, component by component
+    dg: Components = [(1, [])]  # j g_j, component by component
     for k in range(1, len(a)):
-        acc = {i: k * c for i, c in a[k]}
-        for i, c in _convolve(a, dg, k, p.cutoffs).items():
-            acc[i] = acc[i] - c if i in acc else -c
-        dg.append([(i, c) for i, c in acc.items() if c])
-    return _from_components(p, [[(i, c / k) for i, c in comp] for k, comp in enumerate(dg)])
-
+        den, terms = _convolve(a, dg, k, p.cutoffs)
+        da, own = a[k]
+        common = lcm(da, den)
+        acc = {i: k * (common // da) * c for i, c in own}
+        scale = common // den
+        for i, c in terms:
+            acc[i] = acc[i] - scale * c if i in acc else -scale * c
+        dg.append(_reduced(acc.items(), common))
+    return _from_components(p, [(k * den, terms) for k, (den, terms) in enumerate(dg)])

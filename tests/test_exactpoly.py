@@ -1,6 +1,7 @@
 """Truncated polynomial ring and series arithmetic."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -68,9 +69,13 @@ def test_scalar_multiplication():
 
 
 def test_series_inverse():
-    p = _poly({0: 1, 1: 1, 2: 3})
-    inv = series_inverse(p)
-    assert p * inv == TruncatedPoly.constant(1, ("x",), (8,))
+    one = TruncatedPoly.constant(1, ("x",), (8,))
+    for c0 in (1, -1, 3, Fraction(-5, 7), Fraction(999_983, 1_000_000)):
+        p = _poly({0: c0, 1: 1, 2: Fraction(-3, 11)})
+        inv = series_inverse(p)
+        assert inv.constant_term == 1 / Fraction(c0)
+        assert p * inv == one
+        assert _reference_mul(p, inv) == one
     with pytest.raises(InputError):
         series_inverse(_poly({1: 1}))
 
@@ -97,6 +102,18 @@ def test_constructor_validation():
         TruncatedPoly(("x",), (2,), {(0, 0): 1})
 
 
+@pytest.mark.parametrize("bad", [2.7, 2.0, "2", Fraction(2), Fraction(5, 2), True])
+def test_non_int_cutoffs_and_exponents_rejected(bad):
+    with pytest.raises(InputError, match=re.escape(f"cutoff {bad!r} is not an int")):
+        TruncatedPoly(("x",), (bad,), {})
+    with pytest.raises(InputError, match=re.escape(f"exponent {bad!r} is not an int")):
+        TruncatedPoly(("x",), (3,), {(bad,): 1})
+    with pytest.raises(InputError, match=re.escape(f"exponent {bad!r} is not an int")):
+        TruncatedPoly(("x", "y"), (3, 3), {(1, bad): 1})
+    with pytest.raises(InputError, match=re.escape(f"power {bad!r} is not an int")):
+        _poly({0: 1, 1: 1}) ** bad
+
+
 def test_inexact_coefficients_rejected():
     with pytest.raises(InputError, match="not an exact rational"):
         TruncatedPoly(("x",), (2,), {(0,): 0.1})
@@ -107,27 +124,51 @@ def test_inexact_coefficients_rejected():
     assert _poly({0: Fraction(1, 10)}) * 3 == _poly({0: Fraction(3, 10)})
 
 
-# -- differential tests: the graded recurrences against the plain loops -------
+# -- differential tests: the kernels against plain Fraction loops -------------
+#
+# The references below never call TruncatedPoly.__mul__: they multiply with
+# _reference_mul and _scale, plain Fraction dict loops of their own.
+
+
+def _reference_mul(p, q):
+    out = {}
+    for ea, ca in p.coeffs.items():
+        for eb, cb in q.coeffs.items():
+            key = tuple(a + b for a, b in zip(ea, eb))
+            if all(e <= c for e, c in zip(key, p.cutoffs)):
+                out[key] = out.get(key, Fraction(0)) + ca * cb
+    return TruncatedPoly(p.variables, p.cutoffs, out)
+
+
+def _reference_pow(p, n):
+    result = TruncatedPoly.constant(1, p.variables, p.cutoffs)
+    for _ in range(n):
+        result = _reference_mul(result, p)
+    return result
+
+
+def _scale(p, factor):
+    return TruncatedPoly(p.variables, p.cutoffs, {k: v * factor for k, v in p.coeffs.items()})
 
 
 def _reference_inverse(p):
     c0 = p.constant_term
     one = TruncatedPoly.constant(1, p.variables, p.cutoffs)
-    r = one - p * (Fraction(1) / c0)
+    r = one - _scale(p, 1 / c0)
     result = term = one
     while True:
-        term = term * r
+        term = _reference_mul(term, r)
         if term.is_zero():
             break
         result = result + term
-    return result * (Fraction(1) / c0)
+    return _scale(result, 1 / c0)
 
 
 def _reference_exp(p):
     result = term = TruncatedPoly.constant(1, p.variables, p.cutoffs)
     k = 1
     while True:
-        term = term * p * Fraction(1, k)
+        term = _scale(_reference_mul(term, p), Fraction(1, k))
         if term.is_zero():
             break
         result = result + term
@@ -141,10 +182,10 @@ def _reference_log(p):
     power = TruncatedPoly.constant(1, p.variables, p.cutoffs)
     k, sign = 1, 1
     while True:
-        power = power * u
+        power = _reference_mul(power, u)
         if power.is_zero():
             break
-        result = result + power * Fraction(sign, k)
+        result = result + _scale(power, Fraction(sign, k))
         k, sign = k + 1, -sign
     return result
 
@@ -184,3 +225,119 @@ def test_series_ops_match_reference_loops():
         assert series_exp(nilpotent) == _reference_exp(nilpotent)
         assert series_log(series_exp(nilpotent)) == nilpotent
 
+
+
+def _random_operand(rng, cutoffs, terms):
+    """Random operand: negative coefficients, denominators up to 10**6."""
+    coeffs = {}
+    for _ in range(terms):
+        exps = tuple(rng.randint(0, c) for c in cutoffs)
+        coeffs[exps] = Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6))
+    return TruncatedPoly(("x", "y")[: len(cutoffs)], cutoffs, coeffs)
+
+
+def test_mul_and_pow_match_reference_product():
+    rng = random.Random(1968)
+    for _ in range(80):
+        if rng.random() < 0.4:
+            cutoffs = (rng.randint(0, 9),)
+        else:  # unequal cutoffs in two variables
+            cutoffs = (rng.randint(0, 6), rng.randint(0, 6))
+            if cutoffs[0] == cutoffs[1]:
+                cutoffs = (cutoffs[0], cutoffs[1] + 1)
+        a = _random_operand(rng, cutoffs, rng.randint(0, 7))
+        b = _random_operand(rng, cutoffs, rng.randint(0, 7))
+        assert a * b == _reference_mul(a, b)
+        assert a * (b - b) == TruncatedPoly.zero(a.variables, cutoffs)
+        n = rng.randint(0, 4)
+        assert a**n == _reference_pow(a, n)
+
+
+def test_products_that_cancel_to_zero():
+    # (x + y)(x - y): x^2 and y^2 are truncated away and the xy terms cancel
+    plus = TruncatedPoly(("x", "y"), (1, 1), {(1, 0): 1, (0, 1): 1})
+    minus = TruncatedPoly(("x", "y"), (1, 1), {(1, 0): 1, (0, 1): -1})
+    assert (plus * minus).is_zero()
+    assert _reference_mul(plus, minus).is_zero()
+    # (1 + x/3)(1 - x/3) = 1 - x^2/9: the x terms cancel, the rest survives
+    p = _poly({0: 1, 1: Fraction(1, 3)})
+    q = _poly({0: 1, 1: Fraction(-1, 3)})
+    assert p * q == _poly({0: 1, 2: Fraction(-1, 9)})
+    empty = TruncatedPoly.zero(("x",), (8,))
+    assert (p * empty).is_zero() and (empty * p).is_zero() and (empty**3).is_zero()
+    assert empty**0 == TruncatedPoly.constant(1, ("x",), (8,))
+
+
+# -- property tests (hypothesis; skipped where it is not installed) ------------
+
+_SETTINGS = {"max_examples": 60, "deadline": None, "derandomize": True, "database": None}
+
+
+def _strategies():
+    """hypothesis, a polynomial strategy and a rational strategy.
+
+    Each property test calls this, so ``importorskip`` skips only the
+    property tests, never the seeded loops above, when hypothesis is absent.
+    ``polys(count, constant)`` draws ``count`` polynomials of one random
+    ring (one variable, or two with independent cutoffs); ``constant``, a
+    strategy, fixes the distribution of their constant terms.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rationals = st.fractions(min_value=-50, max_value=50, max_denominator=10**6)
+    rings = st.one_of(
+        st.tuples(st.integers(0, 8)),
+        st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    )
+
+    @st.composite
+    def polys(draw, count, constant=None):
+        cutoffs = draw(rings)
+        exps = st.tuples(*(st.integers(0, c) for c in cutoffs))
+        out = []
+        for _ in range(count):
+            coeffs = draw(st.dictionaries(exps, rationals, max_size=6))
+            if constant is not None:
+                coeffs[(0,) * len(cutoffs)] = draw(constant)
+            out.append(TruncatedPoly(("x", "y")[: len(cutoffs)], cutoffs, coeffs))
+        return out
+
+    return hypothesis, polys, rationals
+
+
+def test_property_series_inverse():
+    hypothesis, polys, rationals = _strategies()
+
+    @hypothesis.settings(**_SETTINGS)
+    @hypothesis.given(polys(1, constant=rationals.filter(bool)))
+    def prop(ps):
+        (p,) = ps
+        assert p * series_inverse(p) == TruncatedPoly.constant(1, p.variables, p.cutoffs)
+
+    prop()
+
+
+def test_property_exp_of_log():
+    hypothesis, polys, _ = _strategies()
+
+    @hypothesis.settings(**_SETTINGS)
+    @hypothesis.given(polys(1, constant=hypothesis.strategies.just(1)))
+    def prop(ps):
+        (p,) = ps
+        assert series_exp(series_log(p)) == p
+
+    prop()
+
+
+def test_property_mul_ring_laws():
+    hypothesis, polys, _ = _strategies()
+
+    @hypothesis.settings(**_SETTINGS)
+    @hypothesis.given(polys(3))
+    def prop(ps):
+        a, b, c = ps
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        assert a * b == _reference_mul(a, b)
+
+    prop()
