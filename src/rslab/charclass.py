@@ -6,7 +6,8 @@ of the tangent bundle together with the pairing ``<h**n, [M]>``.  Everything
 else is derived from it with exact rational arithmetic: Newton's identities
 convert Chern classes to power sums of the formal roots, Pontryagin classes
 come from power sums of the squared roots, and any multiplicative genus is
-evaluated through ``exp(sum_k log(Q)_k * s_k)``.
+evaluated through ``exp(sum_k log(Q)_k * s_k)``.  The genus values and the
+index report of a profile are computed once and kept on it.
 
 The spin-3/2 index functional is ``<Ahat(TM) * (ch(TM x C) + 1), [M]>``; it
 splits as a tangent-twisted Dirac index plus a plain Dirac index, and both
@@ -17,12 +18,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .errors import ConsistencyError, InputError, NotApplicableError
-from .exactpoly import TruncatedPoly, series_exp, series_inverse, series_log
+from .exactpoly import (
+    Component,
+    Components,
+    TruncatedPoly,
+    _components,
+    _exp,
+    _from_components,
+    _index,
+    _rational,
+    _reduced,
+    series_exp,
+    series_inverse,
+    series_log,
+)
 
 GENUS_NAMES = ("AHAT", "L", "TODD", "CHI_Y")
 
@@ -34,6 +48,9 @@ class ChernProfile:
     dim      complex dimension n
     chern    coefficients of c_1 .. c_n on h, h**2, .., h**n
     pairing  value of h**n on the fundamental class
+
+    The profile is immutable, so derived values are computed once and kept
+    on it: the power sums, the named genus values and the index report.
     """
 
     dim: int
@@ -41,29 +58,50 @@ class ChernProfile:
     pairing: Fraction
 
     def __post_init__(self):
-        if self.dim < 1:
+        if _index(self.dim, "complex dimension") < 1:
             raise InputError("complex dimension must be positive")
         object.__setattr__(
-            self, "chern", tuple(Fraction(c) for c in self.chern)
+            self, "chern", tuple(_rational(c, "Chern coefficient") for c in self.chern)
         )
-        object.__setattr__(self, "pairing", Fraction(self.pairing))
+        object.__setattr__(self, "pairing", _rational(self.pairing, "pairing"))
         if len(self.chern) != self.dim:
             raise InputError("need exactly dim Chern coefficients")
         if self.pairing == 0:
             raise InputError("pairing must be nonzero")
 
     @cached_property
-    def power_sums(self) -> Tuple[Fraction, ...]:
-        """Power sums s_1..s_n of the Chern roots, via Newton's identities,
-        computed once per profile."""
-        e = (Fraction(1),) + self.chern
-        s: List[Fraction] = []
+    def _power_sum_numerators(self) -> Tuple[int, Tuple[int, ...]]:
+        """(D, (S_1..S_n)) with power sums s_k = S_k / D**k, D the common
+        denominator of the Chern coefficients.
+
+        With c_i = C_i / D, Newton's identities
+        s_k = (-1)**(k-1) k c_k + sum_{i<k} (-1)**(i-1) c_i s_{k-i}, times D**k,
+        read S_k = k w_k + sum_{i<k} w_i S_{k-i} with w_i = (-1)**(i-1) C_i D**(i-1):
+        ints only, and for integral data (D = 1) no scaling either.
+        """
+        den = math.lcm(*(c.denominator for c in self.chern))
+        w = [
+            (-1) ** i * c.numerator * (den // c.denominator) * den**i
+            for i, c in enumerate(self.chern)
+        ]
+        sums: List[int] = []
         for k in range(1, self.dim + 1):
-            acc = Fraction((-1) ** (k - 1) * k) * e[k]
-            for i in range(1, k):
-                acc += Fraction((-1) ** (i - 1)) * e[i] * s[k - 1 - i]
-            s.append(acc)
-        return tuple(s)
+            sums.append(k * w[k - 1] + sum(w[i - 1] * sums[k - 1 - i] for i in range(1, k)))
+        return den, tuple(sums)
+
+    @cached_property
+    def power_sums(self) -> Tuple[Fraction, ...]:
+        """Power sums s_1..s_n of the Chern roots, via Newton's identities."""
+        den, sums = self._power_sum_numerators
+        return tuple(Fraction(s, den**k) for k, s in enumerate(sums, 1))
+
+    @cached_property
+    def _values(self) -> Dict[str, object]:
+        """Named genus values and the ``rs_index`` report, filled on first use.
+
+        Only immutable values go in: Fractions, tuples, frozen reports.
+        """
+        return {}
 
 
 def elementary_from_power_sums(sums: Sequence[Fraction], count: int) -> Tuple[Fraction, ...]:
@@ -157,16 +195,51 @@ class GenusSpec:
         """log Q, computed once per spec."""
         return series_log(self.series)
 
+    @cached_property
+    def _log_components(self) -> Tuple[Component, ...]:
+        """log Q as int numerators over one denominator per total degree."""
+        return tuple((den, tuple(terms)) for den, terms in _components(self.log_series))
 
-@lru_cache(maxsize=64)
+    def restricted(self, order: int) -> "GenusSpec":
+        """This genus with Q (and log Q) cut to x**order, and y**order for CHI_Y.
+
+        Exact: the truncation ideal is monomial and the series recurrences
+        are graded, so the cut commutes with building Q and with its log.
+        """
+
+        def cut(p: TruncatedPoly) -> TruncatedPoly:  # drops the monomials past the cutoffs
+            return TruncatedPoly(p.variables, (order,) * len(p.variables), p.coeffs)
+
+        out = GenusSpec(self.name, cut(self.series))
+        out.__dict__["log_series"] = cut(self.log_series)  # fills the cached_property
+        return out
+
+
+# name -> order -> spec, each built at the highest order asked for so far or
+# restricted from such a spec
+_SPECS: Dict[str, Dict[int, GenusSpec]] = {}
+
+
 def genus_spec(name: str, order: int) -> GenusSpec:
-    """Build the named genus with Q(x) expanded to x**order.
+    """The named genus with Q(x) expanded to x**order.
 
-    Memoized per (name, order), together with its ``log_series``; the
-    returned spec is shared, so callers must not modify its series.
+    Memoized per (name, order), together with its ``log_series``.  A spec
+    is built only when no spec of ``name`` of at least this order exists;
+    otherwise it is the restriction of the highest one built.  The returned
+    spec is shared, so callers must not modify its series.
     """
-    if order < 1:
-        raise InputError("order must be positive")
+    built = _SPECS.get(name, {})
+    spec = built.get(order)
+    if spec is None:
+        if order < 1:
+            raise InputError("order must be positive")
+        top = max(built, default=0)
+        spec = built[top].restricted(order) if top > order else _build_spec(name, order)
+        _SPECS.setdefault(name, {})[order] = spec
+    return spec
+
+
+def _build_spec(name: str, order: int) -> GenusSpec:
     if name == "AHAT":
         # Q(x) = (x/2)/sinh(x/2), the inverse of an even series
         denom = TruncatedPoly(
@@ -228,22 +301,42 @@ def _coerce_genus(genus: Union[str, GenusSpec], order: int) -> GenusSpec:
     return genus
 
 
-def multiplicative_class(genus: Union[str, GenusSpec], profile: ChernProfile) -> TruncatedPoly:
-    """The genus class of the tangent bundle, as a polynomial in h (and y)."""
+def _class_components(
+    genus: Union[str, GenusSpec], profile: ChernProfile
+) -> Tuple[Tuple[int, ...], Components]:
+    """Cutoffs and components of the genus class exp(sum_k log(Q)_k s_k h**k).
+
+    Each log Q monomial x**i y**j becomes s_i h**i y**j: the int components
+    of log Q are scaled by the power-sum numerators and go straight to the
+    exp recurrence.
+    """
     n = profile.dim
     g = _coerce_genus(genus, n)
-    log_q = g.log_series
-    sums = profile.power_sums
-    two_var = len(g.series.variables) == 2
-    coeffs: Dict[Tuple[int, ...], Fraction] = {}
-    for exps, coeff in log_q.items():
-        k = exps[0]
-        if k == 0 and two_var:
-            raise ConsistencyError("log of a genus series has no pure-y part")
-        if 1 <= k <= n:
-            coeffs[(k,) + exps[1:]] = coeff * sums[k - 1]
-    variables = ("h", "y") if two_var else ("h",)
-    return series_exp(TruncatedPoly(variables, (n,) * len(variables), coeffs))
+    den_s, sums = profile._power_sum_numerators
+    cut = (n,) * len(g.series.variables)
+    scaled = []
+    for k, (den, terms) in enumerate(g._log_components[: sum(cut) + 1]):
+        comp = []
+        for i, c in terms:
+            if i == 0:
+                raise ConsistencyError("log of a genus series has no pure-y part")
+            if i <= n and k - i <= n:
+                comp.append((i, c * sums[i - 1] * den_s ** (k - i)))
+        scaled.append(_reduced(comp, den * den_s**k))
+    return cut, _exp(scaled, cut)
+
+
+def _coefficient(comp: Component, first: int) -> Fraction:
+    """The coefficient with first exponent ``first`` in a component."""
+    den, terms = comp
+    return Fraction(dict(terms).get(first, 0), den)
+
+
+def multiplicative_class(genus: Union[str, GenusSpec], profile: ChernProfile) -> TruncatedPoly:
+    """The genus class of the tangent bundle, as a polynomial in h (and y)."""
+    cut, comps = _class_components(genus, profile)
+    variables = ("h", "y") if len(cut) == 2 else ("h",)
+    return _from_components(TruncatedPoly(variables, cut), comps)
 
 
 def evaluate_genus(
@@ -252,15 +345,21 @@ def evaluate_genus(
     """Pair the genus class with the fundamental class.
 
     Returns a single rational, except for CHI_Y where the result is the
-    tuple of coefficients of y**0 .. y**n.
+    tuple of coefficients of y**0 .. y**n.  Named genera are evaluated once
+    per profile.
     """
+    named = isinstance(genus, str)
+    if named and genus in profile._values:
+        return profile._values[genus]
     n = profile.dim
-    cls = multiplicative_class(genus, profile)
-    if len(cls.variables) == 2:
-        return tuple(
-            cls.coefficient((n, j)) * profile.pairing for j in range(n + 1)
-        )
-    return cls.coefficient((n,)) * profile.pairing
+    cut, comps = _class_components(genus, profile)
+    if len(cut) == 2:  # h**n y**j lies in the component of total degree n + j
+        value = tuple(_coefficient(comps[n + j], n) * profile.pairing for j in range(n + 1))
+    else:
+        value = _coefficient(comps[n], n) * profile.pairing
+    if named:
+        profile._values[genus] = value
+    return value
 
 
 def euler_characteristic(profile: ChernProfile) -> Fraction:
@@ -295,11 +394,14 @@ def rs_index(profile: ChernProfile) -> RSIndexReport:
     """Index functional Ahat(TM)*(ch(TM x C) + 1) paired with [M].
 
     The summand splits as a tangent-twisted Dirac index plus the plain
-    Dirac index; the split is recomputed and cross-checked.
+    Dirac index; the split is recomputed and cross-checked.  The report is
+    computed once per profile.
     """
+    if "rs_index" in profile._values:
+        return profile._values["rs_index"]
     n = profile.dim
-    ahat_cls = multiplicative_class("AHAT", profile)
-    ahat = [ahat_cls.coefficient((k,)) for k in range(n + 1)]
+    comps = _class_components("AHAT", profile)[1]
+    ahat = [_coefficient(comps[k], k) for k in range(n + 1)]
     ch_cls = ch_complexified_tangent(profile)
     ch = [ch_cls.coefficient((k,)) for k in range(n + 1)]
 
@@ -315,7 +417,10 @@ def rs_index(profile: ChernProfile) -> RSIndexReport:
             f"index split failed to recombine in complex dimension {n}: "
             f"total {total}, twisted + plain {twisted + dirac}"
         )
-    return RSIndexReport(total=total, dirac_tangent=twisted, dirac=dirac)
+    report = profile._values["rs_index"] = RSIndexReport(
+        total=total, dirac_tangent=twisted, dirac=dirac
+    )
+    return report
 
 
 # -- Hodge-theoretic coefficients from the chi_y polynomial -------------------

@@ -8,8 +8,8 @@ n-dimensional cohomology ring or an order-n series expansion wants.
 
 Coefficients are stored in a dict keyed by exponent tuples; zero
 coefficients are never stored, so dict equality is polynomial equality.
-Coefficients must be ``int`` or ``Fraction``; floats are refused.  Cutoffs
-and exponents must be ``int``.
+Coefficients must be ``int`` or ``Fraction``; floats and bools are refused.
+Cutoffs and exponents must be ``int``.
 
 ``Fraction`` is the boundary type only.  The product and the three series
 operations split their operands into homogeneous components p_k of total
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import InputError
 
@@ -48,15 +48,15 @@ Component = Tuple[int, List[Tuple[int, int]]]
 Components = List[Component]
 
 
-def _rational(value: RationalLike) -> Fraction:
-    """``value`` as a Fraction; floats and other inexact types are refused."""
-    if not isinstance(value, (int, Fraction)):
-        raise InputError(f"coefficient {value!r} is not an exact rational")
+def _rational(value: RationalLike, what: str = "coefficient") -> Fraction:
+    """``value`` as a Fraction; floats, bools and other types are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise InputError(f"{what} {value!r} is not an exact rational")
     return value if type(value) is Fraction else Fraction(value)
 
 
 def _index(value: object, what: str) -> int:
-    """``value`` as a cutoff, exponent or power; anything but an int is refused."""
+    """``value`` as a cutoff, exponent, power, dimension or degree; only an int is accepted."""
     if type(value) is not int:
         raise InputError(f"{what} {value!r} is not an int")
     return value
@@ -304,15 +304,17 @@ def series_exp(p: TruncatedPoly) -> TruncatedPoly:
     """
     if p.constant_term:
         raise InputError("series_exp needs a zero constant term")
-    dg = [
-        _reduced([(i, k * c) for i, c in terms], den)
-        for k, (den, terms) in enumerate(_components(p))
-    ]
+    return _from_components(p, _exp(_components(p), p.cutoffs))
+
+
+def _exp(g: Sequence[Component], cutoffs: Exponent) -> Components:
+    """Components of exp(g), given the components of g (g_0 empty)."""
+    dg = [_reduced([(i, k * c) for i, c in terms], den) for k, (den, terms) in enumerate(g)]
     f: Components = [(1, [(0, 1)])]
     for k in range(1, len(dg)):
-        den, terms = _convolve(dg, f, k, p.cutoffs)
+        den, terms = _convolve(dg, f, k, cutoffs)
         f.append(_reduced(terms, k * den))
-    return _from_components(p, f)
+    return f
 
 
 def series_log(p: TruncatedPoly) -> TruncatedPoly:

@@ -22,7 +22,7 @@ from .charclass import (
     rs_index,
 )
 from .errors import ConsistencyError, InputError, NotApplicableError
-from .exactpoly import TruncatedPoly, series_inverse
+from .exactpoly import TruncatedPoly, _index, series_inverse
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,8 @@ class CISpec:
     degrees: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
-        if self.n < 1:
+        object.__setattr__(self, "degrees", tuple(_index(d, "degree") for d in self.degrees))
+        if _index(self.n, "complex dimension") < 1:
             raise InputError("complex dimension must be at least 1")
         if not self.degrees:
             raise InputError("need at least one degree")
@@ -121,6 +121,9 @@ def ci_invariants(m: CIManifold) -> CIInvariants:
     The signature is reported only when the real dimension is divisible
     by four; the index values are meaningful as operator indices only on
     spin manifolds but are well-defined characteristic numbers always.
+    ``ahat`` and ``dirac_index`` are one number, the top coefficient of the
+    one Ahat class that ``rs_index`` builds, so they cannot disagree and do
+    not check each other.
     """
     profile = m.profile
     split = rs_index(profile)
@@ -128,7 +131,7 @@ def ci_invariants(m: CIManifold) -> CIInvariants:
     return CIInvariants(
         euler=euler_characteristic(profile),
         signature=signature,
-        ahat=evaluate_genus("AHAT", profile),
+        ahat=split.dirac,
         dirac_index=split.dirac,
         dirac_tangent_index=split.dirac_tangent,
         rs_index=split.total,

@@ -1,10 +1,12 @@
 """Genus engine: multiplicative sequences, Newton identities, index functionals."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from rslab import charclass
 from rslab.charclass import (
     ChernProfile,
     chern_to_pontryagin,
@@ -44,6 +46,32 @@ def test_newton_round_trip_random():
         chern = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
         sums = ChernProfile(n, chern, Fraction(1)).power_sums
         assert elementary_from_power_sums(sums, n) == chern
+
+
+def _newton_reference(chern):
+    """Power sums from Newton's identities, in plain Fraction arithmetic."""
+    e = [Fraction(1)] + [Fraction(c) for c in chern]
+    s = []
+    for k in range(1, len(chern) + 1):
+        acc = (-1) ** (k - 1) * k * e[k]
+        for i in range(1, k):
+            acc += (-1) ** (i - 1) * e[i] * s[k - 1 - i]
+        s.append(acc)
+    return tuple(s)
+
+
+def test_power_sums_match_fraction_newton_reference():
+    rng = random.Random(1804)
+    for n in range(1, 13):
+        integral = tuple(rng.randint(-40, 40) for _ in range(n))
+        rational = tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(n))
+        for chern in (integral, rational):
+            sums = ChernProfile(n, chern, Fraction(3)).power_sums
+            assert sums == _newton_reference(chern)
+            assert all(type(v) is Fraction for v in sums)
+    for spec in [CISpec(2, (4,)), CISpec(7, (2, 2, 3)), CISpec(16, (18,))]:
+        profile = build_ci(spec).profile
+        assert profile.power_sums == _newton_reference(profile.chern)
 
 
 def test_pontryagin_of_quartic_surface():
@@ -129,13 +157,41 @@ def test_genus_spec_is_memoized_and_stable():
         assert genus_spec(name, 5).series.cutoffs[0] == 5
 
 
+@pytest.mark.parametrize("name", ["AHAT", "L", "TODD", "CHI_Y"])
+def test_genus_spec_is_cut_from_the_highest_order_built(monkeypatch, name):
+    built = []
+    real = charclass._build_spec
+
+    def counting(genus, order):
+        built.append(order)
+        return real(genus, order)
+
+    monkeypatch.setattr(charclass, "_build_spec", counting)
+    for low, high in [(3, 9), (1, 2), (5, 6)]:
+        monkeypatch.setattr(charclass, "_SPECS", {})
+        direct = genus_spec(name, low)
+        monkeypatch.setattr(charclass, "_SPECS", {})
+        top = genus_spec(name, high)
+        cut = genus_spec(name, low)
+        assert built[-2:] == [low, high]  # the order-low spec was not rebuilt
+        assert cut.series == direct.series
+        assert cut.log_series == direct.log_series
+        assert cut.log_series.cutoffs == (low,) * len(top.series.variables)
+        assert genus_spec(name, low) is cut
+    # a higher order than any built so far is built, never cut or rounded up
+    assert genus_spec(name, 11).series.cutoffs[0] == 11
+    assert built[-1] == 11
+
+
 def test_caller_supplied_genus_matches_named_genus():
     sextic = build_ci(CISpec(4, (6,))).profile
     for name in ("AHAT", "L", "CHI_Y"):
-        spec = genus_spec(name, 4)
-        copy = TruncatedPoly(spec.series.variables, spec.series.cutoffs, spec.series.coeffs)
-        supplied = GenusSpec(name, copy)
-        assert evaluate_genus(supplied, sextic) == evaluate_genus(name, sextic)
+        for order in (4, 7):  # a longer series is cut to the profile's dimension
+            spec = genus_spec(name, order)
+            copy = TruncatedPoly(spec.series.variables, spec.series.cutoffs, spec.series.coeffs)
+            supplied = GenusSpec(name, copy)
+            assert evaluate_genus(supplied, sextic) == evaluate_genus(name, sextic)
+            assert multiplicative_class(supplied, sextic) == multiplicative_class(name, sextic)
     assert evaluate_genus("CHI_Y", sextic) == (2, -427, 1752, -427, 2)
 
 
@@ -201,3 +257,21 @@ def test_profile_validation():
         ChernProfile(2, (Fraction(1),), Fraction(1))
     with pytest.raises(InputError):
         ChernProfile(2, (Fraction(0), Fraction(6)), Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "dim, chern, pairing, named",
+    [
+        (2, (0.1, 1), 1, "0.1"),
+        (2, (True, 1), 1, "True"),
+        (2, (0, "6"), 1, "'6'"),
+        (2, (0, 6), 4.0, "4.0"),
+        (2, (0, 6), True, "True"),
+        (2.0, (0, 6), 1, "2.0"),
+        (True, (0,), 1, "True"),
+    ],
+)
+def test_profile_refuses_inexact_and_bool_data(dim, chern, pairing, named):
+    with pytest.raises(InputError, match=re.escape(named)) as info:
+        ChernProfile(dim, chern, pairing)
+    assert "exactly" not in str(info.value)

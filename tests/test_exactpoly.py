@@ -121,6 +121,8 @@ def test_inexact_coefficients_rejected():
         TruncatedPoly(("x",), (2,), {(5,): 0.5})  # even where truncated away
     with pytest.raises(InputError):
         _poly({0: 1}) * 0.5
+    with pytest.raises(InputError, match="coefficient True is not an exact rational"):
+        TruncatedPoly(("x",), (2,), {(1,): True})
     assert _poly({0: Fraction(1, 10)}) * 3 == _poly({0: Fraction(3, 10)})
 
 
@@ -341,3 +343,4 @@ def test_property_mul_ring_laws():
         assert a * b == _reference_mul(a, b)
 
     prop()
+

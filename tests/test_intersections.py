@@ -1,8 +1,14 @@
 """Complete intersections: invariants, Hodge tables, kernel reports."""
 
+import functools
+import math
+import re
+from fractions import Fraction
+
 import pytest
 
-from rslab.charclass import rs_index
+from rslab import charclass
+from rslab.charclass import evaluate_genus, hodge_from_chi_y, rs_index
 from rslab.errors import ConsistencyError, InputError, NotApplicableError
 from rslab.intersections import (
     CISpec,
@@ -27,6 +33,22 @@ def test_spec_validation():
         CISpec(2, ())
     with pytest.raises(InputError):
         CISpec(2, (4, 0))
+
+
+@pytest.mark.parametrize(
+    "n, degrees, named",
+    [
+        (4, (3.7,), "3.7"),
+        (4, ("5",), "'5'"),
+        (4, (True,), "True"),
+        (4, (3, Fraction(4)), "Fraction(4, 1)"),
+        (4.0, (3,), "4.0"),
+        (True, (3,), "True"),
+    ],
+)
+def test_spec_refuses_non_int_dimension_and_degrees(n, degrees, named):
+    with pytest.raises(InputError, match=re.escape(named)):
+        CISpec(n, degrees)
 
 
 def test_spin_and_c1_classification():
@@ -179,3 +201,125 @@ def test_quartic_sixfold_rs_index():
     inv = ci_invariants(_ci(6, 4))
     # dimension-12 identity: ind Q = 5 Ahat + sigma / 8
     assert inv.rs_index == 5 * inv.ahat + inv.signature / 8
+
+
+# -- an independent route: Hirzebruch's residue formula -------------------------
+# On X = X_n(d_1..d_r) in CP^N, N = n + r, the stable tangent bundle is
+# (N+1) O(1) - sum_j O(d_j), so a genus with characteristic series Q takes
+# the value prod(d_j) * [h^n] Q(h)^(N+1) / prod_j Q(d_j h) (Hirzebruch,
+# Topological Methods in Algebraic Geometry, section 22).  Plain Fraction
+# lists only: no ChernProfile, no Newton identities, no TruncatedPoly.
+
+
+def _mul(a, b):
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def _inv(a):
+    q = [1 / Fraction(a[0])]
+    for k in range(1, len(a)):
+        q.append(-sum(a[j] * q[k - j] for j in range(1, k + 1)) / a[0])
+    return q
+
+
+def _todd_like(c, n):
+    """1 / g(c x) with g(u) = (1 - exp(-u)) / u."""
+    return _inv([Fraction((-c) ** k, math.factorial(k + 1)) for k in range(n + 1)])
+
+
+def _q_ahat(n):
+    """(x/2) / sinh(x/2)."""
+    return _inv([Fraction(1, 4 ** (k // 2) * math.factorial(k + 1)) if k % 2 == 0 else 0
+                 for k in range(n + 1)])
+
+
+def _q_l(n):
+    """x / tanh(x) = cosh(x) / (sinh(x) / x)."""
+    cosh = [Fraction(1, math.factorial(k)) if k % 2 == 0 else 0 for k in range(n + 1)]
+    sinh = [Fraction(1, math.factorial(k + 1)) if k % 2 == 0 else 0 for k in range(n + 1)]
+    return _mul(cosh, _inv(sinh))
+
+
+def _q_chi_y(y, n):
+    """x (1 + y exp(-x(1+y))) / (1 - exp(-x(1+y))) = 1/g(x(1+y)) - x y."""
+    q = _todd_like(1 + y, n)
+    q[1] -= y
+    return q
+
+
+def _exp_sym(c, n):
+    """exp(c x) + exp(-c x)."""
+    return [Fraction(2 * c**k, math.factorial(k)) if k % 2 == 0 else 0 for k in range(n + 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _power(a, e):
+    out = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
+    while e:
+        if e & 1:
+            out = _mul(out, a)
+        a, e = _mul(a, a), e >> 1
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _normal_inverse(q, d):
+    """1 / Q(d x)."""
+    return _inv([c * d**k for k, c in enumerate(q)])
+
+
+def _residue(q, n, degrees, factor=None):
+    q = tuple(q)
+    integrand = _power(q, n + len(degrees) + 1)
+    for d in degrees:
+        integrand = _mul(integrand, _normal_inverse(q, d))
+    if factor is not None:
+        integrand = _mul(integrand, factor)
+    return math.prod(degrees) * integrand[n]
+
+
+# 14 degree lists, so 140 complete intersections over n = 1..10
+_DEGREES = [(d,) for d in range(2, 6)] + [(d1, d2) for d1 in range(2, 6) for d2 in range(d1, 6)]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_genera_and_index_match_the_residue_formula(n):
+    ahat_q = _q_ahat(n)
+    for degrees in _DEGREES:
+        m = build_ci(CISpec(n, degrees))
+        inv = ci_invariants(m)
+        where = m.name
+        assert inv.ahat == _residue(ahat_q, n, degrees), where
+        assert evaluate_genus("TODD", m.profile) == _residue(_todd_like(1, n), n, degrees), where
+        if n % 2 == 0:
+            assert inv.signature == _residue(_q_l(n), n, degrees), where
+        big_n = n + len(degrees)
+        ch_plus_one = [(big_n + 1) * c for c in _exp_sym(1, n)]
+        ch_plus_one[0] -= 1
+        for d in degrees:
+            ch_plus_one = [a - b for a, b in zip(ch_plus_one, _exp_sym(d, n))]
+        assert inv.rs_index == _residue(ahat_q, n, degrees, ch_plus_one), where
+        chi = hodge_from_chi_y(m.profile)
+        for y in range(n + 1):
+            value = sum(c * y**p for p, c in enumerate(chi))
+            assert value == _residue(_q_chi_y(y, n), n, degrees), (where, y)
+
+
+def test_kernel_report_builds_no_new_genus_class(monkeypatch):
+    built = []
+    real = charclass._class_components
+
+    def counting(genus, profile):
+        built.append(genus)
+        return real(genus, profile)
+
+    monkeypatch.setattr(charclass, "_class_components", counting)
+    for m in (_ci(2, 6), _ci(4, 4), _ci(4, 6), _ci(3, 5)):  # c1 < 0, > 0, = 0, = 0
+        ci_invariants(m)
+        hodge_numbers(m)
+        before = len(built)
+        assert before > 0
+        ci_rs_kernel(m)
+        hodge_numbers(m)
+        rs_index(m.profile)
+        assert len(built) == before, m.name
