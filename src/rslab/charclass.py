@@ -130,14 +130,13 @@ def chern_to_pontryagin(profile: ChernProfile) -> Tuple[Fraction, ...]:
     return elementary_from_power_sums(squared_sums, count)
 
 
-def _partitions(m: int) -> List[Tuple[int, ...]]:
-    if m == 1:
-        return [(1,)]
-    if m == 2:
-        return [(1, 1), (2,)]
-    if m == 3:
-        return [(1, 1, 1), (2, 1), (3,)]
-    raise NotApplicableError("pontryagin monomial bases are tabulated for m <= 3")
+def _partitions(m: int, largest: int = 0) -> List[Tuple[int, ...]]:
+    """Every partition of m with parts at most ``largest`` (default m), as
+    non-increasing tuples in ascending tuple order."""
+    if m == 0:
+        return [()]
+    top = min(m, largest or m)
+    return [(k,) + rest for k in range(1, top + 1) for rest in _partitions(m - k, k)]
 
 
 def _partition_label(part: Tuple[int, ...]) -> str:
@@ -290,20 +289,7 @@ def _build_spec(name: str, order: int) -> GenusSpec:
     raise InputError(f"unknown genus {name!r}")
 
 
-def _coerce_genus(genus: Union[str, GenusSpec], order: int) -> GenusSpec:
-    if isinstance(genus, str):
-        return genus_spec(genus, order)
-    if min(genus.series.cutoffs) < order:
-        raise InputError(
-            f"{genus.name} series has cutoffs {genus.series.cutoffs}, "
-            f"every one must be at least {order}"
-        )
-    return genus
-
-
-def _class_components(
-    genus: Union[str, GenusSpec], profile: ChernProfile
-) -> Tuple[Tuple[int, ...], Components]:
+def _class_components(genus: str, profile: ChernProfile) -> Tuple[Tuple[int, ...], Components]:
     """Cutoffs and components of the genus class exp(sum_k log(Q)_k s_k h**k).
 
     Each log Q monomial x**i y**j becomes s_i h**i y**j: the int components
@@ -311,7 +297,7 @@ def _class_components(
     exp recurrence.
     """
     n = profile.dim
-    g = _coerce_genus(genus, n)
+    g = genus_spec(genus, n)
     den_s, sums = profile._power_sum_numerators
     cut = (n,) * len(g.series.variables)
     scaled = []
@@ -332,24 +318,21 @@ def _coefficient(comp: Component, first: int) -> Fraction:
     return Fraction(dict(terms).get(first, 0), den)
 
 
-def multiplicative_class(genus: Union[str, GenusSpec], profile: ChernProfile) -> TruncatedPoly:
+def multiplicative_class(genus: str, profile: ChernProfile) -> TruncatedPoly:
     """The genus class of the tangent bundle, as a polynomial in h (and y)."""
     cut, comps = _class_components(genus, profile)
     variables = ("h", "y") if len(cut) == 2 else ("h",)
     return _from_components(TruncatedPoly(variables, cut), comps)
 
 
-def evaluate_genus(
-    genus: Union[str, GenusSpec], profile: ChernProfile
-) -> Union[Fraction, Tuple[Fraction, ...]]:
-    """Pair the genus class with the fundamental class.
+def evaluate_genus(genus: str, profile: ChernProfile) -> Union[Fraction, Tuple[Fraction, ...]]:
+    """Pair the named genus class with the fundamental class.
 
     Returns a single rational, except for CHI_Y where the result is the
-    tuple of coefficients of y**0 .. y**n.  Named genera are evaluated once
+    tuple of coefficients of y**0 .. y**n.  Each genus is evaluated once
     per profile.
     """
-    named = isinstance(genus, str)
-    if named and genus in profile._values:
+    if genus in profile._values:
         return profile._values[genus]
     n = profile.dim
     cut, comps = _class_components(genus, profile)
@@ -357,8 +340,7 @@ def evaluate_genus(
         value = tuple(_coefficient(comps[n + j], n) * profile.pairing for j in range(n + 1))
     else:
         value = _coefficient(comps[n], n) * profile.pairing
-    if named:
-        profile._values[genus] = value
+    profile._values[genus] = value
     return value
 
 
@@ -458,13 +440,6 @@ CLAIMED_INDEX_RELATIONS: Dict[int, List[Tuple[str, Dict[str, Fraction]]]] = {
     ],
 }
 
-# Sample root tuples giving invertible Pontryagin-monomial matrices.
-_SAMPLE_ROOTS = {
-    1: [(1,)],
-    2: [(1, 1), (1, 2)],
-    3: [(1, 1, 1), (1, 1, 2), (1, 2, 3)],
-}
-
 
 @dataclass(frozen=True)
 class IdentityCheck:
@@ -504,20 +479,13 @@ def _solve_linear(rows: List[List[Fraction]], rhs: List[Fraction]) -> List[Fract
     return [a[i][n] for i in range(n)]
 
 
-def _genus_log_coeffs(name: str, order: int) -> Dict[int, Fraction]:
-    return {exps[0]: c for exps, c in genus_spec(name, order).log_series.items()}
-
-
-def _elementary(values: Sequence[Fraction]) -> List[Fraction]:
-    sums = [sum(Fraction(v) ** k for v in values) for k in range(1, len(values) + 1)]
-    return list(elementary_from_power_sums(sums, len(values)))
-
-
 def verify_dimension_identities(real_dim: int) -> DimensionIdentityReport:
     """Re-derive the index/Ahat/signature relations in dimensions 4, 8, 12.
 
     Every functional is expressed on the Pontryagin monomial basis by
-    evaluating on sample root systems and solving exactly; the claimed
+    evaluating on one sample profile per partition of m and solving
+    exactly (the sample's Chern roots are the parts, padded with zeros, so
+    c(T) = prod(1 + x h) and the sample matrix is invertible); the claimed
     coefficient pairs are then checked componentwise.  In dimension 4 the
     two claimed forms are members of a one-parameter solution family; in
     dimension 12 the pair {ahat, signature} cannot span the 3-dimensional
@@ -526,44 +494,27 @@ def verify_dimension_identities(real_dim: int) -> DimensionIdentityReport:
     if real_dim not in (4, 8, 12):
         raise NotApplicableError("identities are tabulated for dimensions 4, 8, 12")
     m = real_dim // 4
-    order = 2 * m
-    log_ahat = _genus_log_coeffs("AHAT", order)
-    log_l = _genus_log_coeffs("L", order)
-    basis_parts = _partitions(m)
-    basis = tuple(_partition_label(p) for p in basis_parts)
+    parts = _partitions(m)
+    basis = tuple(_partition_label(p) for p in parts)
 
     matrix: List[List[Fraction]] = []
     vals: Dict[str, List[Fraction]] = {"index": [], "ahat": [], "signature": []}
     if real_dim == 8:
         vals["euler"] = []
-    for roots in _SAMPLE_ROOTS[m]:
-        squares = [Fraction(x) for x in roots]
-        sums = [sum(z**k for z in squares) for k in range(1, m + 1)]
-        elem = _elementary(squares)
-        matrix.append(
-            [math.prod((elem[k - 1] for k in part), start=Fraction(1)) for part in basis_parts]
-        )
-
-        def class_from(logc: Dict[int, Fraction]) -> TruncatedPoly:
-            acc = TruncatedPoly.zero(("h",), (order,))
-            for k in range(1, m + 1):
-                coeff = logc.get(2 * k)
-                if coeff:
-                    acc = acc + acc.monomial((2 * k,), coeff * sums[k - 1])
-            return series_exp(acc)
-
-        ahat_cls = class_from(log_ahat)
-        sig_cls = class_from(log_l)
-        ch_plus_one: Dict[Tuple[int, ...], Fraction] = {(0,): Fraction(4 * m + 1)}
-        for k in range(1, m + 1):
-            ch_plus_one[(2 * k,)] = Fraction(2, math.factorial(2 * k)) * sums[k - 1]
-        ch1 = TruncatedPoly(("h",), (order,), ch_plus_one)
-        vals["index"].append((ahat_cls * ch1).coefficient((order,)))
-        vals["ahat"].append(ahat_cls.coefficient((order,)))
-        vals["signature"].append(sig_cls.coefficient((order,)))
+    for part in parts:
+        chern = [1] + [0] * (2 * m)
+        for x in part:  # multiply c(T) by (1 + x h)
+            for k in range(2 * m, 0, -1):
+                chern[k] += x * chern[k - 1]
+        profile = ChernProfile(2 * m, tuple(chern[1:]), 1)
+        numbers = pontryagin_numbers(profile)
+        matrix.append([numbers[label] for label in basis])
+        vals["index"].append(rs_index(profile).total)
+        vals["ahat"].append(evaluate_genus("AHAT", profile))
+        vals["signature"].append(evaluate_genus("L", profile))
         if real_dim == 8:
             # chi = -(p1^2 - 4 p2)/8 under the relevant structure reductions
-            vals["euler"].append(-(elem[0] ** 2 - 4 * elem[1]) / 8)
+            vals["euler"].append(-(numbers["p1^2"] - 4 * numbers["p2"]) / 8)
 
     functionals = {
         name: tuple(_solve_linear(matrix, v)) for name, v in vals.items()
@@ -626,42 +577,6 @@ def verify_dimension_identities(real_dim: int) -> DimensionIdentityReport:
 # -- products ------------------------------------------------------------------
 
 
-def _lifted_power_sum_class(
-    log_coeffs: Dict[int, Fraction],
-    sums_left: Sequence[Fraction],
-    sums_right: Sequence[Fraction],
-    cut: Tuple[int, int],
-) -> TruncatedPoly:
-    """exp(sum_k log(Q)_k * (s_k(M) hL^k + s_k(N) hR^k)) in two variables."""
-    acc = TruncatedPoly.zero(("hL", "hR"), cut)
-    for k, coeff in log_coeffs.items():
-        if k <= cut[0] and k <= len(sums_left):
-            acc = acc + acc.monomial((k, 0), coeff * sums_left[k - 1])
-        if k <= cut[1] and k <= len(sums_right):
-            acc = acc + acc.monomial((0, k), coeff * sums_right[k - 1])
-    return series_exp(acc)
-
-
-def product_genus(
-    name: str, left: ChernProfile, right: ChernProfile
-) -> Fraction:
-    """Genus of a product manifold, evaluated directly on the product ring.
-
-    The tangent bundle of a product is the exterior sum, so its root power
-    sums are ``s_k(M) hL^k + s_k(N) hR^k`` in Q[hL,hR] with each factor's
-    truncation; the top coefficient pairs against pairing(M)*pairing(N).
-    """
-    if name == "CHI_Y":
-        raise NotApplicableError("product evaluation covers the one-variable genera")
-    cut = (left.dim, right.dim)
-    order = max(cut)
-    logc = _genus_log_coeffs(name, order)
-    cls = _lifted_power_sum_class(
-        logc, left.power_sums, right.power_sums, cut
-    )
-    return cls.coefficient(cut) * left.pairing * right.pairing
-
-
 def product_rs_index(left: ChernProfile, right: ChernProfile) -> Fraction:
     """Spin-3/2 index of a product, by two routes that must agree.
 
@@ -670,20 +585,21 @@ def product_rs_index(left: ChernProfile, right: ChernProfile) -> Fraction:
     ``indQ(M)*indD(N) - indD(M)*indD(N) + indD(M)*indQ(N)``.
     Disagreement raises ConsistencyError rather than returning anything.
     """
+    # the product's root power sums are s_k(M) hL**k + s_k(N) hR**k
     cut = (left.dim, right.dim)
-    order = max(cut)
-    log_ahat = _genus_log_coeffs("AHAT", order)
-    ahat_cls = _lifted_power_sum_class(
-        log_ahat, left.power_sums, right.power_sums, cut
-    )
+    log_ahat: Dict[Tuple[int, int], Fraction] = {}
+    for (k,), c in genus_spec("AHAT", max(cut)).log_series.items():
+        if k <= left.dim:
+            log_ahat[(k, 0)] = c * left.power_sums[k - 1]
+        if k <= right.dim:
+            log_ahat[(0, k)] = c * right.power_sums[k - 1]
+    ahat_cls = series_exp(TruncatedPoly(("hL", "hR"), cut, log_ahat))
 
     def lift(profile: ChernProfile, slot: int) -> TruncatedPoly:
         ch = ch_complexified_tangent(profile)
-        coeffs = {}
-        for exps, c in ch.items():
-            key = (exps[0], 0) if slot == 0 else (0, exps[0])
-            coeffs[key] = coeffs.get(key, Fraction(0)) + c
-        return TruncatedPoly(("hL", "hR"), cut, coeffs)
+        return TruncatedPoly(
+            ("hL", "hR"), cut, {(k, 0) if slot == 0 else (0, k): c for (k,), c in ch.items()}
+        )
 
     ch_sum = lift(left, 0) + lift(right, 1)
     one = TruncatedPoly.constant(1, ("hL", "hR"), cut)

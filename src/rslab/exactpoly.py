@@ -107,10 +107,6 @@ class TruncatedPoly:
         variables = tuple(variables)
         return cls(variables, cutoffs, {(0,) * len(variables): value})
 
-    def monomial(self, exponents: Exponent, value: RationalLike = 1) -> "TruncatedPoly":
-        """A single term with this polynomial's variables and cutoffs."""
-        return TruncatedPoly(self.variables, self.cutoffs, {tuple(exponents): value})
-
     def _like(self, coeffs: Mapping[Exponent, Fraction]) -> "TruncatedPoly":
         out = TruncatedPoly.__new__(TruncatedPoly)
         out.variables = self.variables

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import charclass, holonomy, intersections
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, NotApplicableError
 
 ENV_VAR = "RSLAB_MANIFEST"
 DEFAULT_PATH = Path(__file__).resolve().parent / "data" / "regressions.json"
@@ -298,11 +298,13 @@ class RegressionManifest:
 
     def run(self, id_filter: Optional[str] = None) -> List[ManifestResult]:
         results = []
-        for entry in self.entries:
+        for index, entry in enumerate(self.entries):
             if id_filter is not None and id_filter not in entry.entry_id:
                 continue
             try:
                 actual = encode(CHECKS[entry.check](**entry.args))
+            except (InputError, NotApplicableError) as exc:  # the entry's args are bad input
+                raise InputError(f"manifest entry {index} ({entry.entry_id!r}): {exc}") from exc
             except Exception as exc:  # a failing check must not stop the run
                 results.append(
                     ManifestResult(

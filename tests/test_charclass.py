@@ -89,6 +89,38 @@ def test_pontryagin_monomials_dim8():
     assert sig == evaluate_genus("L", profile) == 100
 
 
+def test_partitions_by_rule():
+    assert [len(charclass._partitions(m)) for m in range(1, 9)] == [1, 2, 3, 5, 7, 11, 15, 22]
+    # the bases tabulated before the rule, in the same order
+    assert charclass._partitions(1) == [(1,)]
+    assert charclass._partitions(2) == [(1, 1), (2,)]
+    assert charclass._partitions(3) == [(1, 1, 1), (2, 1), (3,)]
+    for m in range(1, 9):
+        parts = charclass._partitions(m)
+        assert parts == sorted(set(parts))
+        assert all(sum(p) == m and list(p) == sorted(p, reverse=True) for p in parts)
+
+
+@pytest.mark.parametrize(
+    "degrees", [(2,), (3,), (10,), (2, 3), (4, 5)], ids=lambda d: f"X8({','.join(map(str, d))})"
+)
+def test_pontryagin_numbers_dim16_match_hirzebruch(degrees):
+    profile = build_ci(CISpec(8, degrees)).profile
+    p = pontryagin_numbers(profile)
+    assert set(p) == {"p1^4", "p1^2*p2", "p2^2", "p1*p3", "p4"}
+    l4 = (
+        381 * p["p4"] - 71 * p["p1*p3"] - 19 * p["p2^2"] + 22 * p["p1^2*p2"] - 3 * p["p1^4"]
+    ) / 14175
+    ahat4 = (
+        -192 * p["p4"] + 512 * p["p1*p3"] + 208 * p["p2^2"] - 904 * p["p1^2*p2"]
+        + 381 * p["p1^4"]
+    ) / 464486400
+    assert l4 == evaluate_genus("L", profile)
+    assert ahat4 == evaluate_genus("AHAT", profile)
+    if degrees == (10,):
+        assert ahat4 == 2  # a Calabi-Yau eightfold
+
+
 def test_classical_genus_values():
     assert evaluate_genus("AHAT", K3) == 2
     assert evaluate_genus("L", K3) == -16
@@ -110,6 +142,9 @@ def test_chi_y_specializations():
         assert chi_p[0] == evaluate_genus("TODD", profile)
         if profile.dim % 2 == 0:
             assert sum(chi_p) == evaluate_genus("L", profile)
+    sextic = build_ci(CISpec(4, (6,))).profile
+    assert evaluate_genus("CHI_Y", sextic) == (2, -427, 1752, -427, 2)
+    assert evaluate_genus("CHI_Y", sextic) is evaluate_genus("CHI_Y", sextic)
 
 
 def test_ch_complexified_tangent_leading_terms():
@@ -183,29 +218,6 @@ def test_genus_spec_is_cut_from_the_highest_order_built(monkeypatch, name):
     assert built[-1] == 11
 
 
-def test_caller_supplied_genus_matches_named_genus():
-    sextic = build_ci(CISpec(4, (6,))).profile
-    for name in ("AHAT", "L", "CHI_Y"):
-        for order in (4, 7):  # a longer series is cut to the profile's dimension
-            spec = genus_spec(name, order)
-            copy = TruncatedPoly(spec.series.variables, spec.series.cutoffs, spec.series.coeffs)
-            supplied = GenusSpec(name, copy)
-            assert evaluate_genus(supplied, sextic) == evaluate_genus(name, sextic)
-            assert multiplicative_class(supplied, sextic) == multiplicative_class(name, sextic)
-    assert evaluate_genus("CHI_Y", sextic) == (2, -427, 1752, -427, 2)
-
-
-def test_chi_y_spec_with_short_y_cutoff_rejected():
-    # y**0..y**2 only: evaluate_genus used to return (2, -427, 1752, -375/4, 75/16)
-    sextic = build_ci(CISpec(4, (6,))).profile
-    full = genus_spec("CHI_Y", 4).series
-    short = GenusSpec("CHI_Y", TruncatedPoly(("x", "y"), (4, 2), full.coeffs))
-    with pytest.raises(InputError, match=r"\(4, 2\)"):
-        evaluate_genus(short, sextic)
-    with pytest.raises(InputError):
-        evaluate_genus(GenusSpec("CHI_Y", genus_spec("CHI_Y", 3).series), sextic)
-
-
 def test_genus_spec_variable_count_matches_name():
     chi_y = genus_spec("CHI_Y", 4).series
     with pytest.raises(InputError, match="AHAT series needs 1 variable"):
@@ -242,9 +254,19 @@ def test_product_rs_index_quartic_squared():
     assert product_rs_index(K3, K3) == -156
 
 
-def test_product_rs_index_matches_component_combination():
-    left = build_ci(CISpec(2, (4,))).profile
-    right = build_ci(CISpec(3, (2, 2))).profile
+@pytest.mark.parametrize(
+    "left_spec, right_spec",
+    [
+        (CISpec(2, (4,)), CISpec(3, (2, 2))),
+        (CISpec(3, (5,)), CISpec(3, (5,))),
+        (CISpec(4, (6,)), CISpec(2, (4,))),
+        (CISpec(8, (10,)), CISpec(2, (4,))),
+    ],
+    ids=["X2(4)-X3(2,2)", "X3(5)-X3(5)", "X4(6)-X2(4)", "X8(10)-X2(4)"],
+)
+def test_product_rs_index_matches_component_combination(left_spec, right_spec):
+    left = build_ci(left_spec).profile
+    right = build_ci(right_spec).profile
     li, ri = rs_index(left), rs_index(right)
     combined = li.total * ri.dirac - li.dirac * ri.dirac + li.dirac * ri.total
     assert product_rs_index(left, right) == combined

@@ -241,8 +241,11 @@ def test_verify_paper_reports_mismatch(tmp_path, monkeypatch, capsys):
     [[1], [{"id": "x", "description": "d", "check": "ci_ahat", "args": [2, [4]],
             "expected": 2, "source": "s"}],
      [{"id": "x", "description": "d", "check": "ci_ahat", "args": {"n": 2, "degree": [4]},
+       "expected": 2, "source": "s"}],
+     # binds at load; the check itself refuses the float degree
+     [{"id": "x", "description": "d", "check": "ci_ahat", "args": {"n": 2, "degrees": [4.0]},
        "expected": 2, "source": "s"}]],
-    ids=["not-an-object", "args-list", "args-unknown-key"],
+    ids=["not-an-object", "args-list", "args-unknown-key", "args-float-degree"],
 )
 def test_verify_paper_malformed_manifest_exits_2(tmp_path, monkeypatch, capsys, entries):
     bad = tmp_path / "bad.json"
