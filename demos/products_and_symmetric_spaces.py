@@ -9,9 +9,10 @@ kernel fields, with their exact kernel dimensions.
 
 from rslab import (
     CISpec,
+    ParallelCounts,
     build_ci,
     holonomy_model,
-    product_parallel_from_models,
+    product_parallel_rs,
     product_rs_index,
     rs_index,
     symmetric_space_catalog,
@@ -37,7 +38,12 @@ print("parallel fields on products:")
 for ltoken, rtoken in [("sp", "sp"), ("su", "su"), ("g2", "g2")]:
     left = holonomy_model(ltoken, 2 if ltoken != "g2" else None)
     right = holonomy_model(rtoken, 2 if rtoken != "g2" else None)
-    report = product_parallel_from_models(left, right)
+    left_counts, right_counts = (
+        ParallelCounts(m.parallel_spinor_dimension(), m.parallel_rs_dimension(),
+                       m.real_dimension)
+        for m in (left, right)
+    )
+    report = product_parallel_rs(left_counts, right_counts)
     caveat = "" if report.proven else f"  [{report.note}]"
     print(f"    {left.group} x {right.group}: {report.count}{caveat}")
 

@@ -18,12 +18,12 @@ from .charclass import (
 from .errors import ConsistencyError, InputError, NotApplicableError
 from .holonomy import (
     HolonomyModel,
+    ParallelCounts,
     TopologicalInput,
     family_index,
     holonomy_model,
     hyperkahler_kernel_identity,
     kernel_dimension,
-    product_parallel_from_models,
     product_parallel_rs,
     qk_kernel_analysis,
     sphere_check,
@@ -65,6 +65,7 @@ __all__ = [
     "HolonomyModel",
     "InputError",
     "NotApplicableError",
+    "ParallelCounts",
     "RegressionManifest",
     "RepSum",
     "RootSystem",
@@ -82,7 +83,6 @@ __all__ = [
     "hyperkahler_kernel_identity",
     "irreducible",
     "kernel_dimension",
-    "product_parallel_from_models",
     "product_parallel_rs",
     "product_rs_index",
     "product_system",

@@ -96,10 +96,12 @@ class ChernProfile:
         return tuple(Fraction(s, den**k) for k, s in enumerate(sums, 1))
 
     @cached_property
-    def _values(self) -> Dict[str, object]:
+    def _values(self) -> Dict[object, object]:
         """Named genus values and the ``rs_index`` report, filled on first use.
 
-        Only immutable values go in: Fractions, tuples, frozen reports.
+        Genus values are keyed by name, the report by the function
+        ``rs_index`` itself, so no genus name can reach it.  Only immutable
+        values go in: Fractions, tuples, frozen reports.
         """
         return {}
 
@@ -379,8 +381,8 @@ def rs_index(profile: ChernProfile) -> RSIndexReport:
     Dirac index; the split is recomputed and cross-checked.  The report is
     computed once per profile.
     """
-    if "rs_index" in profile._values:
-        return profile._values["rs_index"]
+    if rs_index in profile._values:
+        return profile._values[rs_index]
     n = profile.dim
     comps = _class_components("AHAT", profile)[1]
     ahat = [_coefficient(comps[k], k) for k in range(n + 1)]
@@ -399,7 +401,7 @@ def rs_index(profile: ChernProfile) -> RSIndexReport:
             f"index split failed to recombine in complex dimension {n}: "
             f"total {total}, twisted + plain {twisted + dirac}"
         )
-    report = profile._values["rs_index"] = RSIndexReport(
+    report = profile._values[rs_index] = RSIndexReport(
         total=total, dirac_tangent=twisted, dirac=dirac
     )
     return report

@@ -13,13 +13,16 @@ Every run is deterministic: identical inputs produce byte-identical
 output.  Exact rationals are rendered as integers when the denominator
 is 1 and as "p/q" strings otherwise; floats never appear.
 
-Exit codes: 0 success, 1 consistency or regression failure, 2 usage error.
+Exit codes: 0 success, 1 consistency or regression failure, 2 usage error,
+141 when the reader of stdout goes away early (``rslab ... | head``; the
+status a shell reports for a SIGPIPE exit), with no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -29,11 +32,12 @@ from .errors import ConsistencyError, InputError, NotApplicableError
 from .holonomy import (
     HOLONOMY_KINDS,
     HolonomyModel,
+    ParallelCounts,
     TopologicalInput,
     family_index,
     holonomy_model,
     kernel_dimension,
-    product_parallel_from_models,
+    product_parallel_rs,
     qk_kernel_analysis,
     sphere_check,
 )
@@ -431,24 +435,25 @@ def _cmd_product(args: argparse.Namespace) -> int:
             "product_rs_index": index,
         }
     else:
-        left_model = _parse_holonomy_token(args.left)
-        right_model = _parse_holonomy_token(args.right)
-        report = product_parallel_from_models(left_model, right_model)
+        models = [_parse_holonomy_token(args.left), _parse_holonomy_token(args.right)]
+        counts = [
+            ParallelCounts(
+                m.parallel_spinor_dimension(), m.parallel_rs_dimension(), m.real_dimension
+            )
+            for m in models
+        ]
+        report = product_parallel_rs(*counts)
         results = {
-            "left": {
-                "group": left_model.group,
-                "parallel_spinors": left_model.parallel_spinor_dimension(),
-                "parallel_rs_fields": left_model.parallel_rs_dimension(),
-            },
-            "right": {
-                "group": right_model.group,
-                "parallel_spinors": right_model.parallel_spinor_dimension(),
-                "parallel_rs_fields": right_model.parallel_rs_dimension(),
-            },
-            "parallel_rs_fields": report.count,
-            "proven": report.proven,
-            "note": report.note,
+            side: {
+                "group": model.group,
+                "parallel_spinors": c.spinors,
+                "parallel_rs_fields": c.rs_fields,
+            }
+            for side, model, c in zip(("left", "right"), models, counts)
         }
+        results.update(
+            parallel_rs_fields=report.count, proven=report.proven, note=report.note
+        )
     inputs = {"mode": args.mode, "left": args.left, "right": args.right}
     _emit("product", inputs, results, [], args.json)
     return 0
@@ -601,6 +606,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # send what is still buffered to devnull, so the exit-time flush is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -11,23 +11,24 @@ with the subtraction checked to leave honest nonnegative multiplicities.
 Trivial summands count parallel fields.  On top of the models sit the
 quaternion-Kaehler curvature bound, the round-sphere Casimir check, the
 topological kernel formulas (Calabi-Yau, hyperkaehler, Spin(7), G2,
-positive quaternion-Kaehler), two symbolic Betti-number identities, the
-catalog of eight-dimensional symmetric spaces with kernel, and the
-parallel-count formula for Riemannian products.
+positive quaternion-Kaehler), the Spin(7) Betti and hyperkaehler Hodge
+identities that check those formulas pointwise, the catalog of
+eight-dimensional symmetric spaces with kernel, and the parallel-count
+formula for Riemannian products.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import lie
 from .errors import ConsistencyError, InputError, NotApplicableError
 from .lie import RepSum, RootSystem, Weight
 
-HOLONOMY_KINDS = ("su", "u", "sp", "sp1sp", "g2", "spin7", "so")
+Terms = Dict[Weight, int]  # highest weight -> multiplicity
 
 
 # ---------------------------------------------------------------------------
@@ -53,53 +54,47 @@ class HolonomyModel:
 
     ``tangent`` is the complexified tangent representation (for the real
     forms G2, Spin(7) and SO(n) the complexification stays irreducible
-    and is used directly).  ``spinor`` is the full spinor module; for
-    even real dimension the half-spinor pieces are kept as well, since
-    Clifford multiplication by T is odd and the graded spin-3/2 parts
-    are Sigma^+- (x) T (-) Sigma^-+.
+    and is used directly), given as a term map.  ``spinor`` is the spinor
+    module: one term map in odd real dimension, or the half-spinor pair
+    (plus, minus) in even real dimension, whose sum is the full module;
+    Clifford multiplication by T is odd, so the graded spin-3/2 parts are
+    Sigma^+- (x) T (-) Sigma^-+.
     """
 
     def __init__(
         self,
-        kind: str,
-        parameter: int,
         group: str,
         system: RootSystem,
         real_dimension: int,
-        tangent: RepSum,
-        spinor_plus: Optional[RepSum],
-        spinor_minus: Optional[RepSum],
-        spinor: RepSum,
+        tangent: Terms,
+        spinor: Union[Terms, Tuple[Terms, Terms]],
         zero_weight_trivial: bool = False,
     ) -> None:
-        self.kind = kind
-        self.parameter = parameter
         self.group = group
         self.system = system
         self.real_dimension = real_dimension
-        self.tangent = tangent
-        self.spinor_plus = spinor_plus
-        self.spinor_minus = spinor_minus
-        self.spinor = spinor
+        self.tangent = RepSum(system, tangent)
+        self.spinor_plus: Optional[RepSum] = None
+        self.spinor_minus: Optional[RepSum] = None
+        if isinstance(spinor, tuple):
+            self.spinor_plus, self.spinor_minus = (RepSum(system, t) for t in spinor)
+            self.spinor = self.spinor_plus.add(self.spinor_minus)
+        else:
+            self.spinor = RepSum(system, spinor)
         self.zero_weight_trivial = zero_weight_trivial
         self._three_half: Optional[SpinThreeHalf] = None
 
-        if tangent.dimension != real_dimension:
+        if self.tangent.dimension != real_dimension:
             raise ConsistencyError(
-                f"{group}: tangent model has dimension {tangent.dimension}, "
+                f"{group}: tangent model has dimension {self.tangent.dimension}, "
                 f"expected {real_dimension}"
             )
         expected_spinor = 2 ** (real_dimension // 2)
-        if spinor.dimension != expected_spinor:
+        if self.spinor.dimension != expected_spinor:
             raise ConsistencyError(
-                f"{group}: spinor model has dimension {spinor.dimension}, "
+                f"{group}: spinor model has dimension {self.spinor.dimension}, "
                 f"expected {expected_spinor}"
             )
-        if (spinor_plus is None) != (spinor_minus is None):
-            raise ConsistencyError(f"{group}: half-spinor grading is one-sided")
-        if spinor_plus is not None:
-            if spinor_plus.add(spinor_minus) != spinor:
-                raise ConsistencyError(f"{group}: half-spinors do not sum to spinor")
 
     def __repr__(self) -> str:
         return f"HolonomyModel({self.group})"
@@ -147,6 +142,14 @@ class HolonomyModel:
         return self.trivial_count(self.sigma_three_half().total)
 
 
+def _graded(summands: Sequence[Tuple[Weight, int]]) -> Tuple[Terms, Terms]:
+    """Half-spinor term maps from the summands listed by degree k = 0, 1, ...
+
+    Even degrees make up Sigma^+, odd degrees Sigma^-.
+    """
+    return dict(summands[0::2]), dict(summands[1::2])
+
+
 def _su_like_model(n: int, twist: bool) -> HolonomyModel:
     """SU(n) in GL coordinates; with ``twist`` the U(n) variant.
 
@@ -158,31 +161,19 @@ def _su_like_model(n: int, twist: bool) -> HolonomyModel:
     """
     if n < 2:
         raise InputError("SU(n)/U(n) models need n >= 2")
-    system = lie.type_a(n)
     shift = Fraction(-1, 2) if twist else Fraction(0)
-
-    def form_weight(p: int) -> Weight:
-        return tuple(
-            (Fraction(1) if i < p else Fraction(0)) + shift for i in range(n)
-        )
-
-    spinor_terms: Dict[Weight, int] = {form_weight(p): 1 for p in range(n + 1)}
-    plus = RepSum(system, {form_weight(p): 1 for p in range(0, n + 1, 2)})
-    minus = RepSum(system, {form_weight(p): 1 for p in range(1, n + 1, 2)})
+    forms = [
+        (tuple((Fraction(1) if i < p else Fraction(0)) + shift for i in range(n)), 1)
+        for p in range(n + 1)
+    ]
     e = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(n))
     ebar = tuple(Fraction(-1) if i == n - 1 else Fraction(0) for i in range(n))
-    tangent = RepSum(system, {e: 1, ebar: 1})
-    group = f"U({n})" if twist else f"SU({n})"
     return HolonomyModel(
-        kind="u" if twist else "su",
-        parameter=n,
-        group=group,
-        system=system,
+        group=f"U({n})" if twist else f"SU({n})",
+        system=lie.type_a(n),
         real_dimension=2 * n,
-        tangent=tangent,
-        spinor_plus=plus,
-        spinor_minus=minus,
-        spinor=RepSum(system, spinor_terms),
+        tangent={e: 1, ebar: 1},
+        spinor=_graded(forms),
         zero_weight_trivial=twist,
     )
 
@@ -196,25 +187,12 @@ def _sp_model(n: int) -> HolonomyModel:
     """Sp(n) hyperkaehler model: spinors pile up primitive forms."""
     if n < 1:
         raise InputError("Sp(n) models need n >= 1")
-    system = lie.type_c(n)
-    spinor_terms = {_lambda0(n, k): n - k + 1 for k in range(n + 1)}
-    plus = RepSum(
-        system, {w: m for w, m in spinor_terms.items() if sum(w) % 2 == 0}
-    )
-    minus = RepSum(
-        system, {w: m for w, m in spinor_terms.items() if sum(w) % 2 == 1}
-    )
-    tangent = RepSum(system, {_lambda0(n, 1): 2})
     return HolonomyModel(
-        kind="sp",
-        parameter=n,
         group=f"Sp({n})",
-        system=system,
+        system=lie.type_c(n),
         real_dimension=4 * n,
-        tangent=tangent,
-        spinor_plus=plus,
-        spinor_minus=minus,
-        spinor=RepSum(system, spinor_terms),
+        tangent={_lambda0(n, 1): 2},
+        spinor=_graded([(_lambda0(n, k), n - k + 1) for k in range(n + 1)]),
     )
 
 
@@ -222,63 +200,38 @@ def _sp1spm_model(m: int) -> HolonomyModel:
     """Sp(1)Sp(m) quaternion-Kaehler model on C1 x Cm."""
     if m < 2:
         raise InputError("Sp(1)Sp(m) models need m >= 2")
-    system = lie.product_system(lie.type_c(1), lie.type_c(m))
-
-    def summand(k: int) -> Weight:
-        return (Fraction(m - k),) + _lambda0(m, k)
-
-    spinor_terms = {summand(k): 1 for k in range(m + 1)}
-    plus = RepSum(system, {summand(k): 1 for k in range(0, m + 1, 2)})
-    minus = RepSum(system, {summand(k): 1 for k in range(1, m + 1, 2)})
-    tangent = RepSum(system, {(Fraction(1),) + _lambda0(m, 1): 1})
+    summands = [((Fraction(m - k),) + _lambda0(m, k), 1) for k in range(m + 1)]
     return HolonomyModel(
-        kind="sp1sp",
-        parameter=m,
         group=f"Sp(1)Sp({m})",
-        system=system,
+        system=lie.product_system(lie.type_c(1), lie.type_c(m)),
         real_dimension=4 * m,
-        tangent=tangent,
-        spinor_plus=plus,
-        spinor_minus=minus,
-        spinor=RepSum(system, spinor_terms),
+        tangent={(Fraction(1),) + _lambda0(m, 1): 1},
+        spinor=_graded(summands),
     )
 
 
 def _g2_model() -> HolonomyModel:
     system = lie.g2()
     v7 = (Fraction(0), Fraction(-1), Fraction(1))
-    zero = system.trivial_weight()
     return HolonomyModel(
-        kind="g2",
-        parameter=0,
         group="G2",
         system=system,
         real_dimension=7,
-        tangent=RepSum(system, {v7: 1}),
-        spinor_plus=None,
-        spinor_minus=None,
-        spinor=RepSum(system, {zero: 1, v7: 1}),
+        tangent={v7: 1},
+        spinor={system.trivial_weight(): 1, v7: 1},
     )
 
 
 def _spin7_model() -> HolonomyModel:
     system = lie.type_b(3)
-    half = Fraction(1, 2)
-    delta8 = (half, half, half)
+    delta8 = (Fraction(1, 2),) * 3
     v7 = (Fraction(1), Fraction(0), Fraction(0))
-    zero = system.trivial_weight()
-    plus = RepSum(system, {zero: 1, v7: 1})
-    minus = RepSum(system, {delta8: 1})
     return HolonomyModel(
-        kind="spin7",
-        parameter=0,
         group="Spin(7)",
         system=system,
         real_dimension=8,
-        tangent=RepSum(system, {delta8: 1}),
-        spinor_plus=plus,
-        spinor_minus=minus,
-        spinor=plus.add(minus),
+        tangent={delta8: 1},
+        spinor=({system.trivial_weight(): 1, v7: 1}, {delta8: 1}),
     )
 
 
@@ -287,38 +240,31 @@ def _so_model(n: int) -> HolonomyModel:
     if n < 3:
         raise InputError("SO(n) models need n >= 3")
     half = Fraction(1, 2)
-    if n % 2 == 1:
-        m = (n - 1) // 2
-        system = lie.type_b(m)
-        vector = _lambda0(m, 1)
-        spin = (half,) * m
-        return HolonomyModel(
-            kind="so",
-            parameter=n,
-            group=f"SO({n})",
-            system=system,
-            real_dimension=n,
-            tangent=RepSum(system, {vector: 1}),
-            spinor_plus=None,
-            spinor_minus=None,
-            spinor=RepSum(system, {spin: 1}),
-        )
     m = n // 2
-    system = lie.type_d(m)
-    vector = _lambda0(m, 1)
-    plus = RepSum(system, {(half,) * m: 1})
-    minus = RepSum(system, {(half,) * (m - 1) + (-half,): 1})
+    if n % 2 == 1:
+        system, spinor = lie.type_b(m), {(half,) * m: 1}
+    else:
+        system = lie.type_d(m)
+        spinor = ({(half,) * m: 1}, {(half,) * (m - 1) + (-half,): 1})
     return HolonomyModel(
-        kind="so",
-        parameter=n,
         group=f"SO({n})",
         system=system,
         real_dimension=n,
-        tangent=RepSum(system, {vector: 1}),
-        spinor_plus=plus,
-        spinor_minus=minus,
-        spinor=plus.add(minus),
+        tangent={_lambda0(m, 1): 1},
+        spinor=spinor,
     )
+
+
+_BUILDERS: Dict[str, Callable[..., HolonomyModel]] = {
+    "su": lambda n: _su_like_model(n, twist=False),
+    "u": lambda n: _su_like_model(n, twist=True),
+    "sp": _sp_model,
+    "sp1sp": _sp1spm_model,
+    "g2": _g2_model,
+    "spin7": _spin7_model,
+    "so": _so_model,
+}
+HOLONOMY_KINDS = tuple(_BUILDERS)
 
 
 def holonomy_model(kind: str, parameter: Optional[int] = None) -> HolonomyModel:
@@ -344,18 +290,10 @@ def _build_model(token: str, parameter: Optional[int]) -> HolonomyModel:
     if token in ("g2", "spin7"):
         if parameter is not None:
             raise InputError(f"{token} takes no parameter")
-        return _g2_model() if token == "g2" else _spin7_model()
+        return _BUILDERS[token]()
     if parameter is None:
         raise InputError(f"{token} needs a rank parameter")
-    if token == "su":
-        return _su_like_model(parameter, twist=False)
-    if token == "u":
-        return _su_like_model(parameter, twist=True)
-    if token == "sp":
-        return _sp_model(parameter)
-    if token == "sp1sp":
-        return _sp1spm_model(parameter)
-    return _so_model(parameter)
+    return _BUILDERS[token](parameter)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +309,7 @@ class QKSummand:
     a: int
     b: int
 
-    def validate(self, m: int, skip_parity: bool = False) -> None:
+    def validate(self, m: int) -> None:
         """Structural checks, plus the center parity d+a+b = m (mod 2).
 
         Both H and E carry the -1 of the double cover Sp(1) x Sp(m), and
@@ -385,7 +323,7 @@ class QKSummand:
             raise InputError(f"need 0 <= b <= a <= m, got (a, b) = ({self.a}, {self.b})")
         if self.d < 0:
             raise InputError("Sym^d H needs d >= 0")
-        if not skip_parity and (self.d + self.a + self.b - m) % 2 != 0:
+        if (self.d + self.a + self.b - m) % 2 != 0:
             raise InputError(
                 "d + a + b must have the parity of m for a summand of a "
                 "spinor-valued bundle"
@@ -462,9 +400,7 @@ def qk_kernel_analysis(m: int) -> QKKernelReport:
     model = holonomy_model("sp1sp", m)
     rep = model.sigma_three_half().total
     entries: List[QKBoundEntry] = []
-    for w, mult in sorted(rep.terms.items()):
-        if mult <= 0:
-            raise ConsistencyError("spin-3/2 model must be an honest sum")
+    for w, mult in rep.sorted_terms():  # an honest sum: subtract() refuses negatives
         summand = _qk_summand_from_weight(m, w)
         bound = qk_casimir_bound(m, summand)
         entry = QKBoundEntry(
@@ -511,14 +447,8 @@ def sphere_check(n: int) -> SphereCheck:
     """
     if n < 3:
         raise InputError("sphere_check needs n >= 3")
-    half = Fraction(1, 2)
-    if n % 2 == 1:
-        system = lie.type_b((n - 1) // 2)
-        realization = f"B{(n - 1) // 2}"
-    else:
-        system = lie.type_d(n // 2)
-        realization = f"D{n // 2}"
-    lam = (Fraction(3, 2),) + (half,) * (system.coords - 1)
+    system = lie.type_b((n - 1) // 2) if n % 2 == 1 else lie.type_d(n // 2)
+    lam = (Fraction(3, 2),) + (Fraction(1, 2),) * (system.coords - 1)
     value = system.casimir(lam)
     closed = Fraction(n * (n + 7), 8)
     if value != closed:
@@ -531,7 +461,7 @@ def sphere_check(n: int) -> SphereCheck:
         raise ConsistencyError(f"sphere margin at n={n} is off: {margin}")
     return SphereCheck(
         n=n,
-        realization=realization,
+        realization=system.name,
         casimir_value=value,
         positivity_threshold=threshold,
         margin=margin,
@@ -643,173 +573,86 @@ def family_index(data: TopologicalInput) -> int:
 
 
 # ---------------------------------------------------------------------------
-# symbolic Betti-number identities
+# Betti- and Hodge-number identities
 # ---------------------------------------------------------------------------
 
 
-class LinearForm:
-    """Affine-linear expression with rational coefficients, for identities."""
+def _unit_points(base: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
+    """The base point, then the base point plus each unit vector.
 
-    def __init__(self, constant=0, terms: Optional[Dict[str, Fraction]] = None):
-        self.constant = Fraction(constant)
-        self.terms = {
-            k: Fraction(v) for k, v in (terms or {}).items() if Fraction(v) != 0
-        }
-
-    @classmethod
-    def variable(cls, name: str) -> "LinearForm":
-        return cls(0, {name: Fraction(1)})
-
-    def add(self, other: "LinearForm") -> "LinearForm":
-        merged = dict(self.terms)
-        for k, v in other.terms.items():
-            merged[k] = merged.get(k, Fraction(0)) + v
-        return LinearForm(self.constant + other.constant, merged)
-
-    def scale(self, c) -> "LinearForm":
-        c = Fraction(c)
-        return LinearForm(self.constant * c, {k: v * c for k, v in self.terms.items()})
-
-    def subtract(self, other: "LinearForm") -> "LinearForm":
-        return self.add(other.scale(-1))
-
-    def shift(self, c) -> "LinearForm":
-        return LinearForm(self.constant + Fraction(c), self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LinearForm)
-            and self.constant == other.constant
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        parts = [str(self.constant)] if self.constant or not self.terms else []
-        for k in sorted(self.terms):
-            parts.append(f"{self.terms[k]}*{k}")
-        return " + ".join(parts) if parts else "0"
+    Two affine-linear functions that agree at these n + 1 points agree
+    everywhere, so the identities below are checked exactly there.
+    """
+    yield base
+    for i in range(len(base)):
+        yield base[:i] + (base[i] + 1,) + base[i + 1 :]
 
 
-@dataclass(frozen=True)
-class Spin7BettiIdentity:
-    """Three routes to the Spin(7) index, as forms in (b2, b3, b4_minus)."""
-
-    b4_plus: LinearForm
-    from_betti: LinearForm
-    from_ahat_and_signature: LinearForm
-    from_ahat_and_euler: LinearForm
-    kernel: LinearForm
-
-    @property
-    def consistent(self) -> bool:
-        return (
-            self.from_betti == self.from_ahat_and_signature
-            == self.from_ahat_and_euler
-        )
+def _agree(what: str, point: Tuple[int, ...], routes: Dict[str, object]) -> None:
+    if len(set(routes.values())) > 1:
+        values = ", ".join(f"{name} = {Fraction(v)}" for name, v in routes.items())
+        raise ConsistencyError(f"{what} at {point}: {values}")
 
 
-def spin7_betti_identity() -> Spin7BettiIdentity:
-    """Check b3 - b4^- - b2 against the two characteristic-class routes.
+def spin7_betti_identity() -> bool:
+    """Check ``family_index`` on Spin(7) data against two class routes.
 
     On a compact Spin(7)-holonomy manifold the index one of the spinor
     Dirac operator pins the fourth Betti number: with b1 = 0,
     24 = -1 - b2 + b3 + b4^+ - 2 b4^-.  Substituting into 25 - signature
-    and into 9 - euler/3 must reproduce the refined-Betti count.
+    and into 9 - euler/3 must reproduce b3 - b4^- - b2 at every
+    (b2, b3, b4^-).  Returns True or raises ``ConsistencyError``.
     """
-    b2 = LinearForm.variable("b2")
-    b3 = LinearForm.variable("b3")
-    b4m = LinearForm.variable("b4_minus")
-    b4p = b2.subtract(b3).add(b4m.scale(2)).shift(25)
-    sigma = b4p.subtract(b4m)
-    chi = b2.scale(2).subtract(b3.scale(2)).add(b4p).add(b4m).shift(2)
-    from_betti = b3.subtract(b4m).subtract(b2)
-    from_sigma = sigma.scale(-1).shift(25)
-    from_euler = chi.scale(Fraction(-1, 3)).shift(9)
-    kernel = b2.add(b3).add(b4m)
-    report = Spin7BettiIdentity(
-        b4_plus=b4p,
-        from_betti=from_betti,
-        from_ahat_and_signature=from_sigma,
-        from_ahat_and_euler=from_euler,
-        kernel=kernel,
-    )
-    if not report.consistent:
-        raise ConsistencyError("Spin(7) index routes disagree symbolically")
-    return report
+    for point in _unit_points((0, 0, 0)):
+        b2, b3, b4m = point
+        b4p = b2 - b3 + 2 * b4m + 25
+        euler = 2 + 2 * b2 - 2 * b3 + b4p + b4m
+        data = TopologicalInput("SPIN7", b2=b2, b3=b3, b4_minus=b4m)
+        routes = {
+            "family_index": family_index(data),
+            "25 - signature": 25 - (b4p - b4m),
+            "9 - euler/3": 9 - Fraction(euler, 3),
+        }
+        _agree("Spin(7) index", point, routes)
+    return True
 
 
-@dataclass(frozen=True)
-class HyperkahlerIdentity:
-    """Summand-by-summand harmonic count vs. the closed kernel formula."""
-
-    n: int
-    raw_kernel: LinearForm
-    closed_kernel: LinearForm
-    raw_index: LinearForm
-    closed_index: LinearForm
-    parallel_count: int
-
-    @property
-    def consistent(self) -> bool:
-        return (
-            self.raw_kernel == self.closed_kernel
-            and self.raw_index == self.closed_index
-        )
-
-
-def hyperkahler_kernel_identity(n: int) -> HyperkahlerIdentity:
-    """Re-derive the hyperkaehler kernel and index formulas symbolically.
+def hyperkahler_kernel_identity(n: int) -> bool:
+    """Re-derive the hyperkaehler kernel and index summand by summand.
 
     The spin-3/2 bundle decomposes through Lambda^k_0 (x) E, and the
     harmonic count of the two-column summand is h^{k,1} - h^{k-2,1}
     with the degenerate values h^{-1,1} = 1 and h^{0,1} = h^{-2,1} = 0.
-    Summing with the spinor multiplicities (n-k+1), with alternating
-    signs for the index, must telescope to the closed formulas.
+    Summing with the spinor multiplicities 2(n-k+1), with alternating
+    signs for the index, must give ``kernel_dimension`` and
+    ``family_index`` at every Hodge column; the parallel count of the
+    Sp(n) model must be n - 1.  Returns True or raises
+    ``ConsistencyError``.
     """
     if n < 1:
         raise InputError("quaternionic dimension must be at least 1")
-
-    def h(k: int) -> LinearForm:
-        if k == -1:
-            return LinearForm(1)
-        if k <= -2 or k == 0:
-            return LinearForm(0)
-        return LinearForm.variable(f"h{k}1")
-
-    raw_kernel = LinearForm(-(n + 1))
-    raw_index = LinearForm(n + 1)
-    for k in range(n + 1):
-        weight = 2 * (n - k + 1)
-        piece = h(k).subtract(h(k - 2)) if k >= 1 else LinearForm(0)
-        if k == 1:
-            piece = piece.shift(1)  # the harmonic constants in Lambda^0_0
-        raw_kernel = raw_kernel.add(piece.scale(weight))
-        raw_index = raw_index.add(piece.scale(weight * (-1) ** k))
-
-    closed_kernel = LinearForm(-(n + 1))
-    closed_index = LinearForm(n + 1)
-    closed_kernel = closed_kernel.add(h(n).scale(2))
-    closed_index = closed_index.add(h(n).scale(2 * (-1) ** n))
-    for k in range(1, n):
-        closed_kernel = closed_kernel.add(h(k).scale(4))
-        closed_index = closed_index.add(h(k).scale(4 * (-1) ** k))
-
-    model = holonomy_model("sp", n)
-    report = HyperkahlerIdentity(
-        n=n,
-        raw_kernel=raw_kernel,
-        closed_kernel=closed_kernel,
-        raw_index=raw_index,
-        closed_index=closed_index,
-        parallel_count=model.parallel_rs_dimension(),
-    )
-    if not report.consistent:
-        raise ConsistencyError(f"hyperkaehler telescoping fails at n = {n}")
-    if report.parallel_count != n - 1:
-        raise ConsistencyError(
-            f"hyperkaehler parallel count {report.parallel_count} != {n - 1}"
+    for hodge in _unit_points((1,) * n):  # kernel_dimension refuses negatives
+        h = {-1: 1, **dict(enumerate(hodge, start=1))}
+        kernel, index = -(n + 1), n + 1
+        for k in range(1, n + 1):
+            piece = h[k] - h.get(k - 2, 0) + (k == 1)  # +1: constants in Lambda^0_0
+            kernel += 2 * (n - k + 1) * piece
+            index += 2 * (n - k + 1) * (-1) ** k * piece
+        data = TopologicalInput("HK", n=n, hodge=hodge)
+        _agree(
+            "hyperkaehler kernel",
+            hodge,
+            {"summands": kernel, "kernel_dimension": kernel_dimension(data)},
         )
-    return report
+        _agree(
+            "hyperkaehler index",
+            hodge,
+            {"summands": index, "family_index": family_index(data)},
+        )
+    parallel = holonomy_model("sp", n).parallel_rs_dimension()
+    if parallel != n - 1:
+        raise ConsistencyError(f"hyperkaehler parallel count {parallel} != {n - 1}")
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -843,7 +686,7 @@ def symmetric_space_catalog() -> Tuple[SymmetricSpaceEntry, ...]:
             detail=(
                 "positive quaternion-Kaehler with b2 = 1; the kernel is the "
                 "trivial summand plus one class from Sym^2 E; isometric to "
-                "the six-dimensional complex quadric hypersurface"
+                "the Klein quadric, the four-dimensional quadric in CP^5"
             ),
         ),
         SymmetricSpaceEntry(
@@ -942,20 +785,3 @@ def product_parallel_rs(
         ),
     )
 
-
-def product_parallel_from_models(
-    left: HolonomyModel, right: HolonomyModel
-) -> ProductParallelReport:
-    """Convenience wrapper reading the counts off two holonomy models."""
-    return product_parallel_rs(
-        ParallelCounts(
-            spinors=left.parallel_spinor_dimension(),
-            rs_fields=left.parallel_rs_dimension(),
-            real_dimension=left.real_dimension,
-        ),
-        ParallelCounts(
-            spinors=right.parallel_spinor_dimension(),
-            rs_fields=right.parallel_rs_dimension(),
-            real_dimension=right.real_dimension,
-        ),
-    )

@@ -568,14 +568,17 @@ def tensor_decompose(system: RootSystem, lam, mu) -> RepSum:
     weight lam + nu + delta is reflected into the open chamber (walls
     drop out) and contributes its sign.  The result is checked to be an
     honest representation of the right total dimension, and its terms are
-    memoized per system.
+    memoized per system under both argument orders.  A memo hit skips the
+    input checks: its key passed them when it was stored, and equal
+    weights hash alike whether given as ints or Fractions.
     """
+    lam, mu = tuple(lam), tuple(mu)
+    if (lam, mu) in system._products:
+        return RepSum(system, system._products[lam, mu])
     lam, _ = system._require_dominant(lam)
     mu, _ = system._require_dominant(mu)
     if system.weyl_dimension(mu) > system.weyl_dimension(lam):
         lam, mu = mu, lam
-    if (lam, mu) in system._products:
-        return RepSum(system, system._products[lam, mu])
     shift = _add(lam, system.delta)
     counts: Dict[Weight, int] = {}
     for nu, mult in system.weight_multiplicities(mu).items():
@@ -597,7 +600,7 @@ def tensor_decompose(system: RootSystem, lam, mu) -> RepSum:
         raise ConsistencyError(
             f"{where} has tensor dimension {result.dimension}, expected {expected}"
         )
-    system._products[lam, mu] = result.terms
+    system._products[lam, mu] = system._products[mu, lam] = result.terms
     return RepSum(system, result.terms)
 
 

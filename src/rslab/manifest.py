@@ -155,14 +155,6 @@ def _symmetric_catalog() -> Dict[str, int]:
     }
 
 
-def _spin7_identity() -> bool:
-    return holonomy.spin7_betti_identity().consistent
-
-
-def _hk_identity(n: int) -> bool:
-    return holonomy.hyperkahler_kernel_identity(n).consistent
-
-
 def _product_rs_index(
     left: Dict[str, object], right: Dict[str, object]
 ) -> int:
@@ -219,8 +211,8 @@ CHECKS: Dict[str, Callable[..., object]] = {
     "topological_kernel": _topological_kernel,
     "topological_index": _topological_index,
     "symmetric_catalog": _symmetric_catalog,
-    "spin7_identity": _spin7_identity,
-    "hk_identity": _hk_identity,
+    "spin7_identity": holonomy.spin7_betti_identity,
+    "hk_identity": holonomy.hyperkahler_kernel_identity,
     "product_rs_index": _product_rs_index,
     "product_parallel": _product_parallel,
     "wang_cy4_b4minus": _wang_cy4_b4minus,

@@ -163,6 +163,15 @@ def test_rs_index_report_on_quartic_surface():
     assert report.total == report.dirac_tangent + report.dirac
 
 
+def test_rs_index_report_is_not_a_genus_value():
+    profile = build_ci(CISpec(2, (4,))).profile  # fresh, nothing memoized yet
+    with pytest.raises(InputError, match="unknown genus 'rs_index'"):
+        evaluate_genus("rs_index", profile)
+    assert rs_index(profile).total == -38
+    with pytest.raises(InputError, match="unknown genus 'rs_index'"):
+        evaluate_genus("rs_index", profile)
+
+
 def test_rs_index_matches_full_products():
     for spec in [CISpec(2, (4,)), CISpec(4, (6,)), CISpec(6, (2, 3)), CISpec(8, (10,))]:
         profile = build_ci(spec).profile

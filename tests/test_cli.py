@@ -1,6 +1,8 @@
 """Command-line interface: envelopes, exit codes, determinism."""
 
 import json
+import os
+import sys
 
 import pytest
 
@@ -268,3 +270,27 @@ def test_json_output_is_reproducible(capsys):
 
 def test_help_exits_zero(capsys):
     assert _run(capsys, "--help")[0] == 0
+
+
+def test_closed_stdout_exits_141_without_traceback(tmp_path, monkeypatch, capsys):
+    class ClosedPipe:
+        """A stdout whose reader has gone away, on a file descriptor of its own."""
+
+        def __init__(self):
+            self.fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    pipe = ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", pipe)
+    try:
+        assert main(["ci", "-n", "4", "-d", "6", "--hodge"]) == 141
+        # the descriptor now leads to devnull: a later flush cannot fail
+        assert os.path.samestat(os.fstat(pipe.fd), os.stat(os.devnull))
+    finally:
+        os.close(pipe.fd)
+    assert capsys.readouterr().err == ""

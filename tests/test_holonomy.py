@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rslab import lie
+from rslab import holonomy, lie
 from rslab.charclass import rs_index
 from rslab.errors import ConsistencyError, InputError, NotApplicableError
 from rslab.holonomy import (
@@ -16,7 +16,6 @@ from rslab.holonomy import (
     holonomy_model,
     hyperkahler_kernel_identity,
     kernel_dimension,
-    product_parallel_from_models,
     product_parallel_rs,
     qk_casimir_bound,
     qk_kernel_analysis,
@@ -245,46 +244,65 @@ def test_topological_validation():
         kernel_dimension(TopologicalInput("CY", n=2, hodge=(0,)))
 
 
-def test_hyperkahler_identities():
+def test_hyperkahler_identities(monkeypatch):
     for n in range(1, 7):
-        identity = hyperkahler_kernel_identity(n)
-        assert identity.consistent
-        assert identity.parallel_count == n - 1
+        assert hyperkahler_kernel_identity(n) is True
 
-
-def _evaluate(form, values):
-    total = form.constant
-    for name, coeff in form.terms.items():
-        total += coeff * values[name]
-    return total
+    kernel, index = holonomy.kernel_dimension, holonomy.family_index
+    monkeypatch.setattr(holonomy, "kernel_dimension", lambda d: kernel(d) + d.hodge[0])
+    with pytest.raises(
+        ConsistencyError,
+        match=r"hyperkaehler kernel at \(1, 1\): summands = 3, kernel_dimension = 4$",
+    ):
+        hyperkahler_kernel_identity(2)
+    # right at the base point, wrong in the h21 coefficient
+    monkeypatch.setattr(holonomy, "kernel_dimension", lambda d: kernel(d) + d.hodge[-1] - 1)
+    with pytest.raises(ConsistencyError, match=r"at \(1, 2\): summands = 5, kernel_dimension = 6$"):
+        hyperkahler_kernel_identity(2)
+    monkeypatch.setattr(holonomy, "kernel_dimension", kernel)
+    monkeypatch.setattr(holonomy, "family_index", lambda d: index(d) + Fraction(d.hodge[0], 2))
+    with pytest.raises(
+        ConsistencyError,
+        match=r"hyperkaehler index at \(1, 1, 1\): summands = 2, family_index = 5/2$",
+    ):
+        hyperkahler_kernel_identity(3)
 
 
 def test_hyperkahler_closed_forms_evaluate():
-    identity = hyperkahler_kernel_identity(2)
-    values = {"h11": 5, "h21": 7}
-    assert _evaluate(identity.closed_kernel, values) == kernel_dimension(
-        TopologicalInput("HK", n=2, hodge=(5, 7))
-    )
-    assert _evaluate(identity.closed_index, values) == family_index(
-        TopologicalInput("HK", n=2, hodge=(5, 7))
-    )
+    # in dimension eight the summand count is -3 + 4 h11 + 2 h21 for the
+    # kernel and 3 - 4 h11 + 2 h21 for the index
+    h11, h21 = 5, 7
+    data = TopologicalInput("HK", n=2, hodge=(h11, h21))
+    assert kernel_dimension(data) == -3 + 4 * h11 + 2 * h21 == 31
+    assert family_index(data) == 3 - 4 * h11 + 2 * h21 == -3
 
 
 def test_hyperkahler_dim8_betti_corollary():
     # with b2 = h11 + 2 and b3 = 2 h21 the kernel is 4 b2 + b3 - 11
-    identity = hyperkahler_kernel_identity(2)
     for b2, b3 in [(7, 14), (23, 0), (5, 36)]:
-        values = {"h11": b2 - 2, "h21": b3 // 2}
-        assert _evaluate(identity.closed_kernel, values) == 4 * b2 + b3 - 11
+        data = TopologicalInput("HK", n=2, hodge=(b2 - 2, b3 // 2))
+        assert kernel_dimension(data) == 4 * b2 + b3 - 11
 
 
-def test_spin7_betti_identity():
-    identity = spin7_betti_identity()
-    assert identity.consistent
-    assert identity.kernel.terms == {"b2": 1, "b3": 1, "b4_minus": 1}
-    assert identity.b4_plus.constant == 25
-    assert identity.from_betti == identity.from_ahat_and_signature
-    assert identity.from_betti == identity.from_ahat_and_euler
+def test_spin7_betti_identity(monkeypatch):
+    assert spin7_betti_identity() is True
+    for b2, b3, b4m in [(0, 0, 0), (4, 33, 60), (1, 2, 3)]:
+        data = TopologicalInput("SPIN7", b2=b2, b3=b3, b4_minus=b4m)
+        assert kernel_dimension(data) == b2 + b3 + b4m
+    # b2 = b3 = b4^- = 0 forces b4^+ = 25, so signature 25 and index 25 - 25
+    assert family_index(TopologicalInput("SPIN7", b2=0, b3=0, b4_minus=0)) == 0
+
+    index = holonomy.family_index
+    monkeypatch.setattr(holonomy, "family_index", lambda d: index(d) + 2 * d.b4_minus)
+    with pytest.raises(
+        ConsistencyError,
+        match=r"Spin\(7\) index at \(0, 0, 1\): family_index = 1, "
+        r"25 - signature = -1, 9 - euler/3 = -1$",
+    ):
+        spin7_betti_identity()
+    monkeypatch.setattr(holonomy, "family_index", lambda d: index(d) + Fraction(d.b2, 3))
+    with pytest.raises(ConsistencyError, match=r"at \(1, 0, 0\): family_index = -2/3, "):
+        spin7_betti_identity()
 
 
 def test_symmetric_space_catalog():
@@ -309,18 +327,26 @@ def test_klein_quadric_index_matches_the_quadric_fourfold():
     by_name = {entry.name: entry for entry in symmetric_space_catalog()}
     assert by_name["Gr2(C4)"].rs_index == by_name["Q4"].rs_index == quadric
 
+
+def _product(left, right):
+    return product_parallel_rs(*(
+        ParallelCounts(m.parallel_spinor_dimension(), m.parallel_rs_dimension(), m.real_dimension)
+        for m in (left, right)
+    ))
+
+
 def test_product_parallel_counts():
     left = holonomy_model("sp", 2)
-    report = product_parallel_from_models(left, left)
+    report = _product(left, left)
     assert report.count == 15
     assert report.proven
 
     k3_like = holonomy_model("su", 2)
-    report = product_parallel_from_models(k3_like, k3_like)
+    report = _product(k3_like, k3_like)
     assert report.count == 4
 
     seven = holonomy_model("g2")
-    report = product_parallel_from_models(seven, seven)
+    report = _product(seven, seven)
     assert report.count == 1
     assert not report.proven
     assert "even" in report.note

@@ -232,12 +232,26 @@ def test_cached_products_and_weights_are_independent_copies():
     for again in (tensor_decompose(sys, vector, spinor), tensor_decompose(sys, spinor, vector)):
         assert again.terms == expected and again.terms is not first.terms
         assert again == RepSum(sys, expected)
-    assert list(sys._products) == [(spinor, vector)]
+    # one Klimyk pass, stored under both argument orders
+    assert list(sys._products) == [(spinor, vector), (vector, spinor)]
+    assert sys._products[spinor, vector] is sys._products[vector, spinor]
     weights = sys.weight_multiplicities(spinor)
     weights[spinor] = 5
     weights.pop(_w(F(-1, 2), F(-1, 2), F(-1, 2)))
     fresh = sys.weight_multiplicities(spinor)
     assert fresh[spinor] == 1 and len(fresh) == 8 and sum(fresh.values()) == 8
+
+def test_product_memo_hits_skip_the_input_checks(monkeypatch):
+    sys = type_c(3)
+    lam, mu = _w(1, 1, 0), _w(1, 0, 0)
+    first = tensor_decompose(sys, lam, mu)
+    checks = []
+    require = sys._require_dominant
+    monkeypatch.setattr(sys, "_require_dominant", lambda w: checks.append(w) or require(w))
+    for args in ((lam, mu), (mu, lam), ((1, 1, 0), (1, 0, 0)), ((1, 0, 0), (1, 1, 0))):
+        assert tensor_decompose(sys, *args) == first
+    assert checks == []
+
 
 # -- the integer label core against Euclidean formulas ------------------------
 
