@@ -331,8 +331,8 @@ def evaluate_genus(genus: str, profile: ChernProfile) -> Union[Fraction, Tuple[F
     """Pair the named genus class with the fundamental class.
 
     Returns a single rational, except for CHI_Y where the result is the
-    tuple of coefficients of y**0 .. y**n.  Each genus is evaluated once
-    per profile.
+    tuple of coefficients of y**0 .. y**n, the arithmetic genera
+    chi_p = sum_q (-1)**q h^{p,q}.  Each genus is evaluated once per profile.
     """
     if genus in profile._values:
         return profile._values[genus]
@@ -407,21 +407,6 @@ def rs_index(profile: ChernProfile) -> RSIndexReport:
     return report
 
 
-# -- Hodge-theoretic coefficients from the chi_y polynomial -------------------
-
-
-def hodge_from_chi_y(profile: ChernProfile) -> Tuple[Fraction, ...]:
-    """The arithmetic genera chi_p = sum_q (-1)**q h^{p,q}, p = 0..n.
-
-    These are the coefficients of y**p in the CHI_Y genus; chi_0 is the
-    Todd genus, the alternating sum gives the Euler number, and for even
-    n the plain sum gives the signature.
-    """
-    values = evaluate_genus("CHI_Y", profile)
-    assert isinstance(values, tuple)
-    return values
-
-
 # -- dimension-specific index identities --------------------------------------
 
 # Index, Ahat and signature are linear functionals on Pontryagin numbers.
@@ -456,7 +441,6 @@ class DimensionIdentityReport:
     basis: Tuple[str, ...]
     functionals: Dict[str, Tuple[Fraction, ...]]
     checks: Tuple[IdentityCheck, ...]
-    solve_note: str
 
     @property
     def all_matched(self) -> bool:
@@ -536,43 +520,11 @@ def verify_dimension_identities(real_dim: int) -> DimensionIdentityReport:
             )
         )
 
-    if real_dim == 4:
-        note = (
-            "single Pontryagin number: alpha*ahat + beta*signature = index is a "
-            "one-parameter family; both tabulated members verified"
-        )
-    elif real_dim == 8:
-        pair = _solve_linear(
-            [
-                [functionals["ahat"][0], functionals["signature"][0]],
-                [functionals["ahat"][1], functionals["signature"][1]],
-            ],
-            list(functionals["index"]),
-        )
-        note = f"unique solution over {{ahat, signature}}: ({pair[0]}, {pair[1]})"
-    else:
-        pair = _solve_linear(
-            [
-                [functionals["ahat"][0], functionals["signature"][0]],
-                [functionals["ahat"][1], functionals["signature"][1]],
-            ],
-            list(functionals["index"][:2]),
-        )
-        residual = (
-            functionals["index"][2]
-            - pair[0] * functionals["ahat"][2]
-            - pair[1] * functionals["signature"][2]
-        )
-        note = (
-            f"overdetermined solve gives ({pair[0]}, {pair[1]}) with third-component "
-            f"residual {residual}; ahat and signature span only 2 of 3 dimensions"
-        )
     return DimensionIdentityReport(
         real_dim=real_dim,
         basis=basis,
         functionals=functionals,
         checks=tuple(checks),
-        solve_note=note,
     )
 
 

@@ -130,9 +130,9 @@ def _parse_fraction_list(text: str) -> Tuple[Fraction, ...]:
 
 
 def _parse_system(token: str) -> RootSystem:
-    factors = [part for part in token.lower().split("x") if part]
-    if not factors:
-        raise InputError(f"empty system token {token!r}")
+    factors = token.lower().split("x")
+    if not all(factors):
+        raise InputError(f"empty factor in system token {token!r}")
     systems = [_parse_system_factor(part) for part in factors]
     if len(systems) == 1:
         return systems[0]

@@ -18,7 +18,6 @@ from .charclass import (
     ChernProfile,
     euler_characteristic,
     evaluate_genus,
-    hodge_from_chi_y,
     rs_index,
 )
 from .errors import ConsistencyError, InputError, NotApplicableError
@@ -170,7 +169,7 @@ def hodge_numbers(m: CIManifold) -> Tuple[Tuple[int, ...], ...]:
     nonnegativity and both Hodge and Serre symmetry.
     """
     n = m.spec.n
-    chi = hodge_from_chi_y(m.profile)
+    chi = evaluate_genus("CHI_Y", m.profile)
     for p in range(n + 1):
         if chi[p] != (-1) ** n * chi[n - p]:
             raise ConsistencyError("chi_p sequence breaks Serre duality")
@@ -310,10 +309,6 @@ class AhatSurveyEntry:
     total_degree: int
     ahat: Fraction
     claim_nonzero: bool
-
-    @property
-    def matches_claim(self) -> bool:
-        return (self.ahat != 0) == self.claim_nonzero
 
 
 def ahat_survey(max_half_dim: int, max_degree: int) -> List[AhatSurveyEntry]:

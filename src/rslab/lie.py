@@ -11,19 +11,21 @@ On top of the realizations: Weyl's dimension formula, Casimir eigenvalues
 ``<lambda+2*delta, lambda>``, Freudenthal's multiplicity recursion over the
 dominant weights and the Klimyk tensor-product rule.
 
-Root data is integer from construction on: the constructor turns the roots
-and the fundamental weights into sparse integer rows over a common
-denominator and computes delta, the construction checks, the simple
-coroots and the Cartan rows from them with int arithmetic; the per-root
-table (labels, coroot coefficients, |alpha|^2 / 2) follows on first use.
-The public attributes stay Fraction tuples.  Internally weights are int
-tuples of Dynkin labels <w, alpha_i^vee>: Weyl reflections, Freudenthal and
-the (memoized) Weyl dimension run on them against those tables.  Labels
-miss only the constant tuple on an A or G2 block, which no root sees, and
-roots keep each block's coordinate sum, so labels plus block sums give
-back the Euclidean coordinates exactly.  Each system also memoizes its
-weight systems in coordinates and its checked Klimyk products; every call
-returns a fresh dict or RepSum.
+Root data is held once, as integers.  Every realization here has integer
+roots, so the factories pass each root as a sparse row of its nonzero
+(coordinate, value) int pairs, and the fundamental weights as such rows
+over one denominator (1 for A, C and G2, 2 for B and D, the lcm of the
+factors' for products).  delta, the construction checks, the simple
+coroots and the Cartan rows come from the rows with int arithmetic; the
+per-root table (labels, coroot coefficients, |alpha|^2 / 2) and the public
+Fraction tuples follow on first use.  Internally weights are int tuples of
+Dynkin labels <w, alpha_i^vee>: Weyl reflections, Freudenthal (which
+returns its table keyed by labels) and the (memoized) Weyl dimension run
+on them against those tables.  Labels miss only the constant tuple on an
+A or G2 block, which no root sees, and roots keep each block's coordinate
+sum, so labels plus block sums give back the Euclidean coordinates
+exactly.  Each system also memoizes its weight systems in coordinates and
+its checked Klimyk products; every call returns a fresh dict or RepSum.
 """
 
 from __future__ import annotations
@@ -48,13 +50,6 @@ def _weight(values: Iterable) -> Weight:
 def _fmt(w: Iterable) -> str:
     """A weight with exact p/q entries, for messages."""
     return "(" + ", ".join(str(x) for x in w) + ")"
-
-
-def _rows(vectors: Sequence[Weight]) -> Tuple[int, List[Sparse]]:
-    """Vectors as sparse integer rows (index, value) over one common denominator."""
-    nonzero = [[(i, x) for i, x in enumerate(v) if x] for v in vectors]
-    den = math.lcm(*(x.denominator for row in nonzero for _, x in row))
-    return den, [tuple((i, x.numerator * den // x.denominator) for i, x in row) for row in nonzero]
 
 
 def _columns(rows: Sequence[Sparse], n: int) -> List[List[Tuple[int, int]]]:
@@ -90,52 +85,64 @@ class _Component:
 
 
 class RootSystem:
-    """A root system of classical or G2 type, or a product of such.
+    """A root system of classical or G2 type, or a product of such, built
+    from root rows and the fundamental weights as (den, rows).
 
     Instances are immutable after construction apart from internal caches
-    (integer tables, Weyl dimensions, weight systems, Klimyk products),
-    which are only ever appended to.
+    (integer tables, the Fraction tuples, Weyl dimensions, weight systems,
+    Klimyk products), which are only ever appended to.
     """
 
     def __init__(
         self,
         components: Sequence[_Component],
-        simple_roots: Sequence[Weight],
-        positive_roots: Sequence[Weight],
-        fundamental_weights: Sequence[Weight],
+        simple: Sequence[Sparse],
+        positive: Sequence[Sparse],
+        omega: Tuple[int, Sequence[Sparse]],
         name: str,
     ) -> None:
         self.components = tuple(components)
         self.coords = sum(c.coords for c in self.components)
-        self.simple_roots = tuple(simple_roots)
-        self.positive_roots = tuple(positive_roots)
-        self.fundamental_weights = tuple(fundamental_weights)
         self.name = name
-        # roots as sparse integer rows over the denominator _den, fundamental
-        # weights likewise over their own (_omega); delta = acc / (2 _den)
-        rank = len(self.simple_roots)
-        self._den, rows = _rows(self.simple_roots + self.positive_roots)
-        self._simple, self._positive = rows[:rank], rows[rank:]
-        self._omega = _rows(self.fundamental_weights)
-        acc = [0] * self.coords
+        self._simple, self._positive = tuple(simple), tuple(positive)
+        self._omega = omega[0], tuple(omega[1])
+        acc = [0] * self.coords  # twice delta
         for row in self._positive:
             for i, v in row:
                 acc[i] += v
-        self.delta = tuple(Fraction(x, 2 * self._den) for x in acc)
+        self.delta = tuple(Fraction(x, 2) for x in acc)
         # blocks whose constant tuple no root sees: labels omit their sums
         central = ("A", "G2")
         self._central = [(lo, hi) for c, lo, hi in self._blocks() if c.kind in central]
         self._dims: Dict[Weight, int] = {}
         self._weights_cache: Dict[Weight, Dict[Weight, int]] = {}
-        self._dominant_cache: Dict[Weight, Tuple[Dict[Labels, int], Dict]] = {}
         self._products: Dict[Tuple[Weight, Weight], Dict[Weight, int]] = {}
         norms = [sum(v * v for _, v in row) for row in self._simple]
         self._validate(norms, acc)
-        # simple coroots 2*alpha/|alpha|^2 = 2 _den row / norm as nonzero
+        # simple coroots 2*alpha/|alpha|^2 = 2 row / norm as nonzero
         # (coordinate, value) integer pairs over the common denominator _coden
-        simple, twice = list(zip(self._simple, norms)), 2 * self._den
-        self._coden = math.lcm(*(n // math.gcd(twice * v, n) for r, n in simple for _, v in r))
-        self._coroots = [tuple((i, twice * v * self._coden // n) for i, v in r) for r, n in simple]
+        simple_norms = list(zip(self._simple, norms))
+        self._coden = math.lcm(*(n // math.gcd(2 * v, n) for r, n in simple_norms for _, v in r))
+        self._coroots = [tuple((i, 2 * v * self._coden // n) for i, v in r) for r, n in simple_norms]
+
+    def _dense(self, row: Sparse, den: int = 1) -> Weight:
+        w = [Fraction(0)] * self.coords
+        for i, v in row:
+            w[i] = Fraction(v, den)
+        return tuple(w)
+
+    @cached_property
+    def simple_roots(self) -> Tuple[Weight, ...]:
+        return tuple(self._dense(row) for row in self._simple)
+
+    @cached_property
+    def positive_roots(self) -> Tuple[Weight, ...]:
+        return tuple(self._dense(row) for row in self._positive)
+
+    @cached_property
+    def fundamental_weights(self) -> Tuple[Weight, ...]:
+        den, rows = self._omega
+        return tuple(self._dense(row, den) for row in rows)
 
     # -- construction checks ------------------------------------------------
 
@@ -143,14 +150,17 @@ class RootSystem:
         """Cartan entries and delta, on the integer rows; keeps the Cartan
         rows _cartan (row i: the nonzero labels <alpha_i, alpha_j^vee>)."""
         cartan: List[list] = [[] for _ in norms]
-        for j, (a, norm) in enumerate(zip(self.simple_roots, norms)):
+        for j, norm in enumerate(norms):
             if norm == 0:
-                raise ConsistencyError(f"{self.name}: simple root {_fmt(a)} has norm 0")
+                raise ConsistencyError(
+                    f"{self.name}: simple root {_fmt(self.simple_roots[j])} has norm 0"
+                )
             a_row = dict(self._simple[j])
-            for i, (b, row) in enumerate(zip(self.simple_roots, self._simple)):
+            for i, row in enumerate(self._simple):
                 twice = 2 * sum(v * a_row.get(k, 0) for k, v in row)
                 entry, rest = divmod(twice, norm)
-                if rest or (b is not a and entry > 0):
+                if rest or (i != j and entry > 0):
+                    a, b = self.simple_roots[j], self.simple_roots[i]
                     raise ConsistencyError(
                         f"{self.name}: Cartan entry of {_fmt(b)} on {_fmt(a)} is "
                         f"{Fraction(twice, norm)}; need an integer, <= 0 off the diagonal"
@@ -160,19 +170,19 @@ class RootSystem:
         self._cartan = [tuple(row) for row in cartan]
         # delta equals the sum of fundamental weights, up to the central
         # (constant per A-component) directions that GL coordinates carry
-        den, (oden, omega) = self._den, self._omega
+        oden, omega = self._omega
         total = [0] * self.coords
         for row in omega:
             for i, v in row:
                 total[i] += v
-        for alpha, row in zip(self.positive_roots, self._positive):
-            on_delta = sum(v * acc[i] for i, v in row)  # over 2 den^2
-            on_omega = sum(v * total[i] for i, v in row)  # over oden den
-            if on_delta * oden != on_omega * 2 * den:
+        for k, row in enumerate(self._positive):
+            on_delta = sum(v * acc[i] for i, v in row)  # over 2
+            on_omega = sum(v * total[i] for i, v in row)  # over oden
+            if on_delta * oden != on_omega * 2:
                 raise ConsistencyError(
-                    f"{self.name}: <delta, a> = {Fraction(on_delta, 2 * den * den)} but "
-                    f"<sum of fundamental weights, a> = {Fraction(on_omega, oden * den)}, "
-                    f"a = {_fmt(alpha)}"
+                    f"{self.name}: <delta, a> = {Fraction(on_delta, 2)} but "
+                    f"<sum of fundamental weights, a> = {Fraction(on_omega, oden)}, "
+                    f"a = {_fmt(self.positive_roots[k])}"
                 )
 
     def _blocks(self):
@@ -188,7 +198,7 @@ class RootSystem:
         """Per positive root: its labels, the nonzero c_j = 2<alpha, omega_j>
         / |alpha|^2 of alpha^vee = sum_j c_j alpha_j^vee, and |alpha|^2 / 2,
         from each root's integer row against the coroot and omega columns."""
-        den, (oden, omega) = self._den, self._omega
+        oden, omega = self._omega
         coroot_cols = _columns(self._coroots, self.coords)
         omega_cols = _columns(omega, self.coords)
         out = []
@@ -200,9 +210,9 @@ class RootSystem:
                 for j, w in omega_cols[i]:
                     pairs[j] += v * w
             norm = sum(v * v for _, v in row)
-            # c_j = <alpha, omega_j> / (|alpha|^2 / 2) = 2 den p_j / (oden norm)
-            coroot = tuple((j, 2 * den * p // (oden * norm)) for j, p in enumerate(pairs) if p)
-            out.append((_exact(labels, den * self._coden), coroot, Fraction(norm, 2 * den * den)))
+            # c_j = <alpha, omega_j> / (|alpha|^2 / 2) = 2 p_j / (oden norm)
+            coroot = tuple((j, 2 * p // (oden * norm)) for j, p in enumerate(pairs) if p)
+            out.append((_exact(labels, self._coden), coroot, Fraction(norm, 2)))
         return out
 
     def _labels(self, w: Weight) -> tuple:
@@ -312,18 +322,15 @@ class RootSystem:
 
     # -- weight systems ---------------------------------------------------------
 
-    def dominant_weight_multiplicities(self, lam: Weight) -> Dict[Weight, int]:
+    def dominant_weight_multiplicities(self, lam: Weight) -> Dict[Labels, int]:
         """Freudenthal recursion over the dominant weights of V(lam), on labels.
 
         The dominant weights are the chains of positive roots below lam
         (Stembridge); a weight lies in V(lam) when its dominant Weyl
-        representative does.  The label table is cached for
-        weight_multiplicities.
+        representative does.  Returns the multiplicities keyed by the
+        weights' Dynkin labels, highest weight first.
         """
         lam, top = self._require_dominant(lam)
-        if lam in self._dominant_cache:
-            mult, coords = self._dominant_cache[lam]
-            return {coords[w]: m for w, m in mult.items()}
         dominant, work = {top}, [top]
         while work:
             mu = work.pop()
@@ -358,8 +365,7 @@ class RootSystem:
             if value.denominator != 1 or value <= 0:
                 raise ConsistencyError(f"{at}: multiplicity {value}, not in 1, 2, ...")
             mult[mu] = int(value)
-        self._dominant_cache[lam] = mult, coords
-        return {coords[w]: m for w, m in mult.items()}
+        return mult
 
     def weight_multiplicities(self, lam: Weight) -> Dict[Weight, int]:
         """Full weight-to-multiplicity map of V(lam); sums to the dimension.
@@ -369,9 +375,8 @@ class RootSystem:
         """
         lam, _ = self._require_dominant(lam)
         if lam not in self._weights_cache:
-            self.dominant_weight_multiplicities(lam)
             labels: Dict[Labels, int] = {}
-            for mu, m in self._dominant_cache[lam][0].items():
+            for mu, m in self.dominant_weight_multiplicities(lam).items():
                 labels[mu], work = m, [mu]
                 while work:
                     w = work.pop()
@@ -391,101 +396,92 @@ class RootSystem:
 # -- factories -----------------------------------------------------------------
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
-
-
-def _vec(n: int, *entries: Tuple[int, int]) -> Weight:
-    """The length-n weight with the given (index, value) entries, zero elsewhere."""
-    w = [_ZERO] * n
-    for i, x in entries:
-        w[i] = Fraction(x)
-    return tuple(w)
-
-
-def _chain(n: int) -> List[Weight]:
+def _chain(n: int) -> List[Sparse]:
     """The simple roots e_i - e_(i+1), i < n - 1."""
-    return [_vec(n, (i, 1), (i + 1, -1)) for i in range(n - 1)]
+    return [((i, 1), (i + 1, -1)) for i in range(n - 1)]
 
 
-def _pairs(m: int) -> List[Weight]:
+def _pairs(m: int) -> List[Sparse]:
     """The roots e_i - e_j, e_i + e_j (i < j) that B, C and D share."""
-    return [_vec(m, (i, 1), (j, s)) for i in range(m) for j in range(i + 1, m) for s in (-1, 1)]
+    return [((i, 1), (j, s)) for i in range(m) for j in range(i + 1, m) for s in (-1, 1)]
 
 
-def _steps(n: int, count: int) -> List[Weight]:
-    """The weights e_1 + ... + e_k, k = 1..count."""
-    return [(_ONE,) * k + (_ZERO,) * (n - k) for k in range(1, count + 1)]
+def _steps(count: int, value: int = 1) -> List[Sparse]:
+    """The rows value * (e_1 + ... + e_k), k = 1..count."""
+    return [tuple((i, value) for i in range(k)) for k in range(1, count + 1)]
+
+
+def _shift(row: Sparse, offset: int, factor: int = 1) -> Sparse:
+    return tuple((offset + i, factor * v) for i, v in row)
 
 
 def type_a(n: int) -> RootSystem:
     """sl(n) in GL coordinates: n entries, roots e_i - e_j."""
     if n < 2:
         raise InputError("type A needs at least two coordinates")
-    positive = [_vec(n, (i, 1), (j, -1)) for i in range(n) for j in range(i + 1, n)]
-    return RootSystem([_Component("A", n)], _chain(n), positive, _steps(n, n - 1), f"A{n - 1}")
+    positive = [((i, 1), (j, -1)) for i in range(n) for j in range(i + 1, n)]
+    return RootSystem([_Component("A", n)], _chain(n), positive, (1, _steps(n - 1)), f"A{n - 1}")
 
 
 def type_b(m: int) -> RootSystem:
     """so(2m+1): roots e_i +- e_j and the short e_i."""
     if m < 1:
         raise InputError("type B needs rank at least one")
-    simple = _chain(m) + [_vec(m, (m - 1, 1))]
-    positive = [_vec(m, (i, 1)) for i in range(m)] + _pairs(m)
-    fundamentals = _steps(m, m - 1) + [(Fraction(1, 2),) * m]
-    return RootSystem([_Component("B", m)], simple, positive, fundamentals, f"B{m}")
+    simple = _chain(m) + [((m - 1, 1),)]
+    positive = [((i, 1),) for i in range(m)] + _pairs(m)
+    spin = tuple((i, 1) for i in range(m))  # (1/2, ..., 1/2)
+    omega = (2, _steps(m - 1, 2) + [spin])
+    return RootSystem([_Component("B", m)], simple, positive, omega, f"B{m}")
 
 
 def type_c(m: int) -> RootSystem:
     """sp(m): roots e_i +- e_j and the long 2e_i."""
     if m < 1:
         raise InputError("type C needs rank at least one")
-    simple = _chain(m) + [_vec(m, (m - 1, 2))]
-    positive = [_vec(m, (i, 2)) for i in range(m)] + _pairs(m)
-    return RootSystem([_Component("C", m)], simple, positive, _steps(m, m), f"C{m}")
+    simple = _chain(m) + [((m - 1, 2),)]
+    positive = [((i, 2),) for i in range(m)] + _pairs(m)
+    return RootSystem([_Component("C", m)], simple, positive, (1, _steps(m)), f"C{m}")
 
 
 def type_d(m: int) -> RootSystem:
     """so(2m), m >= 2: roots e_i +- e_j."""
     if m < 2:
         raise InputError("type D needs rank at least two")
-    simple = _chain(m) + [_vec(m, (m - 2, 1), (m - 1, 1))]
-    half = Fraction(1, 2)
-    fundamentals = _steps(m, m - 2) + [(half,) * (m - 1) + (-half,), (half,) * m]
-    return RootSystem([_Component("D", m)], simple, _pairs(m), fundamentals, f"D{m}")
+    simple = _chain(m) + [((m - 2, 1), (m - 1, 1))]
+    half = tuple((i, 1) for i in range(m - 1))  # (1/2, ..., 1/2, -+1/2)
+    omega = (2, _steps(m - 2, 2) + [half + ((m - 1, -1),), half + ((m - 1, 1),)])
+    return RootSystem([_Component("D", m)], simple, _pairs(m), omega, f"D{m}")
 
 
 def g2() -> RootSystem:
     """G2 in the trace-zero hyperplane of three coordinates."""
     # a1, a2, a1 + a2, 2a1 + a2, 3a1 + a2, 3a1 + 2a2
     roots = ((1, -1, 0), (-2, 1, 1), (-1, 0, 1), (0, -1, 1), (1, -2, 1), (-1, -1, 2))
-    positive = [_weight(r) for r in roots]
-    fundamentals = [_weight((0, -1, 1)), _weight((-1, -1, 2))]
-    return RootSystem([_Component("G2", 3)], positive[:2], positive, fundamentals, "G2")
+    positive = [tuple((i, x) for i, x in enumerate(r) if x) for r in roots]
+    # omega_1 = 2a1 + a2, omega_2 = 3a1 + 2a2
+    omega = (1, [positive[3], positive[5]])
+    return RootSystem([_Component("G2", 3)], positive[:2], positive, omega, "G2")
 
 
 def product_system(*systems: RootSystem) -> RootSystem:
-    """Direct product with concatenated coordinates."""
+    """Direct product with concatenated coordinates; the fundamental weights
+    go over the lcm of the factors' denominators."""
     if len(systems) < 2:
         raise InputError("a product needs at least two factors")
-    components: List[_Component] = []
-    simple: List[Weight] = []
-    positive: List[Weight] = []
-    fundamentals: List[Weight] = []
-    total = sum(s.coords for s in systems)
+    den = math.lcm(*(s._omega[0] for s in systems))
+    simple: List[Sparse] = []
+    positive: List[Sparse] = []
+    omega: List[Sparse] = []
     offset = 0
-    zero = (Fraction(0),) * total
-
-    def embed(w: Weight, at: int) -> Weight:
-        return zero[:at] + w + zero[at + len(w):]
-
     for s in systems:
-        components.extend(s.components)
-        simple.extend(embed(r, offset) for r in s.simple_roots)
-        positive.extend(embed(r, offset) for r in s.positive_roots)
-        fundamentals.extend(embed(w, offset) for w in s.fundamental_weights)
+        simple.extend(_shift(row, offset) for row in s._simple)
+        positive.extend(_shift(row, offset) for row in s._positive)
+        oden, rows = s._omega
+        omega.extend(_shift(row, offset, den // oden) for row in rows)
         offset += s.coords
+    components = [c for s in systems for c in s.components]
     name = "x".join(s.name for s in systems)
-    return RootSystem(components, simple, positive, fundamentals, name)
+    return RootSystem(components, simple, positive, (den, omega), name)
 
 
 # -- representation sums ---------------------------------------------------------
@@ -494,9 +490,9 @@ def product_system(*systems: RootSystem) -> RootSystem:
 class RepSum:
     """Formal integer combination of irreducibles, keyed by highest weight.
 
-    Multiplicities are positive for honest representations; subtraction
-    may leave negative entries only when explicitly requested (virtual
-    differences, used transiently while peeling off a known subbundle).
+    Multiplicities are positive for honest representations: subtraction
+    refuses to leave a negative entry, and tensor products refuse a sum
+    built with one (a virtual sum).
     """
 
     def __init__(self, system: RootSystem, terms: Dict[Weight, int]) -> None:
@@ -536,12 +532,9 @@ class RepSum:
             merged[w] = merged.get(w, 0) + m
         return RepSum(self.system, merged)
 
-    def scale(self, c: int) -> "RepSum":
-        return RepSum(self.system, {w: c * m for w, m in self.terms.items()})
-
-    def subtract(self, other: "RepSum", virtual: bool = False) -> "RepSum":
-        result = self.add(other.scale(-1))
-        if not virtual and result.is_virtual():
+    def subtract(self, other: "RepSum") -> "RepSum":
+        result = self.add(RepSum(self.system, {w: -m for w, m in other.terms.items()}))
+        if result.is_virtual():
             bad = ", ".join(f"{_fmt(w)}: {m}" for w, m in result.terms.items() if m < 0)
             raise ConsistencyError(
                 f"{self.system.name}: subtraction left negative multiplicities {bad}"

@@ -130,23 +130,14 @@ def _sphere_casimir(n: int) -> str:
     return str(holonomy.sphere_check(n).casimir_value)
 
 
-def _topological(family: str, **kwargs) -> holonomy.TopologicalInput:
-    return holonomy.TopologicalInput(
-        family=family,
-        n=kwargs.get("n"),
-        hodge=tuple(kwargs.get("hodge", ())),
-        b2=kwargs.get("b2"),
-        b3=kwargs.get("b3"),
-        b4_minus=kwargs.get("b4_minus"),
-    )
+def _topological_kernel(family: str, n=None, hodge=(), b2=None, b3=None, b4_minus=None) -> int:
+    data = holonomy.TopologicalInput(family, n, tuple(hodge), b2, b3, b4_minus)
+    return holonomy.kernel_dimension(data)
 
 
-def _topological_kernel(family: str, **kwargs) -> int:
-    return holonomy.kernel_dimension(_topological(family, **kwargs))
-
-
-def _topological_index(family: str, **kwargs) -> int:
-    return holonomy.family_index(_topological(family, **kwargs))
+def _topological_index(family: str, n=None, hodge=(), b2=None, b3=None, b4_minus=None) -> int:
+    data = holonomy.TopologicalInput(family, n, tuple(hodge), b2, b3, b4_minus)
+    return holonomy.family_index(data)
 
 
 def _symmetric_catalog() -> Dict[str, int]:
@@ -251,11 +242,13 @@ class RegressionManifest:
     def load(cls, path: Optional[str] = None) -> "RegressionManifest":
         chosen = Path(path or os.environ.get(ENV_VAR) or DEFAULT_PATH)
         try:
-            raw = json.loads(chosen.read_text())
+            raw = json.loads(chosen.read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise InputError(f"manifest file not found: {chosen}")
         except json.JSONDecodeError as exc:
             raise InputError(f"manifest {chosen} is not valid JSON: {exc}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read manifest {chosen}: {exc}")
         if not isinstance(raw, list):
             raise InputError("manifest must be a JSON list of entries")
         entries = []

@@ -16,7 +16,6 @@ from rslab.charclass import (
     ChernProfile,
     elementary_from_power_sums,
     euler_characteristic,
-    hodge_from_chi_y,
     product_rs_index,
     rs_index,
     verify_dimension_identities,
@@ -245,7 +244,7 @@ def test_13_property_suites():
         CISpec(3, (2, 2)),
     ]:
         profile = build_ci(spec).profile
-        chi_p = hodge_from_chi_y(profile)
+        chi_p = evaluate_genus("CHI_Y", profile)
         assert sum(
             (-1) ** p * v for p, v in enumerate(chi_p)
         ) == euler_characteristic(profile)

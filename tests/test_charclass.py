@@ -16,7 +16,6 @@ from rslab.charclass import (
     evaluate_genus,
     GenusSpec,
     genus_spec,
-    hodge_from_chi_y,
     multiplicative_class,
     pontryagin_numbers,
     product_rs_index,
@@ -129,13 +128,13 @@ def test_classical_genus_values():
 
 
 def test_chi_y_coefficients_of_quartic_surface():
-    assert hodge_from_chi_y(K3) == (2, -20, 2)
+    assert evaluate_genus("CHI_Y", K3) == (2, -20, 2)
 
 
 def test_chi_y_specializations():
     for spec in [CISpec(2, (4,)), CISpec(2, (6,)), CISpec(3, (5,)), CISpec(4, (2,))]:
         profile = build_ci(spec).profile
-        chi_p = hodge_from_chi_y(profile)
+        chi_p = evaluate_genus("CHI_Y", profile)
         assert sum((-1) ** p * v for p, v in enumerate(chi_p)) == euler_characteristic(
             profile
         )

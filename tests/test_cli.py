@@ -155,6 +155,14 @@ def test_rep_wrong_width(capsys):
     assert _run(capsys, "rep", "q5", "--weight", "1,0")[0] == 2
 
 
+@pytest.mark.parametrize("token", ["b3x", "xb3", "c1xxc2", "x"])
+def test_rep_empty_system_factor(capsys, token):
+    assert main(["rep", token, "--weight", "1,0,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: empty factor in system token {token!r}\n"
+
+
 def test_rep_g2_weight_off_trace_zero_plane(capsys):
     # Dynkin labels (0, 0), but no weight of G2
     assert main(["rep", "g2", "--weight", "1,1,1"]) == 2
@@ -246,8 +254,12 @@ def test_verify_paper_reports_mismatch(tmp_path, monkeypatch, capsys):
        "expected": 2, "source": "s"}],
      # binds at load; the check itself refuses the float degree
      [{"id": "x", "description": "d", "check": "ci_ahat", "args": {"n": 2, "degrees": [4.0]},
-       "expected": 2, "source": "s"}]],
-    ids=["not-an-object", "args-list", "args-unknown-key", "args-float-degree"],
+       "expected": 2, "source": "s"}],
+     [{"id": "x", "description": "d", "check": "topological_kernel",
+       "args": {"family": "G2", "b2": 0, "b3": 1, "b_4minus": 7, "hodge_numbers": [3]},
+       "expected": 1, "source": "s"}]],
+    ids=["not-an-object", "args-list", "args-unknown-key", "args-float-degree",
+         "topological-unknown-key"],
 )
 def test_verify_paper_malformed_manifest_exits_2(tmp_path, monkeypatch, capsys, entries):
     bad = tmp_path / "bad.json"
@@ -257,6 +269,14 @@ def test_verify_paper_malformed_manifest_exits_2(tmp_path, monkeypatch, capsys, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: manifest entry 0")
+
+
+def test_verify_paper_unreadable_manifest_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RSLAB_MANIFEST", str(tmp_path))
+    assert main(["verify-paper"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read manifest {tmp_path}: ")
 
 
 def test_json_output_is_reproducible(capsys):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from rslab import charclass
-from rslab.charclass import evaluate_genus, hodge_from_chi_y, rs_index
+from rslab.charclass import evaluate_genus, rs_index
 from rslab.errors import ConsistencyError, InputError, NotApplicableError
 from rslab.intersections import (
     CISpec,
@@ -299,7 +299,7 @@ def test_genera_and_index_match_the_residue_formula(n):
         for d in degrees:
             ch_plus_one = [a - b for a, b in zip(ch_plus_one, _exp_sym(d, n))]
         assert inv.rs_index == _residue(ahat_q, n, degrees, ch_plus_one), where
-        chi = hodge_from_chi_y(m.profile)
+        chi = evaluate_genus("CHI_Y", m.profile)
         for y in range(n + 1):
             value = sum(c * y**p for p, c in enumerate(chi))
             assert value == _residue(_q_chi_y(y, n), n, degrees), (where, y)

@@ -9,6 +9,7 @@ import pytest
 
 from characters import assert_tensor_character
 from rslab.errors import ConsistencyError, InputError
+from rslab.holonomy import sphere_check
 from rslab.lie import (
     RepSum,
     RootSystem,
@@ -17,6 +18,7 @@ from rslab.lie import (
     irreducible,
     product_system,
     tensor_decompose,
+    tensor_product_sum,
     type_a,
     type_b,
     type_c,
@@ -187,14 +189,15 @@ def test_repsum_arithmetic():
     spinor = irreducible(sys, _w(F(1, 2), F(1, 2), F(1, 2)))
     both = vector.add(spinor)
     assert both.dimension == 15
-    assert both.scale(3).dimension == 45
     back = both.subtract(spinor)
     assert dict(back.sorted_terms()) == dict(vector.sorted_terms())
     with pytest.raises(ConsistencyError):
         vector.subtract(spinor)
-    virtual = vector.subtract(spinor, virtual=True)
-    assert virtual.is_virtual()
+    virtual = RepSum(sys, {_w(1, 0, 0): 1, _w(F(1, 2), F(1, 2), F(1, 2)): -1})
+    assert virtual.is_virtual() and not both.is_virtual()
     assert virtual.dimension == -1
+    with pytest.raises(InputError):
+        tensor_product_sum(sys, virtual, vector)
     assert irreducible(sys, sys.trivial_weight()).trivial_multiplicity() == 1
     assert vector.trivial_multiplicity() == 0
 
@@ -368,45 +371,120 @@ def test_integer_construction_matches_fraction_formulas(name):
     assert [(tuple(l), tuple(c), h) for l, c, h in sys._roots] == roots
 
 
+# -- root sets against the textbook tables ------------------------------------
+
+
+def _e(n, *terms):
+    """The weight sum of c * e_i over the (i, c) terms, n coordinates; int
+    entries hash and compare like the equal Fractions."""
+    w = [0] * n
+    for i, c in terms:
+        w[i] += c
+    return tuple(w)
+
+
+def _first(n, k, c=1):
+    """c * (e_1 + ... + e_k)."""
+    return _e(n, *((i, c) for i in range(k)))
+
+
+def _textbook(kind, r):
+    """Positive roots and fundamental weights of rank r, as listed in
+    Bourbaki's tables (type A in GL coordinates: omega_k = e_1 + ... + e_k)."""
+    n = r + 1 if kind == "A" else r
+    pairs = {_e(n, (i, 1), (j, s)) for i in range(n) for j in range(i + 1, n) for s in (-1, 1)}
+    steps = [_first(n, k) for k in range(1, r + 1)]
+    if kind == "A":
+        return {_e(n, (i, 1), (j, -1)) for i in range(n) for j in range(i + 1, n)}, set(steps)
+    if kind == "B":
+        short = {_e(n, (i, 1)) for i in range(n)}
+        return pairs | short, set(steps[:-1]) | {_first(n, n, F(1, 2))}
+    if kind == "C":
+        return pairs | {_e(n, (i, 2)) for i in range(n)}, set(steps)
+    spins = {_first(n, n, F(1, 2)), _e(n, *((i, F(1, 2)) for i in range(n - 1)), (n - 1, F(-1, 2)))}
+    return pairs, set(steps[:-2]) | spins
+
+
+TEXTBOOK_SYSTEMS = {
+    f"{kind}{r}": (kind, r) for kind in "ABCD" for r in (*range(1, 9), 100) if (kind, r) != ("D", 1)
+}
+FACTORIES = {"A": lambda r: type_a(r + 1), "B": type_b, "C": type_c, "D": type_d}
+
+
+@pytest.mark.parametrize("name", sorted(TEXTBOOK_SYSTEMS))
+def test_roots_and_fundamental_weights_match_textbook(name):
+    kind, r = TEXTBOOK_SYSTEMS[name]
+    sys = FACTORIES[kind](r)
+    positive, omega = _textbook(kind, r)
+    assert sys.name == name
+    assert len(sys.positive_roots) == len(positive)
+    assert set(sys.positive_roots) == positive
+    assert all(type(x) is F for w in sys.positive_roots[:2] + sys.fundamental_weights for x in w)
+    assert len(sys.fundamental_weights) == r and set(sys.fundamental_weights) == omega
+
+
+def test_g2_roots_and_fundamental_weights_match_textbook():
+    # Bourbaki: a1 = e1 - e2, a2 = -2e1 + e2 + e3, omega_1 = 2a1 + a2, omega_2 = 3a1 + 2a2
+    sys = g2()
+    assert set(sys.positive_roots) == {
+        _w(1, -1, 0), _w(-2, 1, 1), _w(-1, 0, 1), _w(0, -1, 1), _w(1, -2, 1), _w(-1, -1, 2)
+    }
+    assert sys.simple_roots == (_w(1, -1, 0), _w(-2, 1, 1))
+    assert sys.fundamental_weights == (_w(0, -1, 1), _w(-1, -1, 2))
+
+
+@pytest.mark.parametrize("n", [199, 200])
+def test_sphere_casimir_at_large_rank(n):
+    assert sphere_check(n).casimir_value == F(n * (n + 7), 8)
+
+
 # -- construction checks reject bad root data ---------------------------------
 
 
 @pytest.mark.parametrize(
-    "simple, positive, fundamentals, message",
+    "simple, positive, omega, message",
     [
         (
-            [(1, 1, 1), (-1, 0, 0)],
-            [(1, 1, 1), (-1, 0, 0)],
-            [(1, 0, 0), (0, 1, 0)],
+            [((0, 1), (1, 1), (2, 1)), ((0, -1),)],
+            [((0, 1), (1, 1), (2, 1)), ((0, -1),)],
+            (1, [((0, 1),), ((1, 1),)]),
             "X: Cartan entry of (-1, 0, 0) on (1, 1, 1) is -2/3; "
             "need an integer, <= 0 off the diagonal",
         ),
         (
-            [(1, -1, 0), (0, -1, 0)],
-            [(1, -1, 0), (0, -1, 0)],
-            [(1, 0, 0), (0, 1, 0)],
+            [((0, 1), (1, -1)), ((1, -1),)],
+            [((0, 1), (1, -1)), ((1, -1),)],
+            (1, [((0, 1),), ((1, 1),)]),
             "X: Cartan entry of (0, -1, 0) on (1, -1, 0) is 1; "
             "need an integer, <= 0 off the diagonal",
         ),
         (
             # B2 with the spin weight (1/2, 1/2) replaced by (1, 1)
-            [(1, -1, 0), (0, 1, 0)],
-            [(1, 0, 0), (0, 1, 0), (1, -1, 0), (1, 1, 0)],
-            [(1, 0, 0), (1, 1, 0)],
+            [((0, 1), (1, -1)), ((1, 1),)],
+            [((0, 1),), ((1, 1),), ((0, 1), (1, -1)), ((0, 1), (1, 1))],
+            (1, [((0, 1),), ((0, 1), (1, 1))]),
             "X: <delta, a> = 3/2 but <sum of fundamental weights, a> = 2, "
             "a = (1, 0, 0)",
         ),
         (
-            [(1, -1, 0), (0, 0, 0)],
-            [(1, -1, 0)],
-            [(1, 0, 0), (0, 1, 0)],
+            # B2 with the vector weight (1, 0) halved: rows over 2
+            [((0, 1), (1, -1)), ((1, 1),)],
+            [((0, 1),), ((1, 1),), ((0, 1), (1, -1)), ((0, 1), (1, 1))],
+            (2, [((0, 1),), ((0, 1), (1, 1))]),
+            "X: <delta, a> = 3/2 but <sum of fundamental weights, a> = 1, "
+            "a = (1, 0, 0)",
+        ),
+        (
+            [((0, 1), (1, -1)), ()],
+            [((0, 1), (1, -1))],
+            (1, [((0, 1),), ((1, 1),)]),
             "X: simple root (0, 0, 0) has norm 0",
         ),
     ],
-    ids=["nonintegral-cartan", "positive-off-diagonal", "wrong-fundamental", "zero-norm"],
+    ids=["nonintegral-cartan", "positive-off-diagonal", "wrong-fundamental",
+         "wrong-fundamental-over-2", "zero-norm"],
 )
-def test_bad_root_data_rejected(simple, positive, fundamentals, message):
-    vectors = [[_w(*v) for v in group] for group in (simple, positive, fundamentals)]
+def test_bad_root_data_rejected(simple, positive, omega, message):
     with pytest.raises(ConsistencyError) as failure:
-        RootSystem([_Component("B", 3)], *vectors, "X")
+        RootSystem([_Component("B", 3)], simple, positive, omega, "X")
     assert str(failure.value) == message

@@ -159,15 +159,34 @@ GOOD_ENTRY = {
         ([dict(GOOD_ENTRY, args={"n": 2})],
          r"^manifest entry 0: bad args for ci_ahat: missing a required argument: "
          r"'degrees'$"),
+        ([dict(GOOD_ENTRY, check="topological_kernel",
+               args={"family": "G2", "b2": 0, "b3": 1, "b_4minus": 7, "hodge_numbers": [3]})],
+         r"^manifest entry 0: bad args for topological_kernel: got an unexpected keyword "
+         r"argument 'b_4minus'$"),
+        ([dict(GOOD_ENTRY, check="topological_index", args={"family": "HK", "n": 1, "hodges": [20]})],
+         r"^manifest entry 0: bad args for topological_index: got an unexpected keyword "
+         r"argument 'hodges'$"),
     ],
     ids=["not-an-object", "args-list", "id-list", "check-list", "args-unknown-key",
-         "args-missing-key"],
+         "args-missing-key", "topological-kernel-unknown-key", "topological-index-unknown-key"],
 )
 def test_malformed_entries_rejected(tmp_path, entries, message):
     bad = tmp_path / "bad.json"
     _write_manifest(bad, entries)
     with pytest.raises(InputError, match=message):
         RegressionManifest.load(bad)
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+def test_unreadable_manifest_rejected(tmp_path, monkeypatch, kind):
+    chosen = tmp_path / "manifest.json"
+    if kind == "directory":
+        chosen.mkdir()
+    else:
+        chosen.write_bytes(b'[{"id": "caf\xe9"}]')
+    monkeypatch.setenv("RSLAB_MANIFEST", str(chosen))
+    with pytest.raises(InputError, match=f"^cannot read manifest {chosen}: "):
+        RegressionManifest.load()
 
 
 def test_encode_normalization():
