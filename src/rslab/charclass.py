@@ -241,54 +241,38 @@ def genus_spec(name: str, order: int) -> GenusSpec:
 
 
 def _build_spec(name: str, order: int) -> GenusSpec:
-    if name == "AHAT":
-        # Q(x) = (x/2)/sinh(x/2), the inverse of an even series
-        denom = TruncatedPoly(
-            ("x",),
-            (order,),
-            {
-                (2 * j,): Fraction(1, 4**j * math.factorial(2 * j + 1))
-                for j in range(order // 2 + 1)
-            },
-        )
-        return GenusSpec(name, series_inverse(denom))
-    if name == "L":
-        # Q(x) = x/tanh(x) = cosh(x) / (sinh(x)/x)
-        cosh = TruncatedPoly(
-            ("x",),
-            (order,),
-            {(2 * j,): Fraction(1, math.factorial(2 * j)) for j in range(order // 2 + 1)},
-        )
-        sinh_over = TruncatedPoly(
-            ("x",),
-            (order,),
-            {(2 * j,): Fraction(1, math.factorial(2 * j + 1)) for j in range(order // 2 + 1)},
-        )
-        return GenusSpec(name, cosh * series_inverse(sinh_over))
+    """Q of the named genus, from the Todd series T(u) = u/(1 - e^-u) = sum_k t_k u**k.
+
+    Every genus here is T after a substitution (Hirzebruch, Topological
+    Methods in Algebraic Geometry):
+
+        TODD   x/(1 - e^-x)                             T(x)
+        AHAT   (x/2)/sinh(x/2)                          T(x) e^(-x/2)
+        L      x/tanh(x)                                T(2x) - x
+        CHI_Y  x(1 + y e^-x(1+y))/(1 - e^-x(1+y))       T(x(1+y)) - xy
+
+    so L has 2**k t_k at x**k, and CHI_Y has C(k, j) t_k at x**k y**j
+    (less one at xy); it is Todd at y = 0 and L at y = 1.
+    """
+    if name not in GENUS_NAMES:
+        raise InputError(f"unknown genus {name!r}")
+    one_var = (("x",), (order,))
+    # T is the inverse of g(u) = (1 - e^-u)/u = sum_j (-u)**j/(j+1)!
+    g = {(j,): Fraction((-1) ** j, math.factorial(j + 1)) for j in range(order + 1)}
+    todd = series_inverse(TruncatedPoly(*one_var, g))
+    t = [todd.coefficient((k,)) for k in range(order + 1)]
     if name == "TODD":
-        # Q(x) = x/(1 - exp(-x)), inverse of sum (-x)^j/(j+1)!
-        g = TruncatedPoly(
-            ("x",),
-            (order,),
-            {(j,): Fraction((-1) ** j, math.factorial(j + 1)) for j in range(order + 1)},
-        )
-        return GenusSpec(name, series_inverse(g))
-    if name == "CHI_Y":
-        # Q(x) = x(1 + y*exp(-x(1+y)))/(1 - exp(-x(1+y))), normalised so
-        # y=0 recovers Todd.  Writing u = x(1+y) and g(u) = (1-exp(-u))/u
-        # this is 1/g(u) - x*y, which is visibly polynomial in y.
-        cut = (order, order)
-        u = TruncatedPoly(("x", "y"), cut, {(1, 0): 1, (1, 1): 1})
-        g = TruncatedPoly.constant(0, ("x", "y"), cut)
-        upow = TruncatedPoly.constant(1, ("x", "y"), cut)
-        for j in range(order + 1):
-            g = g + upow * Fraction((-1) ** j, math.factorial(j + 1))
-            upow = upow * u
-            if upow.is_zero():
-                break
-        xy = TruncatedPoly(("x", "y"), cut, {(1, 1): 1})
-        return GenusSpec(name, series_inverse(g) - xy)
-    raise InputError(f"unknown genus {name!r}")
+        return GenusSpec(name, todd)
+    if name == "AHAT":
+        half_exp = {(k,): Fraction(-1, 2) ** k / math.factorial(k) for k in range(order + 1)}
+        return GenusSpec(name, todd * TruncatedPoly(*one_var, half_exp))
+    if name == "L":
+        doubled = TruncatedPoly(*one_var, {(k,): 2**k * c for k, c in enumerate(t)})
+        return GenusSpec(name, doubled - TruncatedPoly(*one_var, {(1,): 1}))
+    two_var = (("x", "y"), (order, order))
+    binomial = {(k, j): math.comb(k, j) * c for k, c in enumerate(t) for j in range(k + 1)}
+    xy = TruncatedPoly(*two_var, {(1, 1): 1})
+    return GenusSpec(name, TruncatedPoly(*two_var, binomial) - xy)
 
 
 def _class_components(genus: str, profile: ChernProfile) -> Tuple[Tuple[int, ...], Components]:
@@ -378,8 +362,9 @@ def rs_index(profile: ChernProfile) -> RSIndexReport:
     """Index functional Ahat(TM)*(ch(TM x C) + 1) paired with [M].
 
     The summand splits as a tangent-twisted Dirac index plus the plain
-    Dirac index; the split is recomputed and cross-checked.  The report is
-    computed once per profile.
+    Dirac index; the split is recomputed and cross-checked.  Both sides read
+    one list of Ahat coefficients, so the check catches a convolution error
+    but not a wrong Ahat class.  The report is computed once per profile.
     """
     if rs_index in profile._values:
         return profile._values[rs_index]

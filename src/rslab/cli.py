@@ -31,6 +31,8 @@ from .charclass import product_rs_index
 from .errors import ConsistencyError, InputError, NotApplicableError
 from .holonomy import (
     HOLONOMY_KINDS,
+    KIND_FAMILIES,
+    SPHERE_LIMIT,
     HolonomyModel,
     ParallelCounts,
     TopologicalInput,
@@ -257,32 +259,15 @@ def _cmd_ci(args: argparse.Namespace) -> int:
 
 
 def _topological_data(args: argparse.Namespace) -> Optional[TopologicalInput]:
-    hodge = _parse_int_list(args.hodge) if args.hodge else None
-    supplied = [
-        value
-        for value in (hodge, args.b2, args.b3, args.b4minus)
-        if value is not None
-    ]
-    if not supplied:
+    hodge = tuple(_parse_int_list(args.hodge)) if args.hodge else ()
+    if not hodge and (args.b2, args.b3, args.b4minus) == (None, None, None):
         return None
-    kind = args.kind
-    if kind == "su":
-        if hodge is None:
-            raise InputError("su takes --hodge h^{1,1},...,h^{1,n-1}")
-        return TopologicalInput(family="CY", n=args.parameter, hodge=tuple(hodge))
-    if kind == "sp":
-        if hodge is None:
-            raise InputError("sp takes --hodge h^{1,1},...,h^{n,1}")
-        return TopologicalInput(family="HK", n=args.parameter, hodge=tuple(hodge))
-    if kind == "g2":
-        return TopologicalInput(family="G2", b2=args.b2, b3=args.b3)
-    if kind == "spin7":
-        return TopologicalInput(
-            family="SPIN7", b2=args.b2, b3=args.b3, b4_minus=args.b4minus
-        )
-    if kind == "sp1sp":
-        return TopologicalInput(family="QK", n=args.parameter, b2=args.b2)
-    raise InputError(f"no kernel formula is wired up for holonomy kind {kind!r}")
+    if args.kind not in KIND_FAMILIES:
+        raise InputError(f"no kernel formula is wired up for holonomy kind {args.kind!r}")
+    # the parameter is n for every family that takes one, None for g2 and spin7
+    return TopologicalInput(
+        KIND_FAMILIES[args.kind], args.parameter, hodge, args.b2, args.b3, args.b4minus
+    )
 
 
 def _cmd_holonomy(args: argparse.Namespace) -> int:
@@ -391,6 +376,9 @@ def _cmd_rep(args: argparse.Namespace) -> int:
 
 
 def _cmd_sphere(args: argparse.Namespace) -> int:
+    top = args.n if args.upto is None else args.upto
+    if top > SPHERE_LIMIT:
+        raise InputError(f"sphere checks stop at n = {SPHERE_LIMIT}, got {top}")
     if args.upto is not None:
         if args.upto < 3:
             raise InputError("--upto must be at least 3")
@@ -571,8 +559,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sph = sub.add_parser("sphere", help="round-sphere Casimir positivity check")
     group = sph.add_mutually_exclusive_group(required=True)
-    group.add_argument("-n", type=int, help="single dimension")
-    group.add_argument("--upto", type=int, help="check every dimension from 3 to N")
+    group.add_argument("-n", type=int, help=f"single dimension, 3 to {SPHERE_LIMIT}")
+    group.add_argument(
+        "--upto", type=int, help=f"check every dimension from 3 to UPTO (at most {SPHERE_LIMIT})"
+    )
     sph.add_argument("--json", action="store_true")
     sph.set_defaults(handler=_cmd_sphere)
 

@@ -99,6 +99,24 @@ def test_holonomy_missing_parameter(capsys):
     assert _run(capsys, "holonomy", "su")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        ("g2 --b2 1 --b3 2 --b4minus 5", "G2 input takes no b4_minus"),
+        ("su 3 --hodge 1,2 --b2 5", "CY input takes no b2"),
+        ("sp 2 --hodge 1,2 --b3 4", "HK input takes no b3"),
+        ("sp1sp 2 --b2 3 --hodge 1", "QK input takes no hodge"),
+        ("u 3 --b2 1", "no kernel formula is wired up for holonomy kind 'u'"),
+        ("so 5 --hodge 1", "no kernel formula is wired up for holonomy kind 'so'"),
+    ],
+)
+def test_holonomy_refuses_topology_its_family_does_not_take(capsys, argv, field):
+    assert main(["holonomy", *argv.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {field}\n"
+
+
 def test_rep_queries(capsys):
     code, payload = _run_json(
         capsys, "rep", "b3", "--weight", "3/2,1/2,1/2", "--json"
@@ -185,6 +203,18 @@ def test_sphere_single_and_range(capsys):
     assert _run(capsys, "sphere", "-n", "7", "--upto", "9")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [["-n", "100000"], ["--upto", "100000"], ["--upto", "401"]])
+def test_sphere_past_the_limit_exits_2_before_any_check(monkeypatch, capsys, argv):
+    def unreachable(n):
+        raise AssertionError(f"sphere_check({n}) ran past the limit")
+
+    monkeypatch.setattr("rslab.cli.sphere_check", unreachable)
+    assert main(["sphere", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: sphere checks stop at n = 400, got {argv[1]}\n"
+
+
 def test_product_ci(capsys):
     code, payload = _run_json(capsys, "product", "ci", "2:4", "2:4", "--json")
     assert code == 0
@@ -257,9 +287,13 @@ def test_verify_paper_reports_mismatch(tmp_path, monkeypatch, capsys):
        "expected": 2, "source": "s"}],
      [{"id": "x", "description": "d", "check": "topological_kernel",
        "args": {"family": "G2", "b2": 0, "b3": 1, "b_4minus": 7, "hodge_numbers": [3]},
-       "expected": 1, "source": "s"}]],
+       "expected": 1, "source": "s"}],
+     # binds at load; G2 data take no b4_minus
+     [{"id": "x", "description": "d", "check": "topological_kernel",
+       "args": {"family": "G2", "b2": 0, "b3": 1, "b4_minus": 7},
+       "expected": 0, "source": "s"}]],
     ids=["not-an-object", "args-list", "args-unknown-key", "args-float-degree",
-         "topological-unknown-key"],
+         "topological-unknown-key", "topological-stray-field"],
 )
 def test_verify_paper_malformed_manifest_exits_2(tmp_path, monkeypatch, capsys, entries):
     bad = tmp_path / "bad.json"

@@ -196,6 +196,8 @@ def test_sphere_checks():
         assert chk.realization.startswith(expected_kind)
     with pytest.raises(InputError):
         sphere_check(2)
+    with pytest.raises(InputError, match="n <= 400"):
+        sphere_check(401)
 
 
 def test_topological_kernels():
@@ -242,6 +244,23 @@ def test_topological_validation():
         TopologicalInput("NK", b2=1)
     with pytest.raises(ConsistencyError):
         kernel_dimension(TopologicalInput("CY", n=2, hodge=(0,)))
+
+
+@pytest.mark.parametrize(
+    "family, fields, stray",
+    [
+        ("CY", {"n": 2, "hodge": (20,)}, {"b2": 0}),
+        ("HK", {"n": 1, "hodge": (20,)}, {"b4_minus": 1}),
+        ("SPIN7", {"b2": 4, "b3": 33, "b4_minus": 60}, {"n": 8}),
+        ("G2", {"b2": 0, "b3": 1}, {"b4_minus": 7}),
+        ("QK", {"n": 2, "b2": 1}, {"hodge": (1,)}),
+    ],
+)
+def test_topological_input_refuses_fields_of_other_families(family, fields, stray):
+    assert kernel_dimension(TopologicalInput(family, **fields)) >= 0
+    (name,) = stray
+    with pytest.raises(InputError, match=f"^{family} input takes no {name}$"):
+        TopologicalInput(family, **fields, **stray)
 
 
 def test_hyperkahler_identities(monkeypatch):

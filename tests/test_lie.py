@@ -488,3 +488,76 @@ def test_bad_root_data_rejected(simple, positive, omega, message):
     with pytest.raises(ConsistencyError) as failure:
         RootSystem([_Component("B", 3)], simple, positive, omega, "X")
     assert str(failure.value) == message
+
+
+# -- property tests (hypothesis; skipped where it is not installed) ------------
+
+PROPERTY_SYSTEMS = {
+    **{f"A{n - 1}": partial(type_a, n) for n in range(3, 6)},
+    **{f"B{m}": partial(type_b, m) for m in (2, 3)},
+    **{f"C{m}": partial(type_c, m) for m in (2, 3)},
+    **{f"D{m}": partial(type_d, m) for m in (3, 4)},
+    "G2": g2,
+    "C1xC2": lambda: product_system(type_c(1), type_c(2)),
+}
+_SETTINGS = {"max_examples": 8, "deadline": None, "derandomize": True, "database": None}
+
+
+def _strategies(name):
+    """hypothesis and ``weights(count)``, which draws ``count`` dominant
+    weights of label sum <= 2 of the named system.
+
+    Each property test calls this, so ``importorskip`` skips only the
+    property tests, never the seeded loops above, when hypothesis is absent.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    choices = st.sampled_from(tuple(_dominant_weights(PROPERTY_SYSTEMS[name](), 2)))
+    return hypothesis, lambda count: st.lists(choices, min_size=count, max_size=count)
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTY_SYSTEMS))
+def test_property_freudenthal_multiplicities_sum_to_weyl_dimension(name):
+    hypothesis, weights = _strategies(name)
+
+    @hypothesis.settings(**_SETTINGS)
+    @hypothesis.given(weights(1))
+    def prop(drawn):
+        (lam,) = drawn
+        sys = PROPERTY_SYSTEMS[name]()
+        assert sum(sys.weight_multiplicities(lam).values()) == sys.weyl_dimension(lam)
+
+    prop()
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTY_SYSTEMS))
+def test_property_klimyk_is_commutative(name):
+    hypothesis, weights = _strategies(name)
+
+    @hypothesis.settings(**_SETTINGS)
+    @hypothesis.given(weights(2))
+    def prop(drawn):
+        # products are memoized under both argument orders: one fresh system each
+        lam, mu = drawn
+        one, other = PROPERTY_SYSTEMS[name](), PROPERTY_SYSTEMS[name]()
+        assert tensor_decompose(one, lam, mu).terms == tensor_decompose(other, mu, lam).terms
+
+    prop()
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTY_SYSTEMS))
+def test_property_klimyk_is_associative(name):
+    hypothesis, weights = _strategies(name)
+
+    @hypothesis.settings(**_SETTINGS)
+    @hypothesis.given(weights(3))
+    def prop(drawn):
+        a, b, c = drawn
+        sys = PROPERTY_SYSTEMS[name]()
+        left = tensor_product_sum(sys, tensor_decompose(sys, a, b), irreducible(sys, c))
+        right = tensor_product_sum(sys, irreducible(sys, a), tensor_decompose(sys, b, c))
+        assert left == right
+        dims = [sys.weyl_dimension(w) for w in (a, b, c)]
+        assert left.dimension == dims[0] * dims[1] * dims[2]
+
+    prop()
