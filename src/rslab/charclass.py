@@ -22,7 +22,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .errors import ConsistencyError, InputError, NotApplicableError
+from .errors import InputError, NotApplicableError, check
 from .exactpoly import (
     Component,
     Components,
@@ -172,8 +172,8 @@ class GenusSpec:
     """Characteristic power series Q(x) of a multiplicative genus.
 
     ``series`` is Q expanded in the formal Chern-root variable x (plus the
-    parameter y for the CHI_Y family); its constant term is one.  CHI_Y
-    series have two variables, every other genus one.
+    parameter y for the CHI_Y family) with Q(0, y) = 1, so log Q has no
+    pure-y part.  CHI_Y series have two variables, every other genus one.
     """
 
     name: str
@@ -188,8 +188,8 @@ class GenusSpec:
                 f"{self.name} series needs {count} variable(s), "
                 f"got {len(self.series.variables)}"
             )
-        if self.series.constant_term != 1:
-            raise ConsistencyError("genus series must start at one")
+        at_x0 = tuple((e, c) for e, c in self.series.items() if not e[0])
+        check("genus series at x = 0", at_x0 == (((0,) * count, 1),), genus=self.name, terms=at_x0)
 
     @cached_property
     def log_series(self) -> TruncatedPoly:
@@ -289,9 +289,7 @@ def _class_components(genus: str, profile: ChernProfile) -> Tuple[Tuple[int, ...
     scaled = []
     for k, (den, terms) in enumerate(g._log_components[: sum(cut) + 1]):
         comp = []
-        for i, c in terms:
-            if i == 0:
-                raise ConsistencyError("log of a genus series has no pure-y part")
+        for i, c in terms:  # i >= 1: log Q(0, y) = 0
             if i <= n and k - i <= n:
                 comp.append((i, c * sums[i - 1] * den_s ** (k - i)))
         scaled.append(_reduced(comp, den * den_s**k))
@@ -381,11 +379,9 @@ def rs_index(profile: ChernProfile) -> RSIndexReport:
     total = top([ch[0] + 1] + ch[1:])
     twisted = top(ch)
     dirac = ahat[n] * profile.pairing
-    if total != twisted + dirac:
-        raise ConsistencyError(
-            f"index split failed to recombine in complex dimension {n}: "
-            f"total {total}, twisted + plain {twisted + dirac}"
-        )
+    recombined = twisted + dirac
+    check("index split", total == recombined, chern=profile.chern, pairing=profile.pairing,
+          total=total, **{"twisted + dirac": recombined})
     report = profile._values[rs_index] = RSIndexReport(
         total=total, dirac_tangent=twisted, dirac=dirac
     )
@@ -438,8 +434,7 @@ def _solve_linear(rows: List[List[Fraction]], rhs: List[Fraction]) -> List[Fract
     a = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            raise ConsistencyError("singular sample matrix")
+        check("invertible sample matrix", pivot is not None, column=col, rows=a)
         a[col], a[pivot] = a[pivot], a[col]
         inv = Fraction(1) / a[col][col]
         a[col] = [x * inv for x in a[col]]
@@ -548,8 +543,7 @@ def product_rs_index(left: ChernProfile, right: ChernProfile) -> Fraction:
     li = rs_index(left)
     ri = rs_index(right)
     combined = li.total * ri.dirac - li.dirac * ri.dirac + li.dirac * ri.total
-    if direct != combined:
-        raise ConsistencyError(
-            f"product index routes disagree: direct {direct}, combined {combined}"
-        )
+    check("product index", direct == combined, left_chern=left.chern,
+          left_pairing=left.pairing, right_chern=right.chern, right_pairing=right.pairing,
+          direct=direct, combined=combined)
     return direct

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .charclass import product_rs_index
-from .errors import ConsistencyError, InputError, NotApplicableError
+from .errors import ConsistencyError, InputError, NotApplicableError, check
 from .holonomy import (
     HOLONOMY_KINDS,
     KIND_FAMILIES,
@@ -53,6 +53,7 @@ from .intersections import (
     hodge_numbers,
 )
 from .lie import (
+    RepSum,
     RootSystem,
     g2,
     product_system,
@@ -93,20 +94,16 @@ def _render(value: Any, indent: int = 0) -> List[str]:
     return lines
 
 
-def _emit(
-    command: str,
-    inputs: Dict[str, Any],
-    results: Dict[str, Any],
-    citations: Sequence[str],
-    as_json: bool,
-) -> None:
+def _emit(args: argparse.Namespace, results: Dict[str, Any], citations: Sequence[str] = ()) -> None:
+    """Print the results; with --json, in an envelope echoing every parsed option."""
+    inputs = {k: v for k, v in vars(args).items() if k not in ("subcommand", "handler", "json")}
     envelope = {
-        "command": command,
+        "command": args.subcommand,
         "inputs": encode(inputs),
         "results": encode(results),
         "citations": list(citations),
     }
-    if as_json:
+    if args.json:
         print(json.dumps(envelope, indent=2, sort_keys=True))
     else:
         for line in _render(envelope["results"]):
@@ -179,12 +176,12 @@ def _parse_holonomy_token(token: str) -> HolonomyModel:
     return holonomy_model(head, int(tail))
 
 
-def _weight_entry(system: RootSystem, w: Tuple[Fraction, ...], mult: int) -> Dict[str, Any]:
-    return {
-        "weight": [str(c) for c in w],
-        "multiplicity": mult,
-        "dimension": system.weyl_dimension(w),
-    }
+def _entries(rep: RepSum) -> List[Dict[str, Any]]:
+    dim = rep.system.weyl_dimension
+    return [
+        {"weight": [str(c) for c in w], "multiplicity": m, "dimension": dim(w)}
+        for w, m in rep.sorted_terms()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -192,16 +189,13 @@ def _weight_entry(system: RootSystem, w: Tuple[Fraction, ...], mult: int) -> Dic
 
 
 def _cmd_ci(args: argparse.Namespace) -> int:
-    degrees: List[int] = []
-    for chunk in args.degree:
-        degrees.extend(_parse_int_list(chunk))
-    manifold = build_ci(CISpec(args.n, tuple(degrees)))
+    manifold = build_ci(CISpec(args.n, tuple(args.degrees)))
     inv = ci_invariants(manifold)
     results: Dict[str, Any] = {
         "manifold": manifold.name,
         "complex_dimension": args.n,
         "real_dimension": 2 * args.n,
-        "codimension": len(degrees),
+        "codimension": len(args.degrees),
         "total_degree": manifold.total_degree,
         "spin": manifold.spin,
         "c1_sign": manifold.c1_sign,
@@ -215,18 +209,15 @@ def _cmd_ci(args: argparse.Namespace) -> int:
         },
     }
     if args.method in ("series", "both"):
-        if len(degrees) != 1:
+        if len(args.degrees) != 1:
             raise NotApplicableError(
                 "the series signature route applies to hypersurfaces only"
             )
-        series_value = fermat_signature(args.n, degrees[0])
+        series_value = fermat_signature(args.n, args.degrees[0])
         results["signature_by_series"] = series_value
-        if args.method == "both" and series_value != inv.signature:
-            raise ConsistencyError(
-                f"signature routes disagree on {manifold.name}: "
-                f"characteristic classes give {inv.signature}, "
-                f"series extraction gives {series_value}"
-            )
+        if args.method == "both":
+            check("signature routes", series_value == inv.signature, spec=manifold.spec,
+                  characteristic_classes=inv.signature, series=series_value)
     if args.hodge:
         results["hodge_table"] = [list(row) for row in hodge_numbers(manifold)]
     if args.kernel:
@@ -247,14 +238,7 @@ def _cmd_ci(args: argparse.Namespace) -> int:
         if report.ke_positive_window is not None:
             kernel_block["ke_positive_window"] = report.ke_positive_window
         results["kernel"] = kernel_block
-    inputs = {
-        "n": args.n,
-        "degrees": degrees,
-        "method": args.method,
-        "hodge": bool(args.hodge),
-        "kernel": bool(args.kernel),
-    }
-    _emit("ci", inputs, results, [], args.json)
+    _emit(args, results)
     return 0
 
 
@@ -277,23 +261,12 @@ def _cmd_holonomy(args: argparse.Namespace) -> int:
         "group": model.group,
         "real_dimension": model.real_dimension,
         "spin32_dimension": sigma.total.dimension,
-        "summands": [
-            _weight_entry(model.system, w, mult) for w, mult in sigma.total.sorted_terms()
-        ],
+        "summands": _entries(sigma.total),
         "parallel_spinors": model.parallel_spinor_dimension(),
         "parallel_rs_fields": model.parallel_rs_dimension(),
     }
     if sigma.graded:
-        results["graded"] = {
-            "plus": [
-                _weight_entry(model.system, w, mult)
-                for w, mult in sigma.plus.sorted_terms()
-            ],
-            "minus": [
-                _weight_entry(model.system, w, mult)
-                for w, mult in sigma.minus.sorted_terms()
-            ],
-        }
+        results["graded"] = {"plus": _entries(sigma.plus), "minus": _entries(sigma.minus)}
     if args.kind == "sp1sp":
         qk = qk_kernel_analysis(args.parameter)
         results["curvature_bounds"] = [
@@ -315,15 +288,7 @@ def _cmd_holonomy(args: argparse.Namespace) -> int:
             block["rs_index"] = None
             block["index_note"] = str(exc)
         results["topology"] = block
-    inputs = {
-        "kind": args.kind,
-        "parameter": args.parameter,
-        "b2": args.b2,
-        "b3": args.b3,
-        "b4minus": args.b4minus,
-        "hodge": args.hodge,
-    }
-    _emit("holonomy", inputs, results, [], args.json)
+    _emit(args, results)
     return 0
 
 
@@ -346,9 +311,7 @@ def _cmd_rep(args: argparse.Namespace) -> int:
         mu = _parse_fraction_list(args.tensor)
         product = tensor_decompose(system, lam, mu)
         results["tensor_with"] = [str(c) for c in mu]
-        results["tensor_decomposition"] = [
-            _weight_entry(system, w, mult) for w, mult in product.sorted_terms()
-        ]
+        results["tensor_decomposition"] = _entries(product)
         results["tensor_dimension"] = product.dimension
     if args.point:
         point = _parse_fraction_list(args.point)
@@ -364,14 +327,7 @@ def _cmd_rep(args: argparse.Namespace) -> int:
         results["character_moments"] = [
             str(sum((m * v**k for v, m in values), Fraction(0))) for k in range(5)
         ]
-    inputs = {
-        "system": args.system,
-        "weight": args.weight,
-        "tensor": args.tensor,
-        "multiplicities": bool(args.multiplicities),
-        "point": args.point,
-    }
-    _emit("rep", inputs, results, [], args.json)
+    _emit(args, results)
     return 0
 
 
@@ -398,7 +354,7 @@ def _cmd_sphere(args: argparse.Namespace) -> int:
             }
         )
     results = {"checks": checks, "all_margins_positive": True}
-    _emit("sphere", {"n": args.n, "upto": args.upto}, results, [], args.json)
+    _emit(args, results)
     return 0
 
 
@@ -442,8 +398,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
         results.update(
             parallel_rs_fields=report.count, proven=report.proven, note=report.note
         )
-    inputs = {"mode": args.mode, "left": args.left, "right": args.right}
-    _emit("product", inputs, results, [], args.json)
+    _emit(args, results)
     return 0
 
 
@@ -475,7 +430,7 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
             failures += 1
     results = {"entries": rows, "total": len(rows), "failures": failures}
     if args.json:
-        _emit("verify-paper", {"filter": args.filter}, results, citations, True)
+        _emit(args, results, citations)
     else:
         width = max(len(row["id"]) for row in rows)
         for row in rows:
@@ -507,7 +462,10 @@ def build_parser() -> argparse.ArgumentParser:
     ci.add_argument(
         "-d",
         "--degree",
-        action="append",
+        dest="degrees",
+        metavar="DEGREE",
+        action="extend",
+        type=_parse_int_list,
         required=True,
         help="hypersurface degree; repeat or comma-separate for higher codimension",
     )

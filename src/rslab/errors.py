@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one cross-check helper."""
 
 
 class InputError(ValueError):
@@ -11,3 +11,27 @@ class NotApplicableError(InputError):
 
 class ConsistencyError(RuntimeError):
     """Two routes that must agree exactly did not; indicates a defect."""
+
+
+def check(name: str, ok: bool, **values: object) -> None:
+    """Raise ``ConsistencyError`` unless ``ok``.
+
+    The message reads ``name: key = value, ...``, or ``name at <at>: ...``
+    when an ``at`` value locates the check.  Values are formatted only on
+    failure: Fractions as exact p/q, tuples and lists entry by entry,
+    anything else by ``str``.
+    """
+    if ok:
+        return
+    head = f"{name} at {_text(values.pop('at'))}" if "at" in values else name
+    body = ", ".join(f"{key} = {_text(value)}" for key, value in values.items())
+    raise ConsistencyError(f"{head}: {body}")
+
+
+def _text(value: object) -> str:
+    if isinstance(value, (tuple, list)):
+        inner = ", ".join(_text(v) for v in value)
+        if isinstance(value, list):
+            return f"[{inner}]"
+        return f"({inner},)" if len(value) == 1 else f"({inner})"
+    return str(value)

@@ -25,7 +25,8 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import lie
-from .errors import ConsistencyError, InputError, NotApplicableError
+from .errors import InputError, NotApplicableError, check
+from .exactpoly import _index
 from .lie import RepSum, RootSystem, Weight
 
 Terms = Dict[Weight, int]  # highest weight -> multiplicity
@@ -84,17 +85,12 @@ class HolonomyModel:
         self.zero_weight_trivial = zero_weight_trivial
         self._three_half: Optional[SpinThreeHalf] = None
 
-        if self.tangent.dimension != real_dimension:
-            raise ConsistencyError(
-                f"{group}: tangent model has dimension {self.tangent.dimension}, "
-                f"expected {real_dimension}"
-            )
-        expected_spinor = 2 ** (real_dimension // 2)
-        if self.spinor.dimension != expected_spinor:
-            raise ConsistencyError(
-                f"{group}: spinor model has dimension {self.spinor.dimension}, "
-                f"expected {expected_spinor}"
-            )
+        dimension = self.tangent.dimension
+        check("tangent model", dimension == real_dimension, group=group, dimension=dimension,
+              expected=real_dimension)
+        dimension, expected = self.spinor.dimension, 2 ** (real_dimension // 2)
+        check("spinor model", dimension == expected, group=group, dimension=dimension,
+              expected=expected)
 
     def __repr__(self) -> str:
         return f"HolonomyModel({self.group})"
@@ -125,13 +121,13 @@ class HolonomyModel:
             minus = lie.tensor_product_sum(
                 self.system, self.spinor_minus, self.tangent
             ).subtract(self.spinor_plus)
-            if plus.add(minus) != total:
-                raise ConsistencyError(f"{self.group}: graded halves do not add up")
+            recombined = plus.add(minus)
+            check("graded spin-3/2 halves", recombined == total, group=self.group,
+                  **{"plus + minus": recombined, "total": total})
+        dimension = total.dimension
         expected = self.spinor.dimension * (self.real_dimension - 1)
-        if total.dimension != expected:
-            raise ConsistencyError(
-                f"{self.group}: spin-3/2 dimension {total.dimension} != {expected}"
-            )
+        check("spin-3/2 dimension", dimension == expected, group=self.group,
+              dimension=dimension, expected=expected)
         self._three_half = SpinThreeHalf(total=total, plus=plus, minus=minus)
         return self._three_half
 
@@ -279,6 +275,9 @@ def holonomy_model(kind: str, parameter: Optional[int] = None) -> HolonomyModel:
     token = kind.strip().lower()
     if token not in HOLONOMY_KINDS:
         raise InputError(f"unknown holonomy kind {kind!r}; expected {HOLONOMY_KINDS}")
+    # before the cache, where True would hit the entry of 1 and 2.0 that of 2
+    if parameter is not None:
+        _index(parameter, "parameter")
     return _build_model(token, parameter)
 
 
@@ -349,16 +348,11 @@ def qk_casimir_bound(m: int, summand: QKSummand) -> Fraction:
 def _qk_summand_from_weight(m: int, w: Weight) -> QKSummand:
     """Translate an Sp(1) x Sp(m) weight into (d; a, b) labels."""
     d = w[0]
-    if d.denominator != 1:
-        raise ConsistencyError("Sp(1) weight is not integral")
     coords = list(w[1:]) + [Fraction(0)]
     fundamental = [int(coords[i] - coords[i + 1]) for i in range(m)]
-    if any(f < 0 for f in fundamental):
-        raise ConsistencyError("Sp(m) weight is not dominant")
-    if sum(fundamental) > 2:
-        raise ConsistencyError(
-            "weight does not label a primitive two-column module"
-        )
+    # integral Sp(1) label, dominant Sp(m) labels of a primitive two-column module
+    ok = d.denominator == 1 and min(fundamental) >= 0 and sum(fundamental) <= 2
+    check("Sp(1)Sp(m) summand weight", ok, m=m, weight=w)
     indices = [i + 1 for i, f in enumerate(fundamental) for _ in range(f)]
     a = indices[0] if len(indices) >= 1 else 0
     b = indices[1] if len(indices) >= 2 else 0
@@ -456,14 +450,11 @@ def sphere_check(n: int) -> SphereCheck:
     lam = (Fraction(3, 2),) + (Fraction(1, 2),) * (system.coords - 1)
     value = system.casimir(lam)
     closed = Fraction(n * (n + 7), 8)
-    if value != closed:
-        raise ConsistencyError(
-            f"sphere Casimir at n={n}: root data give {value}, closed form {closed}"
-        )
+    check("sphere Casimir", value == closed, n=n, root_data=value, closed_form=closed)
     threshold = Fraction((8 - n) * (n - 1), 8)
-    margin = value - threshold
-    if margin != Fraction(n * n - n + 4, 4) or margin <= 0:
-        raise ConsistencyError(f"sphere margin at n={n} is off: {margin}")
+    margin, expected = value - threshold, Fraction(n * n - n + 4, 4)
+    check("sphere margin", margin == expected and margin > 0, n=n, margin=margin,
+          closed_form=expected)
     return SphereCheck(
         n=n,
         realization=system.name,
@@ -500,7 +491,8 @@ class TopologicalInput:
     family "G2":    b2, b3 (b3 >= 1, the parallel 3-form class)
     family "QK":    n = 2 and b2 (positive scalar curvature, dimension 8)
 
-    A field the family does not take must keep its default.
+    A field the family does not take must keep its default.  Every number
+    must be an int; ``hodge`` is a list or tuple, kept as a tuple.
     """
 
     family: str
@@ -513,8 +505,14 @@ class TopologicalInput:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise InputError(f"family must be one of {FAMILIES}")
+        if not isinstance(self.hodge, (list, tuple)):
+            raise InputError(f"hodge {self.hodge!r} is not a list of Hodge numbers")
+        object.__setattr__(self, "hodge", tuple(_index(h, "Hodge number") for h in self.hodge))
         for f in fields(self)[1:]:
-            if f.name not in FAMILY_FIELDS[self.family] and getattr(self, f.name) != f.default:
+            value = getattr(self, f.name)
+            if f.name != "hodge" and value is not None:
+                _index(value, f.name)
+            if f.name not in FAMILY_FIELDS[self.family] and value != f.default:
                 raise InputError(f"{self.family} input takes no {f.name}")
         if any(h < 0 for h in self.hodge):
             raise InputError("Hodge numbers must be nonnegative")
@@ -563,11 +561,8 @@ def kernel_dimension(data: TopologicalInput) -> int:
         value = data.b2 + data.b3 - 1
     else:  # QK
         value = data.b2 + 1
-    if value < 0:
-        raise ConsistencyError(
-            f"kernel formula returned {value}; the input data are not those "
-            "of a compact manifold of this family"
-        )
+    # a negative value: the data are not those of a compact manifold of the family
+    check("kernel formula", value >= 0, data=data, kernel_dimension=value)
     return value
 
 
@@ -608,12 +603,6 @@ def _unit_points(base: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
         yield base[:i] + (base[i] + 1,) + base[i + 1 :]
 
 
-def _agree(what: str, point: Tuple[int, ...], routes: Dict[str, object]) -> None:
-    if len(set(routes.values())) > 1:
-        values = ", ".join(f"{name} = {Fraction(v)}" for name, v in routes.items())
-        raise ConsistencyError(f"{what} at {point}: {values}")
-
-
 def spin7_betti_identity() -> bool:
     """Check ``family_index`` on Spin(7) data against two class routes.
 
@@ -633,7 +622,7 @@ def spin7_betti_identity() -> bool:
             "25 - signature": 25 - (b4p - b4m),
             "9 - euler/3": 9 - Fraction(euler, 3),
         }
-        _agree("Spin(7) index", point, routes)
+        check("Spin(7) index", len(set(routes.values())) == 1, at=point, **routes)
     return True
 
 
@@ -659,19 +648,15 @@ def hyperkahler_kernel_identity(n: int) -> bool:
             kernel += 2 * (n - k + 1) * piece
             index += 2 * (n - k + 1) * (-1) ** k * piece
         data = TopologicalInput("HK", n=n, hodge=hodge)
-        _agree(
-            "hyperkaehler kernel",
-            hodge,
-            {"summands": kernel, "kernel_dimension": kernel_dimension(data)},
-        )
-        _agree(
-            "hyperkaehler index",
-            hodge,
-            {"summands": index, "family_index": family_index(data)},
-        )
+        formula = kernel_dimension(data)
+        check("hyperkaehler kernel", kernel == formula, at=hodge, summands=kernel,
+              kernel_dimension=formula)
+        formula = family_index(data)
+        check("hyperkaehler index", index == formula, at=hodge, summands=index,
+              family_index=formula)
     parallel = holonomy_model("sp", n).parallel_rs_dimension()
-    if parallel != n - 1:
-        raise ConsistencyError(f"hyperkaehler parallel count {parallel} != {n - 1}")
+    check("hyperkaehler parallel count", parallel == n - 1, n=n, parallel_rs=parallel,
+          expected=n - 1)
     return True
 
 

@@ -20,8 +20,9 @@ from .charclass import (
     evaluate_genus,
     rs_index,
 )
-from .errors import ConsistencyError, InputError, NotApplicableError
+from .errors import InputError, NotApplicableError, check
 from .exactpoly import TruncatedPoly, _index, series_inverse
+from .holonomy import TopologicalInput, family_index, kernel_dimension
 
 
 @dataclass(frozen=True)
@@ -87,8 +88,8 @@ def build_ci(spec: CISpec) -> CIManifold:
     pairing = Fraction(math.prod(degrees))
 
     c1 = n + r + 1 - spec.total_degree
-    if chern and chern[0] != c1:
-        raise ConsistencyError("first Chern coefficient disagrees with n+r+1-d")
+    check("first Chern coefficient", chern[0] == c1, spec=spec, c1=chern[0],
+          **{"n + r + 1 - d": c1})
     sign = C1_ZERO if c1 == 0 else (C1_POSITIVE if c1 > 0 else C1_NEGATIVE)
     return CIManifold(
         spec=spec,
@@ -170,21 +171,14 @@ def hodge_numbers(m: CIManifold) -> Tuple[Tuple[int, ...], ...]:
     """
     n = m.spec.n
     chi = evaluate_genus("CHI_Y", m.profile)
-    for p in range(n + 1):
-        if chi[p] != (-1) ** n * chi[n - p]:
-            raise ConsistencyError("chi_p sequence breaks Serre duality")
-    middle: List[Fraction] = []
-    for p in range(n + 1):
-        if 2 * p == n:
-            value = Fraction((-1) ** p) * chi[p]
-        else:
-            value = Fraction((-1) ** (n - p)) * (chi[p] - (-1) ** p)
-        middle.append(value)
-    for p, value in enumerate(middle):
-        if value.denominator != 1 or value < 0:
-            raise ConsistencyError(f"middle Hodge number h^{{{p},{n - p}}} = {value}")
-        if value != middle[n - p]:
-            raise ConsistencyError("middle Hodge row is not symmetric")
+    mirrored = tuple((-1) ** n * c for c in reversed(chi))
+    check("Serre duality of chi_p", chi == mirrored, spec=m.spec, chi=chi, mirrored=mirrored)
+    middle = tuple(
+        (-1) ** p * chi[p] if 2 * p == n else (-1) ** (n - p) * (chi[p] - (-1) ** p)
+        for p in range(n + 1)
+    )
+    ok = middle == middle[::-1] and all(h.denominator == 1 and h >= 0 for h in middle)
+    check("middle Hodge row", ok, spec=m.spec, row=middle)
     table = []
     for p in range(n + 1):
         row = []
@@ -222,13 +216,13 @@ class CIKernelReport:
 def ci_rs_kernel(m: CIManifold) -> CIKernelReport:
     """Kernel report for the spin-3/2 operator on a spin complete intersection.
 
-    c1 = 0: the manifold is Calabi-Yau and the kernel is the exact Hodge
-    sum -2 + 2*sum h^{1,p}; the index recomputed from Hodge numbers must
-    agree with the characteristic-number index.  c1 < 0: nonzero Ahat
-    forces harmonic spinors and hence a kernel on the image of P of at
-    least |Ahat|.  c1 > 0: Ahat vanishes and a nonzero index is the only
-    lower bound; for hypersurfaces the report also flags the degree
-    window in which a positive Kaehler-Einstein metric is known to exist.
+    c1 = 0: the manifold is Calabi-Yau, and holonomy's CY formulas read the
+    kernel and the index off the Hodge row h^{1,p}; that index must agree
+    with the characteristic-number index.  c1 < 0: nonzero Ahat forces
+    harmonic spinors and hence a kernel on the image of P of at least
+    |Ahat|.  c1 > 0: Ahat vanishes and a nonzero index is the only lower
+    bound; for hypersurfaces the report also flags the degree window in
+    which a positive Kaehler-Einstein metric is known to exist.
     """
     if not m.spin:
         raise NotApplicableError(f"{m.name} is not spin")
@@ -244,18 +238,10 @@ def ci_rs_kernel(m: CIManifold) -> CIKernelReport:
                 index=inv.rs_index,
                 note="flat torus case: the Hodge-sum kernel formula needs n >= 2",
             )
-        table = hodge_numbers(m)
-        h1 = [table[1][p] for p in range(n + 1)]
-        kernel = -2 + 2 * sum(h1[p] for p in range(1, n))
-        if n % 2 == 0:
-            index_hodge = 2 + 2 * sum((-1) ** p * h1[p] for p in range(1, n))
-        else:
-            index_hodge = 0
-        if index_hodge != inv.rs_index:
-            raise ConsistencyError(
-                f"{m.name}: Hodge-sum index {index_hodge} != "
-                f"characteristic index {inv.rs_index}"
-            )
+        data = TopologicalInput("CY", n, hodge_numbers(m)[1][1:n])
+        kernel, index_hodge = kernel_dimension(data), family_index(data)
+        check("Calabi-Yau index", index_hodge == inv.rs_index, spec=m.spec,
+              hodge_sum=index_hodge, characteristic=inv.rs_index)
         return CIKernelReport(
             manifold=m.name,
             spin=True,
@@ -288,8 +274,7 @@ def ci_rs_kernel(m: CIManifold) -> CIKernelReport:
     if m.spec.codimension == 1:
         d = m.total_degree
         window = 2 * d >= m.spec.n + 1 and d <= m.spec.n + 1
-    if inv.ahat != 0:
-        raise ConsistencyError(f"{m.name}: positive c1 but Ahat = {inv.ahat}")
+    check("Ahat under positive c1", inv.ahat == 0, spec=m.spec, ahat=inv.ahat)
     bound = abs(int(inv.rs_index)) if inv.rs_index.denominator == 1 else 0
     return CIKernelReport(
         manifold=m.name,

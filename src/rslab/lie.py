@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, check
 
 Weight = Tuple[Fraction, ...]
 Labels = Tuple[int, ...]
@@ -385,9 +385,8 @@ class RootSystem:
                             labels[nu] = m
                             work.append(nu)
             size, dim = sum(labels.values()), self.weyl_dimension(lam)
-            if size != dim:
-                where = f"{self.name}: multiplicities of V{_fmt(lam)}"
-                raise ConsistencyError(f"{where} sum to {size}, not {dim}")
+            check("weight system size", size == dim, system=self.name, highest_weight=lam,
+                  multiplicities=size, weyl_dimension=dim)
             sums = self._sums(lam)
             self._weights_cache[lam] = {self._from_labels(w, sums): m for w, m in labels.items()}
         return dict(self._weights_cache[lam])
@@ -507,9 +506,7 @@ class RepSum:
         )
 
     def __repr__(self) -> str:
-        inside = ", ".join(
-            f"{tuple(str(x) for x in w)}: {m}" for w, m in self.sorted_terms()
-        )
+        inside = ", ".join(f"{_fmt(w)}: {m}" for w, m in self.sorted_terms())
         return f"RepSum({self.system.name}; {inside})"
 
     def sorted_terms(self) -> List[Tuple[Weight, int]]:
@@ -582,17 +579,16 @@ def tensor_decompose(system: RootSystem, lam, mu) -> RepSum:
         w = _sub(dom, system.delta)
         counts[w] = counts.get(w, 0) + sign * mult
     result = RepSum(system, counts)
-    where = f"{system.name}: V{_fmt(lam)} (x) V{_fmt(mu)}"
     for w, m in result.sorted_terms():
         if m < 0:
             raise ConsistencyError(
-                f"{where}: Klimyk produced a negative multiplicity {m} at {_fmt(w)}"
+                f"{system.name}: V{_fmt(lam)} (x) V{_fmt(mu)}: "
+                f"Klimyk produced a negative multiplicity {m} at {_fmt(w)}"
             )
+    dimension = result.dimension
     expected = system.weyl_dimension(lam) * system.weyl_dimension(mu)
-    if result.dimension != expected:
-        raise ConsistencyError(
-            f"{where} has tensor dimension {result.dimension}, expected {expected}"
-        )
+    check("Klimyk tensor dimension", dimension == expected, system=system.name, left=lam,
+          right=mu, dimension=dimension, expected=expected)
     system._products[lam, mu] = system._products[mu, lam] = result.terms
     return RepSum(system, result.terms)
 

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import charclass, holonomy, intersections
-from .errors import ConsistencyError, InputError, NotApplicableError
+from .errors import InputError, NotApplicableError, check
 
 ENV_VAR = "RSLAB_MANIFEST"
 DEFAULT_PATH = Path(__file__).resolve().parent / "data" / "regressions.json"
@@ -44,8 +44,7 @@ def encode(value):
 
 def _as_int(value: Fraction) -> int:
     value = Fraction(value)
-    if value.denominator != 1:
-        raise ConsistencyError(f"expected an integer, got {value}")
+    check("integral value", value.denominator == 1, value=value)
     return int(value)
 
 
@@ -74,8 +73,8 @@ def _ci_rs_index(n: int, degrees: Sequence[int]) -> int:
 
 def _ci_rs_kernel(n: int, degrees: Sequence[int]) -> int:
     report = intersections.ci_rs_kernel(_build(n, degrees))
-    if report.kernel_dim is None:
-        raise ConsistencyError("kernel dimension is not determined for this input")
+    check("determined kernel dimension", report.kernel_dim is not None, n=n, degrees=degrees,
+          c1_sign=report.c1_sign)
     return report.kernel_dim
 
 
@@ -99,8 +98,7 @@ def _summand_dims(kind: str, parameter: Optional[int] = None) -> List[int]:
 def _graded_dims(kind: str, parameter: Optional[int] = None) -> Dict[str, List[int]]:
     model = holonomy.holonomy_model(kind, parameter)
     graded = model.sigma_three_half()
-    if not graded.graded:
-        raise ConsistencyError(f"{model.group} has no graded spin-3/2 bundle")
+    check("graded spin-3/2 bundle", graded.graded, group=model.group)
     out = {}
     for name, rep in (("plus", graded.plus), ("minus", graded.minus)):
         dims: List[int] = []
@@ -131,12 +129,12 @@ def _sphere_casimir(n: int) -> str:
 
 
 def _topological_kernel(family: str, n=None, hodge=(), b2=None, b3=None, b4_minus=None) -> int:
-    data = holonomy.TopologicalInput(family, n, tuple(hodge), b2, b3, b4_minus)
+    data = holonomy.TopologicalInput(family, n, hodge, b2, b3, b4_minus)
     return holonomy.kernel_dimension(data)
 
 
 def _topological_index(family: str, n=None, hodge=(), b2=None, b3=None, b4_minus=None) -> int:
-    data = holonomy.TopologicalInput(family, n, tuple(hodge), b2, b3, b4_minus)
+    data = holonomy.TopologicalInput(family, n, hodge, b2, b3, b4_minus)
     return holonomy.family_index(data)
 
 
@@ -177,10 +175,8 @@ def _wang_cy4_b4minus(n: int, degrees: Sequence[int]) -> int:
     b2 = sum(table[p][2 - p] for p in range(3))
     via_signature = Fraction(b4 - sigma, 2)
     via_hodge = b2 + 2 * table[1][3] - 1
-    if via_signature != via_hodge:
-        raise ConsistencyError(
-            f"b4- routes disagree: {via_signature} vs {via_hodge}"
-        )
+    check("b4- of a Calabi-Yau fourfold", via_signature == via_hodge, n=n, degrees=degrees,
+          **{"(b4 - signature)/2": via_signature, "b2 + 2 h13 - 1": via_hodge})
     return _as_int(via_signature)
 
 

@@ -291,9 +291,19 @@ def test_verify_paper_reports_mismatch(tmp_path, monkeypatch, capsys):
      # binds at load; G2 data take no b4_minus
      [{"id": "x", "description": "d", "check": "topological_kernel",
        "args": {"family": "G2", "b2": 0, "b3": 1, "b4_minus": 7},
-       "expected": 0, "source": "s"}]],
+       "expected": 0, "source": "s"}],
+     # bind at load; the holonomy layer refuses the types
+     [{"id": "x", "description": "d", "check": "topological_kernel",
+       "args": {"family": "G2", "b2": "0", "b3": 1}, "expected": 0, "source": "s"}],
+     [{"id": "x", "description": "d", "check": "topological_kernel",
+       "args": {"family": "CY", "n": 2, "hodge": 5}, "expected": 8, "source": "s"}],
+     [{"id": "x", "description": "d", "check": "parallel_rs",
+       "args": {"kind": "sp", "parameter": True}, "expected": 0, "source": "s"}],
+     [{"id": "x", "description": "d", "check": "parallel_rs",
+       "args": {"kind": "su", "parameter": "3"}, "expected": 2, "source": "s"}]],
     ids=["not-an-object", "args-list", "args-unknown-key", "args-float-degree",
-         "topological-unknown-key", "topological-stray-field"],
+         "topological-unknown-key", "topological-stray-field", "topological-string-betti",
+         "topological-int-hodge", "parallel-bool-parameter", "parallel-string-parameter"],
 )
 def test_verify_paper_malformed_manifest_exits_2(tmp_path, monkeypatch, capsys, entries):
     bad = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 """Holonomy models: spin-3/2 decompositions, kernels, spheres, products."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -124,6 +125,37 @@ def test_model_dispatch_validation():
         holonomy_model("sp1sp", 1)
     with pytest.raises(InputError):
         holonomy_model("so", 2)
+
+
+@pytest.mark.parametrize(
+    "kind, parameter, named",
+    [("sp", True, "parameter True"), ("su", "3", "parameter '3'"), ("so", 7.0, "parameter 7.0")],
+)
+def test_model_parameter_must_be_an_int(kind, parameter, named):
+    holonomy_model(kind, int(parameter))  # the int is cached; True, "3", 7.0 must not hit it
+    with pytest.raises(InputError, match=f"^{named} is not an int$"):
+        holonomy_model(kind, parameter)
+
+
+@pytest.mark.parametrize(
+    "family, fields, named",
+    [
+        ("SPIN7", {"b2": 1.5, "b3": 0, "b4_minus": 0}, "b2 1.5 is not an int"),
+        ("G2", {"b2": "0", "b3": 1}, "b2 '0' is not an int"),
+        ("CY", {"n": 2, "hodge": 5}, "hodge 5 is not a list of Hodge numbers"),
+        ("CY", {"n": 2, "hodge": (True,)}, "Hodge number True is not an int"),
+        ("HK", {"n": 1.0, "hodge": (3,)}, "n 1.0 is not an int"),
+    ],
+)
+def test_topological_input_numbers_must_be_ints(family, fields, named):
+    with pytest.raises(InputError, match=f"^{re.escape(named)}$"):
+        kernel_dimension(TopologicalInput(family, **fields))
+
+
+def test_topological_input_keeps_hodge_as_a_tuple():
+    data = TopologicalInput("HK", n=2, hodge=[5, 7])
+    assert data.hodge == (5, 7) and data == TopologicalInput("HK", n=2, hodge=(5, 7))
+    assert kernel_dimension(data) == 31
 
 
 def test_models_are_reused_per_input():

@@ -149,6 +149,19 @@ def test_kernel_report_ricci_flat():
     assert report.index == -852
 
 
+def test_kernel_report_checks_holonomy_cy_index(monkeypatch):
+    from rslab import intersections
+
+    index = intersections.family_index
+    monkeypatch.setattr(intersections, "family_index", lambda data: index(data) + 1)
+    with pytest.raises(ConsistencyError) as failure:
+        ci_rs_kernel(_ci(2, 4))
+    assert str(failure.value) == (
+        "Calabi-Yau index: spec = CISpec(n=2, degrees=(4,)), hodge_sum = -37, "
+        "characteristic = -38"
+    )
+
+
 def test_kernel_report_flat_torus_guard():
     report = ci_rs_kernel(_ci(1, 3))
     assert report.kernel_dim is None
