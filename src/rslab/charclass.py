@@ -22,7 +22,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .errors import InputError, NotApplicableError, check
+from .errors import InputError, NotApplicableError, check, integer, rational
 from .exactpoly import (
     Component,
     Components,
@@ -30,8 +30,6 @@ from .exactpoly import (
     _components,
     _exp,
     _from_components,
-    _index,
-    _rational,
     _reduced,
     series_exp,
     series_inverse,
@@ -58,12 +56,12 @@ class ChernProfile:
     pairing: Fraction
 
     def __post_init__(self):
-        if _index(self.dim, "complex dimension") < 1:
+        if integer(self.dim, "complex dimension") < 1:
             raise InputError("complex dimension must be positive")
         object.__setattr__(
-            self, "chern", tuple(_rational(c, "Chern coefficient") for c in self.chern)
+            self, "chern", tuple(rational(c, "Chern coefficient") for c in self.chern)
         )
-        object.__setattr__(self, "pairing", _rational(self.pairing, "pairing"))
+        object.__setattr__(self, "pairing", rational(self.pairing, "pairing"))
         if len(self.chern) != self.dim:
             raise InputError("need exactly dim Chern coefficients")
         if self.pairing == 0:

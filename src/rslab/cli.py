@@ -115,10 +115,12 @@ def _emit(args: argparse.Namespace, results: Dict[str, Any], citations: Sequence
 
 
 def _parse_int_list(text: str) -> List[int]:
+    """Comma-separated ints: the argparse type of ``-d`` and ``--hodge``, and the
+    degrees of an ``n:d1,d2`` token, whose misses ``main`` reports."""
     try:
         return [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise InputError(f"bad integer list {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
 
 
 def _parse_fraction_list(text: str) -> Tuple[Fraction, ...]:
@@ -138,24 +140,20 @@ def _parse_system(token: str) -> RootSystem:
     return product_system(*systems)
 
 
+# a<r> has rank r in r+1 GL coordinates
+_SYSTEM_FACTORIES = {"a": lambda rank: type_a(rank + 1), "b": type_b, "c": type_c, "d": type_d}
+
+
 def _parse_system_factor(tag: str) -> RootSystem:
     if tag == "g2":
         return g2()
     kind, rank_text = tag[:1], tag[1:]
-    if kind not in "abcd" or not rank_text.isdigit():
+    if kind not in _SYSTEM_FACTORIES or not rank_text.isdigit():
         raise InputError(
             f"unknown system {tag!r}; use a<r>, b<r>, c<r>, d<r>, g2, "
             "or an x-joined product like c1xc2"
         )
-    rank = int(rank_text)
-    if kind == "a":
-        # rank r in r+1 GL coordinates
-        return type_a(rank + 1)
-    if kind == "b":
-        return type_b(rank)
-    if kind == "c":
-        return type_c(rank)
-    return type_d(rank)
+    return _SYSTEM_FACTORIES[kind](int(rank_text))
 
 
 def _parse_ci_token(token: str) -> CIManifold:
@@ -222,28 +220,23 @@ def _cmd_ci(args: argparse.Namespace) -> int:
         results["hodge_table"] = [list(row) for row in hodge_numbers(manifold)]
     if args.kernel:
         report = ci_rs_kernel(manifold)
-        kernel_block: Dict[str, Any] = {
-            "index": report.index,
-            "note": report.note,
-        }
-        if report.kernel_dim is not None:
-            kernel_block["kernel_dimension"] = report.kernel_dim
-        if report.index_from_hodge is not None:
-            kernel_block["index_from_hodge"] = report.index_from_hodge
-        if report.kernel_lower_bound is not None:
-            kernel_block["kernel_lower_bound"] = report.kernel_lower_bound
-            kernel_block["nontrivial_on_spinor_image"] = report.nontrivial_on_im_p
-        if report.index_differs_from_dirac is not None:
-            kernel_block["index_differs_from_dirac"] = report.index_differs_from_dirac
-        if report.ke_positive_window is not None:
-            kernel_block["ke_positive_window"] = report.ke_positive_window
-        results["kernel"] = kernel_block
+        bounded = report.kernel_lower_bound is not None
+        optional = (
+            ("kernel_dimension", report.kernel_dim),
+            ("index_from_hodge", report.index_from_hodge),
+            ("kernel_lower_bound", report.kernel_lower_bound),
+            ("nontrivial_on_spinor_image", report.nontrivial_on_im_p if bounded else None),
+            ("index_differs_from_dirac", report.index_differs_from_dirac),
+            ("ke_positive_window", report.ke_positive_window),
+        )
+        results["kernel"] = {"index": report.index, "note": report.note}
+        results["kernel"].update((key, value) for key, value in optional if value is not None)
     _emit(args, results)
     return 0
 
 
 def _topological_data(args: argparse.Namespace) -> Optional[TopologicalInput]:
-    hodge = tuple(_parse_int_list(args.hodge)) if args.hodge else ()
+    hodge = tuple(args.hodge) if args.hodge else ()
     if not hodge and (args.b2, args.b3, args.b4minus) == (None, None, None):
         return None
     if args.kind not in KIND_FAMILIES:
@@ -359,25 +352,15 @@ def _cmd_sphere(args: argparse.Namespace) -> int:
 
 
 def _cmd_product(args: argparse.Namespace) -> int:
+    sides = ("left", "right")
     if args.mode == "ci":
-        left = _parse_ci_token(args.left)
-        right = _parse_ci_token(args.right)
-        left_inv = ci_invariants(left)
-        right_inv = ci_invariants(right)
-        index = product_rs_index(left.profile, right.profile)
+        manifolds = [_parse_ci_token(args.left), _parse_ci_token(args.right)]
+        invariants = [ci_invariants(m) for m in manifolds]
         results: Dict[str, Any] = {
-            "left": {
-                "manifold": left.name,
-                "rs_index": left_inv.rs_index,
-                "dirac_index": left_inv.dirac_index,
-            },
-            "right": {
-                "manifold": right.name,
-                "rs_index": right_inv.rs_index,
-                "dirac_index": right_inv.dirac_index,
-            },
-            "product_rs_index": index,
+            side: {"manifold": m.name, "rs_index": inv.rs_index, "dirac_index": inv.dirac_index}
+            for side, m, inv in zip(sides, manifolds, invariants)
         }
+        results["product_rs_index"] = product_rs_index(*(m.profile for m in manifolds))
     else:
         models = [_parse_holonomy_token(args.left), _parse_holonomy_token(args.right)]
         counts = [
@@ -393,7 +376,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
                 "parallel_spinors": c.spinors,
                 "parallel_rs_fields": c.rs_fields,
             }
-            for side, model, c in zip(("left", "right"), models, counts)
+            for side, model, c in zip(sides, models, counts)
         }
         results.update(
             parallel_rs_fields=report.count, proven=report.proven, note=report.note
@@ -488,6 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     hol.add_argument("--b4minus", type=int, default=None)
     hol.add_argument(
         "--hodge",
+        type=_parse_int_list,
         default=None,
         help="comma-separated Hodge inputs for the CY and HK kernel formulas",
     )
@@ -548,7 +532,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
-    except (InputError, NotApplicableError) as exc:
+    except (InputError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:

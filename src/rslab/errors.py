@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the one cross-check helper."""
+"""Exception types shared across the package, the input validators and the
+one cross-check helper."""
+
+from fractions import Fraction
 
 
 class InputError(ValueError):
@@ -11,6 +14,20 @@ class NotApplicableError(InputError):
 
 class ConsistencyError(RuntimeError):
     """Two routes that must agree exactly did not; indicates a defect."""
+
+
+def integer(value: object, what: str) -> int:
+    """``value`` if it is an int (a cutoff, exponent, power, dimension or degree)."""
+    if type(value) is not int:
+        raise InputError(f"{what} {value!r} is not an int")
+    return value
+
+
+def rational(value: object, what: str = "coefficient") -> Fraction:
+    """``value`` as a Fraction; floats, bools and other types are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise InputError(f"{what} {value!r} is not an exact rational")
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def check(name: str, ok: bool, **values: object) -> None:

@@ -39,27 +39,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
-from .errors import InputError
+from .errors import InputError, integer, rational
 
 Exponent = Tuple[int, ...]
 RationalLike = Union[int, Fraction]
 # a homogeneous component: (denominator, [(first exponent, int numerator)])
 Component = Tuple[int, List[Tuple[int, int]]]
 Components = List[Component]
-
-
-def _rational(value: RationalLike, what: str = "coefficient") -> Fraction:
-    """``value`` as a Fraction; floats, bools and other types are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise InputError(f"{what} {value!r} is not an exact rational")
-    return value if type(value) is Fraction else Fraction(value)
-
-
-def _index(value: object, what: str) -> int:
-    """``value`` as a cutoff, exponent, power, dimension or degree; only an int is accepted."""
-    if type(value) is not int:
-        raise InputError(f"{what} {value!r} is not an int")
-    return value
 
 
 class TruncatedPoly:
@@ -72,7 +58,7 @@ class TruncatedPoly:
         coeffs: Mapping[Exponent, RationalLike] | None = None,
     ) -> None:
         self.variables: Tuple[str, ...] = tuple(variables)
-        self.cutoffs: Tuple[int, ...] = tuple(_index(c, "cutoff") for c in cutoffs)
+        self.cutoffs: Tuple[int, ...] = tuple(integer(c, "cutoff") for c in cutoffs)
         if not 1 <= len(self.variables) <= 2:
             raise InputError("supported variable counts are 1 and 2")
         if len(self.cutoffs) != len(self.variables):
@@ -81,10 +67,10 @@ class TruncatedPoly:
             raise InputError("cutoffs must be nonnegative")
         clean: Dict[Exponent, Fraction] = {}
         for exps, value in (coeffs or {}).items():
-            key = tuple(_index(e, "exponent") for e in exps)
+            key = tuple(integer(e, "exponent") for e in exps)
             if len(key) != len(self.variables) or any(e < 0 for e in key):
                 raise InputError(f"bad exponent tuple {exps!r}")
-            value = _rational(value)
+            value = rational(value)
             if not value or any(e > c for e, c in zip(key, self.cutoffs)):
                 continue  # zero, or truncated away by construction
             total = clean[key] + value if key in clean else value
@@ -159,13 +145,13 @@ class TruncatedPoly:
             return _from_components(
                 self, [_convolve(a, b, k, self.cutoffs, first=0) for k in range(len(a))]
             )
-        factor = _rational(other)
+        factor = rational(other)
         return self._like({k: v * factor for k, v in self.coeffs.items()})
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "TruncatedPoly":
-        if _index(n, "power") < 0:
+        if integer(n, "power") < 0:
             raise InputError("negative powers: use series_inverse")
         result = TruncatedPoly.constant(1, self.variables, self.cutoffs)
         base = self

@@ -25,8 +25,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import lie
-from .errors import InputError, NotApplicableError, check
-from .exactpoly import _index
+from .errors import InputError, NotApplicableError, check, integer
 from .lie import RepSum, RootSystem, Weight
 
 Terms = Dict[Weight, int]  # highest weight -> multiplicity
@@ -277,7 +276,7 @@ def holonomy_model(kind: str, parameter: Optional[int] = None) -> HolonomyModel:
         raise InputError(f"unknown holonomy kind {kind!r}; expected {HOLONOMY_KINDS}")
     # before the cache, where True would hit the entry of 1 and 2.0 that of 2
     if parameter is not None:
-        _index(parameter, "parameter")
+        integer(parameter, "parameter")
     return _build_model(token, parameter)
 
 
@@ -507,11 +506,11 @@ class TopologicalInput:
             raise InputError(f"family must be one of {FAMILIES}")
         if not isinstance(self.hodge, (list, tuple)):
             raise InputError(f"hodge {self.hodge!r} is not a list of Hodge numbers")
-        object.__setattr__(self, "hodge", tuple(_index(h, "Hodge number") for h in self.hodge))
+        object.__setattr__(self, "hodge", tuple(integer(h, "Hodge number") for h in self.hodge))
         for f in fields(self)[1:]:
             value = getattr(self, f.name)
             if f.name != "hodge" and value is not None:
-                _index(value, f.name)
+                integer(value, f.name)
             if f.name not in FAMILY_FIELDS[self.family] and value != f.default:
                 raise InputError(f"{self.family} input takes no {f.name}")
         if any(h < 0 for h in self.hodge):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import List, Optional, Tuple
 
 from .charclass import (
@@ -20,8 +21,8 @@ from .charclass import (
     evaluate_genus,
     rs_index,
 )
-from .errors import InputError, NotApplicableError, check
-from .exactpoly import TruncatedPoly, _index, series_inverse
+from .errors import InputError, NotApplicableError, check, integer
+from .exactpoly import TruncatedPoly, series_inverse
 from .holonomy import TopologicalInput, family_index, kernel_dimension
 
 
@@ -33,8 +34,8 @@ class CISpec:
     degrees: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(_index(d, "degree") for d in self.degrees))
-        if _index(self.n, "complex dimension") < 1:
+        object.__setattr__(self, "degrees", tuple(integer(d, "degree") for d in self.degrees))
+        if integer(self.n, "complex dimension") < 1:
             raise InputError("complex dimension must be at least 1")
         if not self.degrees:
             raise InputError("need at least one degree")
@@ -228,25 +229,16 @@ def ci_rs_kernel(m: CIManifold) -> CIKernelReport:
         raise NotApplicableError(f"{m.name} is not spin")
     inv = ci_invariants(m)
     n = m.spec.n
+    report = partial(CIKernelReport, m.name, True, m.c1_sign, inv.rs_index)
 
     if m.c1_sign == C1_ZERO:
         if n == 1:
-            return CIKernelReport(
-                manifold=m.name,
-                spin=True,
-                c1_sign=m.c1_sign,
-                index=inv.rs_index,
-                note="flat torus case: the Hodge-sum kernel formula needs n >= 2",
-            )
+            return report(note="flat torus case: the Hodge-sum kernel formula needs n >= 2")
         data = TopologicalInput("CY", n, hodge_numbers(m)[1][1:n])
         kernel, index_hodge = kernel_dimension(data), family_index(data)
         check("Calabi-Yau index", index_hodge == inv.rs_index, spec=m.spec,
               hodge_sum=index_hodge, characteristic=inv.rs_index)
-        return CIKernelReport(
-            manifold=m.name,
-            spin=True,
-            c1_sign=m.c1_sign,
-            index=inv.rs_index,
+        return report(
             kernel_dim=kernel,
             index_from_hodge=index_hodge,
             note="Ricci-flat Kaehler metric exists; kernel is an exact Hodge sum",
@@ -255,11 +247,7 @@ def ci_rs_kernel(m: CIManifold) -> CIKernelReport:
     if m.c1_sign == C1_NEGATIVE:
         ahat = inv.ahat
         bound = abs(int(ahat)) if ahat.denominator == 1 else 0
-        return CIKernelReport(
-            manifold=m.name,
-            spin=True,
-            c1_sign=m.c1_sign,
-            index=inv.rs_index,
+        return report(
             kernel_lower_bound=bound if bound else None,
             nontrivial_on_im_p=bound > 0,
             index_differs_from_dirac=inv.rs_index != inv.dirac_index,
@@ -276,11 +264,7 @@ def ci_rs_kernel(m: CIManifold) -> CIKernelReport:
         window = 2 * d >= m.spec.n + 1 and d <= m.spec.n + 1
     check("Ahat under positive c1", inv.ahat == 0, spec=m.spec, ahat=inv.ahat)
     bound = abs(int(inv.rs_index)) if inv.rs_index.denominator == 1 else 0
-    return CIKernelReport(
-        manifold=m.name,
-        spin=True,
-        c1_sign=m.c1_sign,
-        index=inv.rs_index,
+    return report(
         kernel_lower_bound=bound if bound else None,
         ke_positive_window=window,
         note="positive first Chern class: |index| bounds the kernel from below",

@@ -18,11 +18,13 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import charclass, holonomy, intersections
-from .errors import InputError, NotApplicableError, check
+from .errors import InputError, NotApplicableError, check, integer
+from .lie import RepSum
 
 ENV_VAR = "RSLAB_MANIFEST"
 DEFAULT_PATH = Path(__file__).resolve().parent / "data" / "regressions.json"
@@ -52,68 +54,59 @@ def _build(n: int, degrees: Sequence[int]) -> intersections.CIManifold:
     return intersections.build_ci(intersections.CISpec(n, tuple(degrees)))
 
 
-# -- check implementations, one per manifest "check" key -----------------------
+# -- check implementations, one per library call ------------------------------
+# Library functions are looked up on their module at call time, so a
+# patched or traced function is the one that runs.
 
 
-def _ci_signature(n: int, degrees: Sequence[int]) -> int:
-    return _as_int(intersections.ci_invariants(_build(n, degrees)).signature)
-
-
-def _ci_euler(n: int, degrees: Sequence[int]) -> int:
-    return _as_int(intersections.ci_invariants(_build(n, degrees)).euler)
-
-
-def _ci_ahat(n: int, degrees: Sequence[int]) -> int:
-    return _as_int(intersections.ci_invariants(_build(n, degrees)).ahat)
-
-
-def _ci_rs_index(n: int, degrees: Sequence[int]) -> int:
-    return _as_int(intersections.ci_invariants(_build(n, degrees)).rs_index)
+def _ci_number(field: str, n: int, degrees: Sequence[int]) -> int:
+    value = getattr(intersections.ci_invariants(_build(n, degrees)), field)
+    if value is None:
+        raise NotApplicableError(f"no {field} in real dimension {2 * n}")
+    return _as_int(value)
 
 
 def _ci_rs_kernel(n: int, degrees: Sequence[int]) -> int:
-    report = intersections.ci_rs_kernel(_build(n, degrees))
-    check("determined kernel dimension", report.kernel_dim is not None, n=n, degrees=degrees,
-          c1_sign=report.c1_sign)
+    manifold = _build(n, degrees)
+    report = intersections.ci_rs_kernel(manifold)
+    if report.kernel_dim is None:
+        raise NotApplicableError(
+            f"{manifold.name}: the kernel is determined only when c1 = 0 and n >= 2"
+        )
     return report.kernel_dim
 
 
 def _ci_hodge_number(n: int, degrees: Sequence[int], p: int, q: int) -> int:
-    return intersections.hodge_numbers(_build(n, degrees))[p][q]
+    manifold = _build(n, degrees)
+    if not (0 <= integer(p, "p") <= n and 0 <= integer(q, "q") <= n):
+        raise InputError(f"h^(p,q) needs 0 <= p, q <= {n}, got ({p}, {q})")
+    return intersections.hodge_numbers(manifold)[p][q]
 
 
 def _dimension_identities(real_dim: int) -> bool:
     return charclass.verify_dimension_identities(real_dim).all_matched
 
 
+def _dims(rep: RepSum) -> List[int]:
+    """Irreducible dimensions of ``rep``, one per copy, sorted."""
+    dim = rep.system.weyl_dimension
+    return sorted(d for w, mult in rep.terms.items() for d in [dim(w)] * mult)
+
+
 def _summand_dims(kind: str, parameter: Optional[int] = None) -> List[int]:
-    model = holonomy.holonomy_model(kind, parameter)
-    rep = model.sigma_three_half().total
-    dims: List[int] = []
-    for w, mult in rep.terms.items():
-        dims.extend([model.system.weyl_dimension(w)] * mult)
-    return sorted(dims)
+    return _dims(holonomy.holonomy_model(kind, parameter).sigma_three_half().total)
 
 
 def _graded_dims(kind: str, parameter: Optional[int] = None) -> Dict[str, List[int]]:
     model = holonomy.holonomy_model(kind, parameter)
     graded = model.sigma_three_half()
-    check("graded spin-3/2 bundle", graded.graded, group=model.group)
-    out = {}
-    for name, rep in (("plus", graded.plus), ("minus", graded.minus)):
-        dims: List[int] = []
-        for w, mult in rep.terms.items():
-            dims.extend([model.system.weyl_dimension(w)] * mult)
-        out[name] = sorted(dims)
-    return out
+    if not graded.graded:
+        raise NotApplicableError(f"{model.group} has no graded spin-3/2 bundle")
+    return {"plus": _dims(graded.plus), "minus": _dims(graded.minus)}
 
 
-def _parallel_rs(kind: str, parameter: Optional[int] = None) -> int:
-    return holonomy.holonomy_model(kind, parameter).parallel_rs_dimension()
-
-
-def _parallel_spinors(kind: str, parameter: Optional[int] = None) -> int:
-    return holonomy.holonomy_model(kind, parameter).parallel_spinor_dimension()
+def _model_count(method: str, kind: str, parameter: Optional[int] = None) -> int:
+    return getattr(holonomy.holonomy_model(kind, parameter), method)()
 
 
 def _qk_survivors(m: int) -> List[str]:
@@ -128,14 +121,10 @@ def _sphere_casimir(n: int) -> str:
     return str(holonomy.sphere_check(n).casimir_value)
 
 
-def _topological_kernel(family: str, n=None, hodge=(), b2=None, b3=None, b4_minus=None) -> int:
+def _topological(formula: str, family: str, n=None, hodge=(), b2=None, b3=None,
+                 b4_minus=None) -> int:
     data = holonomy.TopologicalInput(family, n, hodge, b2, b3, b4_minus)
-    return holonomy.kernel_dimension(data)
-
-
-def _topological_index(family: str, n=None, hodge=(), b2=None, b3=None, b4_minus=None) -> int:
-    data = holonomy.TopologicalInput(family, n, hodge, b2, b3, b4_minus)
-    return holonomy.family_index(data)
+    return getattr(holonomy, formula)(data)
 
 
 def _symmetric_catalog() -> Dict[str, int]:
@@ -166,9 +155,9 @@ def _wang_cy4_b4minus(n: int, degrees: Sequence[int]) -> int:
     Route two: the stated relation b2 + 2 h^{1,3} - 1.  They must agree
     before either is reported.
     """
-    manifold = _build(n, degrees)
     if n != 4:
         raise InputError("this relation is specific to fourfolds")
+    manifold = _build(n, degrees)
     table = intersections.hodge_numbers(manifold)
     sigma = _as_int(intersections.ci_invariants(manifold).signature)
     b4 = sum(table[p][4 - p] for p in range(5))
@@ -181,22 +170,22 @@ def _wang_cy4_b4minus(n: int, degrees: Sequence[int]) -> int:
 
 
 CHECKS: Dict[str, Callable[..., object]] = {
-    "ci_signature": _ci_signature,
-    "ci_euler": _ci_euler,
-    "ci_ahat": _ci_ahat,
-    "ci_rs_index": _ci_rs_index,
+    "ci_signature": partial(_ci_number, "signature"),
+    "ci_euler": partial(_ci_number, "euler"),
+    "ci_ahat": partial(_ci_number, "ahat"),
+    "ci_rs_index": partial(_ci_number, "rs_index"),
     "ci_rs_kernel": _ci_rs_kernel,
     "ci_hodge_number": _ci_hodge_number,
     "dimension_identities": _dimension_identities,
     "holonomy_summand_dims": _summand_dims,
     "holonomy_graded_dims": _graded_dims,
-    "parallel_rs": _parallel_rs,
-    "parallel_spinors": _parallel_spinors,
+    "parallel_rs": partial(_model_count, "parallel_rs_dimension"),
+    "parallel_spinors": partial(_model_count, "parallel_spinor_dimension"),
     "qk_survivors": _qk_survivors,
     "qk_kernel_formula": _qk_kernel_formula,
     "sphere_casimir": _sphere_casimir,
-    "topological_kernel": _topological_kernel,
-    "topological_index": _topological_index,
+    "topological_kernel": partial(_topological, "kernel_dimension"),
+    "topological_index": partial(_topological, "family_index"),
     "symmetric_catalog": _symmetric_catalog,
     "spin7_identity": holonomy.spin7_betti_identity,
     "hk_identity": holonomy.hyperkahler_kernel_identity,

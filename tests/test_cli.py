@@ -58,6 +58,48 @@ def test_ci_usage_errors(capsys):
     assert _run(capsys, "nonsense")[0] == 2
 
 
+def test_bad_integer_list_names_the_option_not_the_parser(capsys):
+    assert main(["ci", "-n", "2", "-d", "x"]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument -d/--degree: bad integer list 'x'\n")
+    assert "_parse" not in err
+    assert main(["holonomy", "su", "3", "--hodge", "1,x"]) == 2
+    assert capsys.readouterr().err.endswith("error: argument --hodge: bad integer list '1,x'\n")
+    assert main(["product", "ci", "2:x", "2:4"]) == 2
+    assert capsys.readouterr().err == "error: bad integer list 'x'\n"
+
+
+RICCI_FLAT = "Ricci-flat Kaehler metric exists; kernel is an exact Hodge sum"
+POSITIVE = "positive first Chern class: |index| bounds the kernel from below"
+
+
+@pytest.mark.parametrize(
+    "n, degrees, block",
+    [
+        ("2", "4", {"index": -38, "note": RICCI_FLAT, "kernel_dimension": 38,
+                    "index_from_hodge": -38}),
+        ("1", "3", {"index": 0,
+                    "note": "flat torus case: the Hodge-sum kernel formula needs n >= 2"}),
+        ("2", "6", {"index": -152,
+                    "note": "negative first Chern class: harmonic spinors inject into ker Q",
+                    "kernel_lower_bound": 8, "nontrivial_on_spinor_image": True,
+                    "index_differs_from_dirac": True}),
+        ("2", "2", {"index": 0, "note": POSITIVE, "ke_positive_window": True}),
+        ("4", "2,3", {"index": -54, "note": POSITIVE, "kernel_lower_bound": 54,
+                      "nontrivial_on_spinor_image": False}),
+    ],
+    ids=["ricci-flat", "torus", "negative", "positive-hypersurface", "positive-codim-2"],
+)
+def test_ci_kernel_block_per_regime(capsys, n, degrees, block):
+    code, out = _run(capsys, "ci", "-n", n, "-d", degrees, "--kernel")
+    assert code == 0
+    text = ["kernel:"] + [f"  {key}: {value}" for key, value in block.items()]
+    assert out.splitlines()[-len(text):] == text
+    code, payload = _run_json(capsys, "ci", "-n", n, "-d", degrees, "--kernel", "--json")
+    assert code == 0
+    assert payload["results"]["kernel"] == block
+
+
 def test_holonomy_human_output(capsys):
     code, out = _run(capsys, "holonomy", "g2")
     assert code == 0
@@ -93,6 +135,12 @@ def test_holonomy_qk_analysis(capsys):
     assert results["kernel_formula"] == "b2 + 1"
     assert results["topology"]["kernel_dimension"] == 4
     assert len(results["survivors"]) == 2
+
+
+def test_holonomy_hodge_echoes_the_parsed_list(capsys):
+    code, payload = _run_json(capsys, "holonomy", "su", "3", "--hodge", "1,2", "--json")
+    assert code == 0
+    assert payload["inputs"]["hodge"] == [1, 2]
 
 
 def test_holonomy_missing_parameter(capsys):
@@ -222,6 +270,13 @@ def test_product_ci(capsys):
     assert payload["results"]["left"]["rs_index"] == -38
 
 
+def test_product_ci_text(capsys):
+    code, out = _run(capsys, "product", "ci", "2:4", "2:4")
+    assert code == 0
+    side = "  manifold: X_2(4)\n  rs_index: -38\n  dirac_index: 2\n"
+    assert out == f"left:\n{side}right:\n{side}product_rs_index: -156\n"
+
+
 def test_product_holonomy(capsys):
     code, payload = _run_json(capsys, "product", "holonomy", "sp:2", "sp:2", "--json")
     assert code == 0
@@ -300,10 +355,23 @@ def test_verify_paper_reports_mismatch(tmp_path, monkeypatch, capsys):
      [{"id": "x", "description": "d", "check": "parallel_rs",
        "args": {"kind": "sp", "parameter": True}, "expected": 0, "source": "s"}],
      [{"id": "x", "description": "d", "check": "parallel_rs",
-       "args": {"kind": "su", "parameter": "3"}, "expected": 2, "source": "s"}]],
+       "args": {"kind": "su", "parameter": "3"}, "expected": 2, "source": "s"}],
+     # out of domain: the adapter refuses them before any cross-check can run
+     [{"id": "x", "description": "d", "check": "ci_hodge_number",
+       "args": {"n": 2, "degrees": [4], "p": -1, "q": 0}, "expected": 1, "source": "s"}],
+     [{"id": "x", "description": "d", "check": "ci_hodge_number",
+       "args": {"n": 2, "degrees": [4], "p": 5, "q": 0}, "expected": 0, "source": "s"}],
+     [{"id": "x", "description": "d", "check": "ci_signature",
+       "args": {"n": 3, "degrees": [4]}, "expected": 0, "source": "s"}],
+     [{"id": "x", "description": "d", "check": "ci_rs_kernel",
+       "args": {"n": 3, "degrees": [2, 2]}, "expected": 0, "source": "s"}],
+     [{"id": "x", "description": "d", "check": "holonomy_graded_dims",
+       "args": {"kind": "g2"}, "expected": {}, "source": "s"}]],
     ids=["not-an-object", "args-list", "args-unknown-key", "args-float-degree",
          "topological-unknown-key", "topological-stray-field", "topological-string-betti",
-         "topological-int-hodge", "parallel-bool-parameter", "parallel-string-parameter"],
+         "topological-int-hodge", "parallel-bool-parameter", "parallel-string-parameter",
+         "hodge-negative-index", "hodge-index-past-n", "signature-odd-dimension",
+         "kernel-positive-c1", "graded-g2"],
 )
 def test_verify_paper_malformed_manifest_exits_2(tmp_path, monkeypatch, capsys, entries):
     bad = tmp_path / "bad.json"

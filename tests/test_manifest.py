@@ -1,11 +1,13 @@
 """Regression manifest: loading, running, overriding, failure capture."""
 
+import inspect
 import json
 
 import pytest
 
+from rslab import intersections
 from rslab.errors import InputError
-from rslab.manifest import ManifestEntry, RegressionManifest, encode
+from rslab.manifest import CHECKS, ManifestEntry, RegressionManifest, encode
 
 
 def test_default_manifest_all_green():
@@ -71,22 +73,32 @@ def test_env_override_and_failure_reporting(tmp_path, monkeypatch):
                 "source": "s",
             },
             {
-                "id": "bad-args",
-                "description": "check raises",
-                "check": "ci_rs_kernel",
-                "args": {"n": 2, "degrees": [6]},
+                "id": "check-raises",
+                "description": "the two b4- routes disagree",
+                "check": "wang_cy4_b4minus",
+                "args": {"n": 4, "degrees": [6]},
                 "expected": 0,
                 "source": "s",
             },
         ],
     )
+    hodge_numbers = intersections.hodge_numbers
+
+    def h13_off_by_one(manifold):
+        table = [list(row) for row in hodge_numbers(manifold)]
+        table[1][3] += 1
+        return tuple(tuple(row) for row in table)
+
+    monkeypatch.setattr(intersections, "hodge_numbers", h13_off_by_one)
     monkeypatch.setenv("RSLAB_MANIFEST", str(custom))
     outcomes = RegressionManifest.load().run()
     by_id = {r.entry.entry_id: r for r in outcomes}
     assert by_id["good"].passed
     assert not by_id["bad-value"].passed and by_id["bad-value"].actual == 2
-    assert not by_id["bad-args"].passed
-    assert "ConsistencyError" in by_id["bad-args"].error
+    assert not by_id["check-raises"].passed
+    assert by_id["check-raises"].error.startswith(
+        "ConsistencyError: b4- of a Calabi-Yau fourfold: "
+    )
 
 
 def test_explicit_path_beats_env(tmp_path, monkeypatch):
@@ -175,6 +187,74 @@ def test_malformed_entries_rejected(tmp_path, entries, message):
     _write_manifest(bad, entries)
     with pytest.raises(InputError, match=message):
         RegressionManifest.load(bad)
+
+
+CI = "(n: 'int', degrees: 'Sequence[int]') -> 'int'"
+MODEL = "(kind: 'str', parameter: 'Optional[int]' = None)"
+TOPOLOGY = "(family: 'str', n=None, hodge=(), b2=None, b3=None, b4_minus=None) -> 'int'"
+
+
+def test_check_parameter_lists():
+    """The argument contract that RSLAB_MANIFEST files are written against."""
+    assert {name: str(inspect.signature(fn)) for name, fn in CHECKS.items()} == {
+        "ci_signature": CI,
+        "ci_euler": CI,
+        "ci_ahat": CI,
+        "ci_rs_index": CI,
+        "ci_rs_kernel": CI,
+        "ci_hodge_number": "(n: 'int', degrees: 'Sequence[int]', p: 'int', q: 'int') -> 'int'",
+        "dimension_identities": "(real_dim: 'int') -> 'bool'",
+        "holonomy_summand_dims": MODEL + " -> 'List[int]'",
+        "holonomy_graded_dims": MODEL + " -> 'Dict[str, List[int]]'",
+        "parallel_rs": MODEL + " -> 'int'",
+        "parallel_spinors": MODEL + " -> 'int'",
+        "qk_survivors": "(m: 'int') -> 'List[str]'",
+        "qk_kernel_formula": "(m: 'int') -> 'Optional[str]'",
+        "sphere_casimir": "(n: 'int') -> 'str'",
+        "topological_kernel": TOPOLOGY,
+        "topological_index": TOPOLOGY,
+        "symmetric_catalog": "() -> 'Dict[str, int]'",
+        "spin7_identity": "() -> 'bool'",
+        "hk_identity": "(n: 'int') -> 'bool'",
+        "product_rs_index": "(left: 'Dict[str, object]', right: 'Dict[str, object]') -> 'int'",
+        "product_parallel": "(left: 'Sequence[int]', right: 'Sequence[int]') -> 'int'",
+        "wang_cy4_b4minus": CI,
+    }
+
+
+@pytest.mark.parametrize(
+    "check, args, message",
+    [
+        ("ci_hodge_number", {"n": 2, "degrees": [4], "p": -1, "q": 0},
+         "h^(p,q) needs 0 <= p, q <= 2, got (-1, 0)"),
+        ("ci_hodge_number", {"n": 2, "degrees": [4], "p": 1, "q": 5},
+         "h^(p,q) needs 0 <= p, q <= 2, got (1, 5)"),
+        ("ci_signature", {"n": 3, "degrees": [4]}, "no signature in real dimension 6"),
+        ("ci_rs_kernel", {"n": 3, "degrees": [2, 2]},
+         "X_3(2,2): the kernel is determined only when c1 = 0 and n >= 2"),
+        ("ci_rs_kernel", {"n": 1, "degrees": [3]},
+         "X_1(3): the kernel is determined only when c1 = 0 and n >= 2"),
+        ("holonomy_graded_dims", {"kind": "g2"}, "G2 has no graded spin-3/2 bundle"),
+    ],
+    ids=["hodge-negative-index", "hodge-index-past-n", "signature-odd-dimension",
+         "kernel-positive-c1", "kernel-torus", "graded-g2"],
+)
+def test_out_of_domain_args_name_the_entry(tmp_path, check, args, message):
+    chosen = tmp_path / "manifest.json"
+    _write_manifest(chosen, [dict(GOOD_ENTRY, id="off", check=check, args=args)])
+    manifest = RegressionManifest.load(chosen)
+    with pytest.raises(InputError) as caught:
+        manifest.run()
+    assert str(caught.value) == f"manifest entry 0 ('off'): {message}"
+
+
+def test_wang_relation_refuses_other_dimensions_before_building(monkeypatch):
+    def unreachable(spec):
+        raise AssertionError(f"built {spec}")
+
+    monkeypatch.setattr(intersections, "build_ci", unreachable)
+    with pytest.raises(InputError, match="^this relation is specific to fourfolds$"):
+        CHECKS["wang_cy4_b4minus"](n=3, degrees=[5])
 
 
 @pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
