@@ -33,7 +33,6 @@ from .holonomy import (
 from .intersections import (
     CIManifold,
     CISpec,
-    ahat_survey,
     build_ci,
     ci_invariants,
     ci_rs_kernel,
@@ -70,7 +69,6 @@ __all__ = [
     "RepSum",
     "RootSystem",
     "TopologicalInput",
-    "ahat_survey",
     "build_ci",
     "ci_invariants",
     "ci_rs_kernel",

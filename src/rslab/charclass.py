@@ -29,7 +29,6 @@ from .exactpoly import (
     TruncatedPoly,
     _components,
     _exp,
-    _from_components,
     _reduced,
     series_exp,
     series_inverse,
@@ -298,13 +297,6 @@ def _coefficient(comp: Component, first: int) -> Fraction:
     """The coefficient with first exponent ``first`` in a component."""
     den, terms = comp
     return Fraction(dict(terms).get(first, 0), den)
-
-
-def multiplicative_class(genus: str, profile: ChernProfile) -> TruncatedPoly:
-    """The genus class of the tangent bundle, as a polynomial in h (and y)."""
-    cut, comps = _class_components(genus, profile)
-    variables = ("h", "y") if len(cut) == 2 else ("h",)
-    return _from_components(TruncatedPoly(variables, cut), comps)
 
 
 def evaluate_genus(genus: str, profile: ChernProfile) -> Union[Fraction, Tuple[Fraction, ...]]:

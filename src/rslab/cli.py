@@ -294,11 +294,13 @@ def _cmd_rep(args: argparse.Namespace) -> int:
         "dimension": system.weyl_dimension(lam),
         "casimir": system.casimir(lam),
     }
+    if args.multiplicities or args.point:
+        weights = {
+            system.from_labels(nu, lam): m for nu, m in system.weight_multiplicities(lam).items()
+        }
     if args.multiplicities:
-        mults = system.weight_multiplicities(lam)
         results["weights"] = [
-            {"weight": [str(c) for c in w], "multiplicity": m}
-            for w, m in sorted(mults.items())
+            {"weight": [str(c) for c in w], "multiplicity": m} for w, m in sorted(weights.items())
         ]
     if args.tensor:
         mu = _parse_fraction_list(args.tensor)
@@ -314,8 +316,7 @@ def _cmd_rep(args: argparse.Namespace) -> int:
             )
         # moments sum(mult * <nu, point>^k), k = 0..4, over the weights nu of V(lam)
         values = [
-            (sum((a * b for a, b in zip(nu, point)), Fraction(0)), m)
-            for nu, m in system.weight_multiplicities(lam).items()
+            (sum((a * b for a, b in zip(nu, point)), Fraction(0)), m) for nu, m in weights.items()
         ]
         results["character_moments"] = [
             str(sum((m * v**k for v, m in values), Fraction(0))) for k in range(5)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .charclass import (
     ChernProfile,
@@ -269,48 +269,3 @@ def ci_rs_kernel(m: CIManifold) -> CIKernelReport:
         ke_positive_window=window,
         note="positive first Chern class: |index| bounds the kernel from below",
     )
-
-
-@dataclass(frozen=True)
-class AhatSurveyEntry:
-    n: int
-    degrees: Tuple[int, ...]
-    total_degree: int
-    ahat: Fraction
-    claim_nonzero: bool
-
-
-def ahat_survey(max_half_dim: int, max_degree: int) -> List[AhatSurveyEntry]:
-    """Test 'Ahat != 0 iff 2n+r+1 < d' on spin CIs of even complex dimension.
-
-    Scans hypersurfaces and two-fold intersections X_{2n}(degrees) with
-    r - d odd up to the given size and returns every entry, so callers
-    can inspect where the advertised equivalence fails (it does fail on
-    the Ricci-flat boundary d = 2n+r+1, where two parallel spinors give
-    Ahat = 2).
-    """
-    entries: List[AhatSurveyEntry] = []
-    degree_lists: List[Tuple[int, ...]] = [
-        (d,) for d in range(1, max_degree + 1)
-    ] + [
-        (d1, d2)
-        for d1 in range(1, max_degree + 1)
-        for d2 in range(d1, max_degree + 1)
-    ]
-    for half in range(1, max_half_dim + 1):
-        dim = 2 * half
-        for degrees in degree_lists:
-            r, d = len(degrees), sum(degrees)
-            if (r - d) % 2 == 0:
-                continue
-            ci = build_ci(CISpec(dim, degrees))
-            entries.append(
-                AhatSurveyEntry(
-                    n=dim,
-                    degrees=degrees,
-                    total_degree=d,
-                    ahat=evaluate_genus("AHAT", ci.profile),
-                    claim_nonzero=2 * half + r + 1 < d,
-                )
-            )
-    return entries

@@ -11,21 +11,25 @@ On top of the realizations: Weyl's dimension formula, Casimir eigenvalues
 ``<lambda+2*delta, lambda>``, Freudenthal's multiplicity recursion over the
 dominant weights and the Klimyk tensor-product rule.
 
-Root data is held once, as integers.  Every realization here has integer
-roots, so the factories pass each root as a sparse row of its nonzero
-(coordinate, value) int pairs, and the fundamental weights as such rows
-over one denominator (1 for A, C and G2, 2 for B and D, the lcm of the
-factors' for products).  delta, the construction checks, the simple
-coroots and the Cartan rows come from the rows with int arithmetic; the
-per-root table (labels, coroot coefficients, |alpha|^2 / 2) and the public
-Fraction tuples follow on first use.  Internally weights are int tuples of
-Dynkin labels <w, alpha_i^vee>: Weyl reflections, Freudenthal (which
-returns its table keyed by labels) and the (memoized) Weyl dimension run
-on them against those tables.  Labels miss only the constant tuple on an
-A or G2 block, which no root sees, and roots keep each block's coordinate
-sum, so labels plus block sums give back the Euclidean coordinates
-exactly.  Each system also memoizes its weight systems in coordinates and
-its checked Klimyk products; every call returns a fresh dict or RepSum.
+Root data is held once, as integers: the factories pass each root as a
+sparse row of its nonzero (coordinate, value) int pairs, and the
+fundamental weights as such rows over one denominator (1 for A, C and G2,
+2 for B and D, the lcm of the factors' for products).  delta, the
+construction checks, the simple coroots and the Cartan rows come from the
+rows with int arithmetic; the per-root table (labels, coroot coefficients,
+|alpha|^2 / 2) and the public Fraction tuples follow on first use.
+
+Inside a system a weight is the int tuple of its Dynkin labels
+<w, alpha_i^vee>, and the chamber primitives take and return labels:
+``to_dominant``, Freudenthal and ``weight_multiplicities`` (tables keyed by
+labels), the memoized Weyl dimension and all of Klimyk.  Coordinates
+appear only at the API: the highest weights a caller passes, ``RepSum``
+terms, and ``from_labels``.  Labels miss only the constant tuple on an A
+or G2 block, which no root sees; every weight of V(lam) has the block sums
+of lam, and every summand of V(lam) (x) V(mu) those of lam + mu, so labels
+plus such a weight give back the coordinates exactly.  Each system also
+memoizes its weight systems and its checked Klimyk products; every call
+returns a fresh dict or RepSum.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, InputError, check
 
@@ -44,7 +48,7 @@ Sparse = Tuple[Tuple[int, int], ...]
 
 
 def _weight(values: Iterable) -> Weight:
-    return tuple(Fraction(v) for v in values)
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def _fmt(w: Iterable) -> str:
@@ -68,10 +72,6 @@ def _exact(values: Iterable[int], den: int) -> tuple:
 
 def _add(u: Weight, v: Weight) -> Weight:
     return tuple(a + b for a, b in zip(u, v))
-
-
-def _sub(u: Weight, v: Weight) -> Weight:
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def _dot(u: Weight, v: Weight) -> Fraction:
@@ -114,8 +114,8 @@ class RootSystem:
         # blocks whose constant tuple no root sees: labels omit their sums
         central = ("A", "G2")
         self._central = [(lo, hi) for c, lo, hi in self._blocks() if c.kind in central]
-        self._dims: Dict[Weight, int] = {}
-        self._weights_cache: Dict[Weight, Dict[Weight, int]] = {}
+        self._dims: Dict[Labels, int] = {}
+        self._weights_cache: Dict[Labels, Dict[Labels, int]] = {}
         self._products: Dict[Tuple[Weight, Weight], Dict[Weight, int]] = {}
         norms = [sum(v * v for _, v in row) for row in self._simple]
         self._validate(norms, acc)
@@ -222,21 +222,24 @@ class RootSystem:
         out = (sum(ints[i] * c for i, c in row) for row in self._coroots)
         return _exact(out, den * self._coden)
 
-    def _sums(self, w: Weight) -> Weight:
-        return tuple(sum(w[lo:hi], Fraction(0)) for lo, hi in self._central)
-
-    def _from_labels(self, labels: tuple, sums: Weight) -> Weight:
-        """Euclidean coordinates from labels and the central block sums."""
+    def from_labels(self, labels: Sequence[int], like: Optional[Sequence] = None) -> Weight:
+        """Euclidean coordinates of the weight with these Dynkin labels whose
+        sum over each A or G2 block is that of the weight ``like`` (zero
+        without one); every weight of V(lam) has the block sums of lam."""
         den, omega = self._omega
         acc = [0] * self.coords
         for x, row in zip(labels, omega):
             for i, v in row:
                 acc[i] += x * v
-        w = [Fraction(a, den) for a in acc]
-        for (lo, hi), s in zip(self._central, sums):
-            shift = (s - sum(w[lo:hi])) / (hi - lo)
-            w[lo:hi] = [x + shift for x in w[lo:hi]]
-        return tuple(w)
+        dens = [den] * self.coords
+        for lo, hi in self._central:
+            # each entry moves by (target - block sum) / k, over den * k * t
+            target = Fraction(0 if like is None else sum(like[lo:hi]))
+            k, t = hi - lo, target.denominator
+            shift = target.numerator * den - sum(acc[lo:hi]) * t
+            acc[lo:hi] = [a * k * t + shift for a in acc[lo:hi]]
+            dens[lo:hi] = [den * k * t] * k
+        return tuple(map(Fraction, acc, dens))
 
     # -- chamber geometry ----------------------------------------------------
 
@@ -256,8 +259,10 @@ class RootSystem:
             out[j] -= labels[i] * a
         return tuple(out)
 
-    def _reflect(self, labels: tuple) -> Tuple[tuple, int]:
-        """Dominant labels of the Weyl orbit and the determinant sign."""
+    def to_dominant(self, labels: Labels) -> Tuple[Labels, int]:
+        """The dominant labels in the Weyl orbit of ``labels`` and the
+        determinant sign of a Weyl element taking them there; a zero label
+        in the result puts the weight on a chamber wall."""
         current, sign, moved = tuple(labels), 1, True
         while moved:
             moved = False
@@ -266,24 +271,11 @@ class RootSystem:
                     current, sign, moved = self._mirror(current, i), -sign, True
         return current, sign
 
-    def to_dominant(self, w: Weight) -> Tuple[Weight, int]:
-        """Dominant Weyl-orbit representative and the determinant sign."""
-        w = _weight(w)
-        labels, sign = self._reflect(self._labels(w))
-        return self._from_labels(labels, self._sums(w)), sign
-
-    def to_dominant_strict(self, w: Weight) -> Optional[Tuple[Weight, int]]:
-        """As to_dominant, but None when the weight lies on a chamber wall."""
-        dom, sign = self.to_dominant(w)
-        return None if 0 in self._labels(dom) else (dom, sign)
-
     def _require_dominant(self, w) -> Tuple[Weight, Labels]:
         """A checked highest weight, with its labels."""
         w = _weight(w)
         if len(w) != self.coords:
-            raise InputError(
-                f"{_fmt(w)}: {self.name} weights have {self.coords} coordinates"
-            )
+            raise InputError(f"{_fmt(w)}: {self.name} weights have {self.coords} coordinates")
         if any(sum(w[lo:hi]) for c, lo, hi in self._blocks() if c.kind == "G2"):
             raise InputError(f"{_fmt(w)} is off the trace-zero plane of G2")
         labels = self._labels(w)
@@ -296,18 +288,25 @@ class RootSystem:
     # -- numeric invariants ---------------------------------------------------
 
     def weyl_dimension(self, lam: Weight) -> int:
-        """prod <lam + delta, alpha^vee> / <delta, alpha^vee>, memoized."""
-        lam = tuple(lam)
-        if lam not in self._dims:
-            lam, labels = self._require_dominant(lam)
-            num = den = 1
-            for _, coroot, _ in self._roots:
-                num *= sum(c * (labels[j] + 1) for j, c in coroot)
-                den *= sum(c for _, c in coroot)
-            if num % den:
-                raise ConsistencyError(f"{self.name}: dim V{_fmt(lam)} = {num}/{den}")
-            self._dims[lam] = num // den
-        return self._dims[lam]
+        """prod <lam + delta, alpha^vee> / <delta, alpha^vee>."""
+        return self._dimension(self._require_dominant(lam)[1])
+
+    def _dimension(self, labels: Labels) -> int:
+        """Weyl's formula on dominant labels, memoized per label tuple."""
+        if labels not in self._dims:
+            shifted = [x + 1 for x in labels]
+            num = math.prod(sum(c * shifted[j] for j, c in row) for _, row, _ in self._roots)
+            dim, rest = divmod(num, self._weyl_den)
+            if rest:
+                raise ConsistencyError(
+                    f"{self.name}: dim V at labels {_fmt(labels)} = {num}/{self._weyl_den}")
+            self._dims[labels] = dim
+        return self._dims[labels]
+
+    @cached_property
+    def _weyl_den(self) -> int:
+        """prod <delta, alpha^vee>: the coroot coefficients of each root, summed."""
+        return math.prod(sum(c for _, c in coroot) for _, coroot, _ in self._roots)
 
     def casimir(self, lam: Weight) -> Fraction:
         """Eigenvalue <lambda + 2*delta, lambda> of the quadratic Casimir.
@@ -317,7 +316,7 @@ class RootSystem:
         weight with the same labels and block sums zero.
         """
         _, labels = self._require_dominant(lam)
-        p = self._from_labels(labels, [0] * len(self._central))
+        p = self.from_labels(labels)
         return _dot(p, p) + 2 * _dot(self.delta, p)
 
     # -- weight systems ---------------------------------------------------------
@@ -331,65 +330,66 @@ class RootSystem:
         weights' Dynkin labels, highest weight first.
         """
         lam, top = self._require_dominant(lam)
-        dominant, work = {top}, [top]
+        # drop[mu] = |top + delta|^2 - |mu + delta|^2; stepping from mu down
+        # to mu - alpha adds |alpha|^2 (<mu + delta, alpha^vee> - 1)
+        drop, work = {top: 0}, [top]
         while work:
             mu = work.pop()
-            for alpha, _, _ in self._roots:
+            for alpha, coroot, half in self._roots:
                 nu = tuple(x - a for x, a in zip(mu, alpha))
-                if min(nu) >= 0 and nu not in dominant:
-                    dominant.add(nu)
+                if min(nu) >= 0 and nu not in drop:
+                    drop[nu] = drop[mu] + 2 * half * (sum(c * (mu[j] + 1) for j, c in coroot) - 1)
                     work.append(nu)
-        sums = self._sums(lam)
-        coords = {w: self._from_labels(w, sums) for w in dominant}
-        shifted = {w: _add(x, self.delta) for w, x in coords.items()}
-        norm = {w: _dot(x, x) for w, x in shifted.items()}
-        # descending height guarantees every weight above mu is known
-        order = sorted(dominant, key=lambda w: -_dot(self.delta, coords[w]))
+
+        def fail(mu: Labels, what: str) -> NoReturn:
+            at = _fmt(self.from_labels(mu, lam))
+            raise ConsistencyError(f"{self.name}: V{_fmt(lam)} at {at}: {what}")
+
         mult: Dict[Labels, int] = {top: 1}
-        for mu in order[1:]:
+        # drop grows strictly down the dominance order: weights above mu come first
+        for mu in sorted(drop.keys() - {top}, key=drop.get):
+            if drop[mu] <= 0:
+                fail(mu, f"Freudenthal denominator {drop[mu]} <= 0")
             total = Fraction(0)
             for alpha, coroot, half in self._roots:
                 # <nu, alpha^vee> = <mu, alpha^vee> + 2k at nu = mu + k*alpha
                 pair, part = sum(c * mu[j] for j, c in coroot), 0
                 nu = tuple(x + a for x, a in zip(mu, alpha))
-                while (rep := self._reflect(nu)[0]) in dominant:
+                while (rep := self.to_dominant(nu)[0]) in drop:
                     pair += 2
                     part += mult[rep] * pair
                     nu = tuple(x + a for x, a in zip(nu, alpha))
                 total += half * part
-            at = f"{self.name}: V{_fmt(lam)} at {_fmt(coords[mu])}"
-            denom = norm[top] - norm[mu]
-            if denom <= 0:
-                raise ConsistencyError(f"{at}: Freudenthal denominator {denom} <= 0")
-            value = 2 * total / denom
-            if value.denominator != 1 or value <= 0:
-                raise ConsistencyError(f"{at}: multiplicity {value}, not in 1, 2, ...")
+            value = 2 * total / drop[mu]
+            if value <= 0 or value.denominator != 1:
+                fail(mu, f"multiplicity {value}, not in 1, 2, ...")
             mult[mu] = int(value)
         return mult
 
-    def weight_multiplicities(self, lam: Weight) -> Dict[Weight, int]:
-        """Full weight-to-multiplicity map of V(lam); sums to the dimension.
+    def weight_multiplicities(self, lam: Weight) -> Dict[Labels, int]:
+        """Every weight of V(lam) with its multiplicity, keyed by Dynkin
+        labels (``from_labels(w, lam)`` gives coordinates); sums to the
+        dimension, memoized per label tuple of lam.
 
-        Each dominant multiplicity spreads along its Weyl orbit, walked on
-        labels by the simple reflections at positive labels.
+        Each dominant multiplicity spreads along its Weyl orbit, walked by
+        the simple reflections at positive labels.
         """
-        lam, _ = self._require_dominant(lam)
-        if lam not in self._weights_cache:
-            labels: Dict[Labels, int] = {}
+        lam, top = self._require_dominant(lam)
+        if top not in self._weights_cache:
+            table: Dict[Labels, int] = {}
             for mu, m in self.dominant_weight_multiplicities(lam).items():
-                labels[mu], work = m, [mu]
+                table[mu], work = m, [mu]
                 while work:
                     w = work.pop()
                     for i in range(len(w)):
-                        if w[i] > 0 and (nu := self._mirror(w, i)) not in labels:
-                            labels[nu] = m
+                        if w[i] > 0 and (nu := self._mirror(w, i)) not in table:
+                            table[nu] = m
                             work.append(nu)
-            size, dim = sum(labels.values()), self.weyl_dimension(lam)
+            size, dim = sum(table.values()), self.weyl_dimension(lam)
             check("weight system size", size == dim, system=self.name, highest_weight=lam,
                   multiplicities=size, weyl_dimension=dim)
-            sums = self._sums(lam)
-            self._weights_cache[lam] = {self._from_labels(w, sums): m for w, m in labels.items()}
-        return dict(self._weights_cache[lam])
+            self._weights_cache[top] = table
+        return dict(self._weights_cache[top])
 
 
 # -- factories -----------------------------------------------------------------
@@ -496,14 +496,13 @@ class RepSum:
 
     def __init__(self, system: RootSystem, terms: Dict[Weight, int]) -> None:
         self.system = system
-        self.terms = {w: m for w, m in terms.items() if m != 0}
+        self.terms = dict(terms)  # a dict copy keeps the stored key hashes
+        for w in [w for w, m in self.terms.items() if m == 0]:
+            del self.terms[w]
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RepSum)
-            and self.system is other.system
-            and self.terms == other.terms
-        )
+        same_system = isinstance(other, RepSum) and self.system is other.system
+        return same_system and self.terms == other.terms
 
     def __repr__(self) -> str:
         inside = ", ".join(f"{_fmt(w)}: {m}" for w, m in self.sorted_terms())
@@ -517,9 +516,7 @@ class RepSum:
 
     @property
     def dimension(self) -> int:
-        return sum(
-            m * self.system.weyl_dimension(w) for w, m in self.terms.items()
-        )
+        return sum(m * self.system.weyl_dimension(w) for w, m in self.terms.items())
 
     def add(self, other: "RepSum") -> "RepSum":
         if other.system is not self.system:
@@ -539,9 +536,7 @@ class RepSum:
         return result
 
     def trivial_multiplicity(self) -> int:
-        return sum(
-            m for w, m in self.terms.items() if self.system.is_trivial_weight(w)
-        )
+        return sum(m for w, m in self.terms.items() if self.system.is_trivial_weight(w))
 
 
 def irreducible(system: RootSystem, lam) -> RepSum:
@@ -552,45 +547,49 @@ def irreducible(system: RootSystem, lam) -> RepSum:
 
 
 def tensor_decompose(system: RootSystem, lam, mu) -> RepSum:
-    """Decompose V(lam) (x) V(mu) by Klimyk's dominant-reflection rule.
+    """Decompose V(lam) (x) V(mu) by Klimyk's dominant-reflection rule, on labels.
 
     The weight system of the smaller factor is enumerated; each shifted
-    weight lam + nu + delta is reflected into the open chamber (walls
-    drop out) and contributes its sign.  The result is checked to be an
-    honest representation of the right total dimension, and its terms are
-    memoized per system under both argument orders.  A memo hit skips the
-    input checks: its key passed them when it was stored, and equal
-    weights hash alike whether given as ints or Fractions.
+    weight lam + nu + delta, whose labels are those of lam and nu plus one,
+    is reflected into the dominant chamber, drops out on a wall, and
+    otherwise contributes its sign at the reflected labels less one.  Each
+    distinct term is turned into coordinates once, with the block sums of
+    lam + mu.  The result is checked to be an honest representation of the
+    right total dimension, and its terms are memoized per system under both
+    argument orders.  A memo hit skips the input checks: its key passed
+    them when it was stored, and equal weights hash alike whether given as
+    ints or Fractions.
     """
     lam, mu = tuple(lam), tuple(mu)
     if (lam, mu) in system._products:
         return RepSum(system, system._products[lam, mu])
-    lam, _ = system._require_dominant(lam)
-    mu, _ = system._require_dominant(mu)
-    if system.weyl_dimension(mu) > system.weyl_dimension(lam):
-        lam, mu = mu, lam
-    shift = _add(lam, system.delta)
-    counts: Dict[Weight, int] = {}
+    lam, top = system._require_dominant(lam)
+    mu, other = system._require_dominant(mu)
+    left, right = system._dimension(top), system._dimension(other)
+    if right > left:
+        lam, mu, top = mu, lam, other
+    shift = tuple(x + 1 for x in top)
+    counts: Dict[Labels, int] = {}
     for nu, mult in system.weight_multiplicities(mu).items():
-        res = system.to_dominant_strict(_add(shift, nu))
-        if res is None:
-            continue
-        dom, sign = res
-        w = _sub(dom, system.delta)
-        counts[w] = counts.get(w, 0) + sign * mult
-    result = RepSum(system, counts)
-    for w, m in result.sorted_terms():
-        if m < 0:
-            raise ConsistencyError(
-                f"{system.name}: V{_fmt(lam)} (x) V{_fmt(mu)}: "
-                f"Klimyk produced a negative multiplicity {m} at {_fmt(w)}"
-            )
-    dimension = result.dimension
-    expected = system.weyl_dimension(lam) * system.weyl_dimension(mu)
+        dom, sign = system.to_dominant(tuple(x + y for x, y in zip(shift, nu)))
+        if 0 not in dom:
+            w = tuple(x - 1 for x in dom)
+            counts[w] = counts.get(w, 0) + sign * mult
+    both = _add(lam, mu)
+    terms = {system.from_labels(w, both): m for w, m in counts.items() if m}
+    negative = sorted((w, m) for w, m in terms.items() if m < 0)
+    if negative:
+        w, m = negative[0]
+        raise ConsistencyError(
+            f"{system.name}: V{_fmt(lam)} (x) V{_fmt(mu)}: "
+            f"Klimyk produced a negative multiplicity {m} at {_fmt(w)}"
+        )
+    dimension = sum(m * system._dimension(w) for w, m in counts.items())
+    expected = left * right
     check("Klimyk tensor dimension", dimension == expected, system=system.name, left=lam,
           right=mu, dimension=dimension, expected=expected)
-    system._products[lam, mu] = system._products[mu, lam] = result.terms
-    return RepSum(system, result.terms)
+    system._products[lam, mu] = system._products[mu, lam] = terms
+    return RepSum(system, terms)
 
 
 def tensor_product_sum(system: RootSystem, a: RepSum, b: RepSum) -> RepSum:

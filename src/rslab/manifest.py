@@ -54,6 +54,16 @@ def _build(n: int, degrees: Sequence[int]) -> intersections.CIManifold:
     return intersections.build_ci(intersections.CISpec(n, tuple(degrees)))
 
 
+def _bind_ci(name: str, value: object) -> None:
+    """TypeError unless ``value`` is an object of exactly _build's arguments."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{name} must be an object with keys n and degrees")
+    try:
+        inspect.signature(_build).bind(**value)
+    except TypeError as exc:
+        raise TypeError(f"{name}: {exc}") from None
+
+
 # -- check implementations, one per library call ------------------------------
 # Library functions are looked up on their module at call time, so a
 # patched or traced function is the one that runs.
@@ -133,12 +143,8 @@ def _symmetric_catalog() -> Dict[str, int]:
     }
 
 
-def _product_rs_index(
-    left: Dict[str, object], right: Dict[str, object]
-) -> int:
-    lp = _build(left["n"], left["degrees"]).profile
-    rp = _build(right["n"], right["degrees"]).profile
-    return _as_int(charclass.product_rs_index(lp, rp))
+def _product_rs_index(left: Dict[str, object], right: Dict[str, object]) -> int:
+    return _as_int(charclass.product_rs_index(_build(**left).profile, _build(**right).profile))
 
 
 def _product_parallel(left: Sequence[int], right: Sequence[int]) -> int:
@@ -193,6 +199,8 @@ CHECKS: Dict[str, Callable[..., object]] = {
     "product_parallel": _product_parallel,
     "wang_cy4_b4minus": _wang_cy4_b4minus,
 }
+# arguments that are themselves complete intersections, bound to _build at load
+_CI_ARGS = {"product_rs_index": ("left", "right")}
 
 
 @dataclass(frozen=True)
@@ -251,7 +259,9 @@ class RegressionManifest:
             if item["check"] not in CHECKS:
                 raise InputError(f"{where}: unknown check {item['check']!r}")
             try:
-                inspect.signature(CHECKS[item["check"]]).bind(**item["args"])
+                bound = inspect.signature(CHECKS[item["check"]]).bind(**item["args"])
+                for name in _CI_ARGS.get(item["check"], ()):
+                    _bind_ci(name, bound.arguments[name])
             except TypeError as exc:
                 raise InputError(f"{where}: bad args for {item['check']}: {exc}")
             entries.append(

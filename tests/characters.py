@@ -8,11 +8,13 @@ from collections import Counter
 
 
 def character(rep) -> Counter:
-    """Weight -> multiplicity over every weight of every summand of ``rep``."""
+    """Weight -> multiplicity over every weight of every summand of ``rep``,
+    in Euclidean coordinates, so A-block sums are compared too."""
     out = Counter()
+    system = rep.system
     for lam, m in rep.terms.items():
-        for nu, k in rep.system.weight_multiplicities(lam).items():
-            out[nu] += m * k
+        for nu, k in system.weight_multiplicities(lam).items():
+            out[system.from_labels(nu, lam)] += m * k
     return out
 
 

@@ -366,12 +366,16 @@ def test_verify_paper_reports_mismatch(tmp_path, monkeypatch, capsys):
      [{"id": "x", "description": "d", "check": "ci_rs_kernel",
        "args": {"n": 3, "degrees": [2, 2]}, "expected": 0, "source": "s"}],
      [{"id": "x", "description": "d", "check": "holonomy_graded_dims",
-       "args": {"kind": "g2"}, "expected": {}, "source": "s"}]],
+       "args": {"kind": "g2"}, "expected": {}, "source": "s"}],
+     # a factor of a product index is bound like a complete-intersection check
+     [{"id": "x", "description": "d", "check": "product_rs_index",
+       "args": {"left": {"n": 2}, "right": {"n": 2, "degrees": [4]}}, "expected": -156,
+       "source": "s"}]],
     ids=["not-an-object", "args-list", "args-unknown-key", "args-float-degree",
          "topological-unknown-key", "topological-stray-field", "topological-string-betti",
          "topological-int-hodge", "parallel-bool-parameter", "parallel-string-parameter",
          "hodge-negative-index", "hodge-index-past-n", "signature-odd-dimension",
-         "kernel-positive-c1", "graded-g2"],
+         "kernel-positive-c1", "graded-g2", "product-index-missing-key"],
 )
 def test_verify_paper_malformed_manifest_exits_2(tmp_path, monkeypatch, capsys, entries):
     bad = tmp_path / "bad.json"

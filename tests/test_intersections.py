@@ -1,6 +1,7 @@
 """Complete intersections: invariants, Hodge tables, kernel reports."""
 
 import functools
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -12,7 +13,6 @@ from rslab.charclass import evaluate_genus, rs_index
 from rslab.errors import ConsistencyError, InputError, NotApplicableError
 from rslab.intersections import (
     CISpec,
-    ahat_survey,
     build_ci,
     ci_invariants,
     ci_rs_kernel,
@@ -198,16 +198,22 @@ def test_rs_index_report_composition():
 def test_ahat_survey_boundary_defect():
     # the advertised equivalence Ahat != 0 iff d > n+r+1 holds away from
     # the Ricci-flat boundary d = n+r+1, where two parallel spinors give
-    # Ahat = 2 while the inequality is an equality
-    entries = ahat_survey(2, 8)
-    by_key = {(e.n, e.degrees): e for e in entries}
-    assert by_key[(2, (6,))].ahat == 8
-    assert by_key[(2, (4,))].ahat == 2 and not by_key[(2, (4,))].claim_nonzero
-    for e in entries:
-        if e.total_degree == e.n + len(e.degrees) + 1:
-            assert e.ahat == 2, (e.n, e.degrees)
+    # Ahat = 2 while the inequality is an equality; surveyed over spin
+    # (r - d odd) hypersurfaces and two-fold intersections of degree <= 8
+    singles = [(d,) for d in range(1, 9)]
+    ahat = {
+        (n, degrees): evaluate_genus("AHAT", _ci(n, *degrees).profile)
+        for n in (2, 4)
+        for degrees in singles + list(itertools.combinations_with_replacement(range(1, 9), 2))
+        if (len(degrees) - sum(degrees)) % 2
+    }
+    assert ahat[2, (6,)] == 8 and ahat[2, (4,)] == 2
+    for (n, degrees), value in ahat.items():
+        r, d = len(degrees), sum(degrees)
+        if d == n + r + 1:
+            assert value == 2, (n, degrees)
         else:
-            assert (e.ahat != 0) == e.claim_nonzero, (e.n, e.degrees)
+            assert (value != 0) == (n + r + 1 < d), (n, degrees)
 
 
 def test_quartic_sixfold_rs_index():

@@ -107,14 +107,22 @@ def test_type_a_center_invariance():
 
 def test_weight_multiplicities_a1_adjoint():
     sys = type_a(2)
-    mults = sys.weight_multiplicities(_w(1, -1))
-    assert mults == {_w(1, -1): 1, _w(0, 0): 1, _w(-1, 1): 1}
+    lam = _w(1, -1)
+    mults = sys.weight_multiplicities(lam)
+    assert mults == {(2,): 1, (0,): 1, (-2,): 1}
+    coords = {sys.from_labels(nu, lam): m for nu, m in mults.items()}
+    assert coords == {_w(1, -1): 1, _w(0, 0): 1, _w(-1, 1): 1}
 
 
 def test_zero_weight_multiplicities():
-    assert type_a(3).weight_multiplicities(_w(1, 0, -1))[_w(0, 0, 0)] == 2
-    assert g2().weight_multiplicities(_w(-1, -1, 2))[_w(0, 0, 0)] == 2
-    assert type_b(3).weight_multiplicities(_w(1, 1, 0))[_w(0, 0, 0)] == 3
+    for sys, lam, zero in [
+        (type_a(3), _w(1, 0, -1), 2),
+        (g2(), _w(-1, -1, 2), 2),
+        (type_b(3), _w(1, 1, 0), 3),
+    ]:
+        labels = (0,) * len(sys.simple_roots)
+        assert sys.weight_multiplicities(lam)[labels] == zero
+        assert sys.from_labels(labels, lam) == sys.trivial_weight()
 
 
 def test_multiplicities_sum_to_dimension():
@@ -155,10 +163,13 @@ def test_product_system_needs_two_factors():
 
 def test_dominance_utilities():
     sys = type_b(1)
-    dom, sign = sys.to_dominant(_w(F(-3, 2)))
-    assert dom == _w(F(3, 2)) and sign == -1
-    assert sys.to_dominant_strict(_w(0)) is None
-    assert sys.to_dominant_strict(_w(-2)) == (_w(2), -1)
+    # labels <w, 2 e_1>: (-3/2) has label -3, (0) sits on the wall, (-2) has -4
+    dom, sign = sys.to_dominant((-3,))
+    assert dom == (3,) and sign == -1
+    assert sys.from_labels(dom) == _w(F(3, 2))
+    assert sys.to_dominant((0,)) == ((0,), 1)  # a zero label: on the wall
+    assert sys.to_dominant((-4,)) == ((4,), -1)
+    assert sys.from_labels((4,)) == _w(2)
 
 
 def test_nondominant_weight_rejected():
@@ -212,9 +223,10 @@ def test_scalar_factor_rejected():
 def test_klimyk_failure_names_its_inputs(monkeypatch):
     sys = type_b(3)
     vector, spinor = _w(1, 0, 0), _w(F(1, 2), F(1, 2), F(1, 2))
-    assert sys.weight_multiplicities(vector)[vector] == 1
+    # B3 labels <w, e1 - e2>, <w, e2 - e3>, <w, 2 e3>: the vector's top is (1, 0, 0)
+    assert sys.weight_multiplicities(vector)[1, 0, 0] == 1
     # corrupt the cached multiplicity table of the smaller factor
-    table = sys._weights_cache[vector]
+    table = sys._weights_cache[1, 0, 0]
     monkeypatch.setitem(table, (1, 0, 0), -3)
     with pytest.raises(ConsistencyError) as failure:
         tensor_decompose(sys, vector, spinor)
@@ -238,11 +250,13 @@ def test_cached_products_and_weights_are_independent_copies():
     # one Klimyk pass, stored under both argument orders
     assert list(sys._products) == [(spinor, vector), (vector, spinor)]
     assert sys._products[spinor, vector] is sys._products[vector, spinor]
+    # labels of the highest and lowest spinor weights (1/2, 1/2, 1/2), -(1/2, 1/2, 1/2)
+    top, bottom = (0, 0, 1), (0, 0, -1)
     weights = sys.weight_multiplicities(spinor)
-    weights[spinor] = 5
-    weights.pop(_w(F(-1, 2), F(-1, 2), F(-1, 2)))
+    weights[top] = 5
+    weights.pop(bottom)
     fresh = sys.weight_multiplicities(spinor)
-    assert fresh[spinor] == 1 and len(fresh) == 8 and sum(fresh.values()) == 8
+    assert fresh[top] == 1 and len(fresh) == 8 and sum(fresh.values()) == 8
 
 def test_product_memo_hits_skip_the_input_checks(monkeypatch):
     sys = type_c(3)
@@ -503,7 +517,7 @@ PROPERTY_SYSTEMS = {
 _SETTINGS = {"max_examples": 8, "deadline": None, "derandomize": True, "database": None}
 
 
-def _strategies(name):
+def _strategies(name, systems=PROPERTY_SYSTEMS):
     """hypothesis and ``weights(count)``, which draws ``count`` dominant
     weights of label sum <= 2 of the named system.
 
@@ -512,7 +526,7 @@ def _strategies(name):
     """
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    choices = st.sampled_from(tuple(_dominant_weights(PROPERTY_SYSTEMS[name](), 2)))
+    choices = st.sampled_from(tuple(_dominant_weights(systems[name](), 2)))
     return hypothesis, lambda count: st.lists(choices, min_size=count, max_size=count)
 
 
@@ -559,5 +573,63 @@ def test_property_klimyk_is_associative(name):
         assert left == right
         dims = [sys.weyl_dimension(w) for w in (a, b, c)]
         assert left.dimension == dims[0] * dims[1] * dims[2]
+
+    prop()
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTY_SYSTEMS))
+def test_property_to_dominant_on_labels(name):
+    """Dominant labels are nonnegative and fixed; a simple reflection first
+    changes nothing but the sign, which it flips off the walls."""
+    hypothesis, _ = _strategies(name)
+    st = hypothesis.strategies
+    sys = PROPERTY_SYSTEMS[name]()
+    rank = len(sys.simple_roots)
+
+    @hypothesis.settings(**_SETTINGS)
+    @hypothesis.given(st.lists(st.integers(-4, 4), min_size=rank, max_size=rank),
+                      st.integers(0, rank - 1))
+    def prop(labels, i):
+        dom, sign = sys.to_dominant(labels)
+        assert min(dom) >= 0 and sign in (1, -1)
+        assert sys.to_dominant(dom) == (dom, 1)
+        mirrored = sys._mirror(tuple(labels), i)
+        again, other = sys.to_dominant(mirrored)
+        assert again == dom
+        if 0 not in dom:  # on a wall a reflection fixes the weight: no sign is defined
+            assert other == -sign
+
+    prop()
+
+
+# systems whose first block is of type A: no root sees its constant tuple
+CENTRAL_SYSTEMS = {
+    "A2": partial(type_a, 3),
+    "A3": partial(type_a, 4),
+    "A1xC2": lambda: product_system(type_a(2), type_c(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENTRAL_SYSTEMS))
+def test_property_klimyk_moves_with_central_shifts(name):
+    """Labels drop the constant tuple on an A block; Klimyk puts it back:
+    shifting lam by c and mu by c' on the A block shifts every term by c + c'."""
+    hypothesis, weights = _strategies(name, CENTRAL_SYSTEMS)
+    factory = CENTRAL_SYSTEMS[name]
+    block = factory().components[0].coords
+    shifts = hypothesis.strategies.sampled_from((F(-1, 2), F(1, 2), F(1, 3), -1, 2))
+
+    def moved(w, c):
+        return tuple(x + c if i < block else x for i, x in enumerate(w))
+
+    @hypothesis.settings(**_SETTINGS)
+    @hypothesis.given(weights(2), shifts, shifts)
+    def prop(drawn, c, d):
+        lam, mu = drawn
+        sys = factory()  # one system: the label-keyed tables are shared by both products
+        plain = tensor_decompose(sys, lam, mu)
+        shifted = tensor_decompose(sys, moved(lam, c), moved(mu, d))
+        assert shifted.terms == {moved(w, c + d): m for w, m in plain.terms.items()}
+        assert shifted.dimension == plain.dimension
 
     prop()

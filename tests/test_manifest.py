@@ -178,9 +178,22 @@ GOOD_ENTRY = {
         ([dict(GOOD_ENTRY, check="topological_index", args={"family": "HK", "n": 1, "hodges": [20]})],
          r"^manifest entry 0: bad args for topological_index: got an unexpected keyword "
          r"argument 'hodges'$"),
+        ([dict(GOOD_ENTRY, check="product_rs_index",
+               args={"left": {"n": 2}, "right": {"n": 2, "degrees": [4]}})],
+         r"^manifest entry 0: bad args for product_rs_index: left: missing a required "
+         r"argument: 'degrees'$"),
+        ([dict(GOOD_ENTRY, check="product_rs_index",
+               args={"left": {"n": 2, "degrees": [4]}, "right": {"n": 2, "degrees": [4], "d": 4}})],
+         r"^manifest entry 0: bad args for product_rs_index: right: got an unexpected keyword "
+         r"argument 'd'$"),
+        ([dict(GOOD_ENTRY, check="product_rs_index",
+               args={"left": [2, [4]], "right": {"n": 2, "degrees": [4]}})],
+         r"^manifest entry 0: bad args for product_rs_index: left must be an object with "
+         r"keys n and degrees$"),
     ],
     ids=["not-an-object", "args-list", "id-list", "check-list", "args-unknown-key",
-         "args-missing-key", "topological-kernel-unknown-key", "topological-index-unknown-key"],
+         "args-missing-key", "topological-kernel-unknown-key", "topological-index-unknown-key",
+         "product-index-missing-key", "product-index-unknown-key", "product-index-list-factor"],
 )
 def test_malformed_entries_rejected(tmp_path, entries, message):
     bad = tmp_path / "bad.json"
