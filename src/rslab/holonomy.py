@@ -102,10 +102,7 @@ class HolonomyModel:
         weight is trivial; in GL coordinates for SU(n) any constant
         tuple is.
         """
-        if self.zero_weight_trivial:
-            zero = self.system.trivial_weight()
-            return rep.terms.get(zero, 0)
-        return rep.trivial_multiplicity()
+        return rep.trivial_multiplicity(center_acts=self.zero_weight_trivial)
 
     def sigma_three_half(self) -> SpinThreeHalf:
         if self._three_half is not None:

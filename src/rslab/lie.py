@@ -3,11 +3,9 @@
 Root systems live in explicit Euclidean coordinates with the standard
 scalar product: type A uses GL-style coordinates (n entries, weights are
 weakly decreasing tuples, shifts by a constant tuple are central), B/C/D
-use the usual m-coordinate realizations with half-integer spin weights
-allowed, and G2 sits in the trace-zero hyperplane of three coordinates.
-Products concatenate coordinates componentwise.
-
-On top of the realizations: Weyl's dimension formula, Casimir eigenvalues
+the usual m-coordinate realizations with half-integer spin weights, and G2
+the trace-zero hyperplane of three coordinates; products concatenate them.
+On top sit Weyl's dimension formula, Casimir eigenvalues
 ``<lambda+2*delta, lambda>``, Freudenthal's multiplicity recursion over the
 dominant weights and the Klimyk tensor-product rule.
 
@@ -20,22 +18,23 @@ rows with int arithmetic; the per-root table (labels, coroot coefficients,
 |alpha|^2 / 2) and the public Fraction tuples follow on first use.
 
 Inside a system a weight is the int tuple of its Dynkin labels
-<w, alpha_i^vee>, and the chamber primitives take and return labels:
-``to_dominant``, Freudenthal and ``weight_multiplicities`` (tables keyed by
-labels), the memoized Weyl dimension and all of Klimyk.  Coordinates
-appear only at the API: the highest weights a caller passes, ``RepSum``
-terms, and ``from_labels``.  Labels miss only the constant tuple on an A
-or G2 block, which no root sees; every weight of V(lam) has the block sums
-of lam, and every summand of V(lam) (x) V(mu) those of lam + mu, so labels
-plus such a weight give back the coordinates exactly.  Each system also
-memoizes its weight systems and its checked Klimyk products; every call
-returns a fresh dict or RepSum.
+<w, alpha_i^vee>: ``to_dominant``, Freudenthal, ``weight_multiplicities``
+(tables keyed by labels), the memoized Weyl dimension and Klimyk (memoized
+per label pair) all run on labels.  Labels miss only the constant tuple on
+an A or G2 block, which no root sees; every weight of V(lam) has the block
+sums of lam, and every summand of V(lam) (x) V(mu) those of lam + mu.  So a
+``RepSum`` keys each term by its labels plus its block sums (ints where
+integral), and adds, subtracts, measures and multiplies on those keys; its
+``terms`` are a coordinate view, built through ``from_labels`` once per
+sum.  Coordinates appear only at the API, where the highest weights a
+caller passes are checked once.  Every call returns a fresh dict or RepSum.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple
@@ -44,11 +43,8 @@ from .errors import ConsistencyError, InputError, check
 
 Weight = Tuple[Fraction, ...]
 Labels = Tuple[int, ...]
+Key = Tuple[Labels, tuple]  # a RepSum term: labels and A/G2 block sums
 Sparse = Tuple[Tuple[int, int], ...]
-
-
-def _weight(values: Iterable) -> Weight:
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def _fmt(w: Iterable) -> str:
@@ -70,18 +66,12 @@ def _exact(values: Iterable[int], den: int) -> tuple:
     return tuple(x // den if x % den == 0 else Fraction(x, den) for x in values)
 
 
-def _add(u: Weight, v: Weight) -> Weight:
-    return tuple(a + b for a, b in zip(u, v))
+def _sums(values: Iterable) -> tuple:
+    """Block sums, as ints where integral."""
+    return tuple(x.numerator if type(x) is Fraction and x.denominator == 1 else x for x in values)
 
 
-def _dot(u: Weight, v: Weight) -> Fraction:
-    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
-
-
-@dataclass(frozen=True)
-class _Component:
-    kind: str  # A, B, C, D, G2
-    coords: int
+_Component = namedtuple("_Component", "kind coords")  # kind: A, B, C, D or G2
 
 
 class RootSystem:
@@ -93,14 +83,9 @@ class RootSystem:
     Klimyk products), which are only ever appended to.
     """
 
-    def __init__(
-        self,
-        components: Sequence[_Component],
-        simple: Sequence[Sparse],
-        positive: Sequence[Sparse],
-        omega: Tuple[int, Sequence[Sparse]],
-        name: str,
-    ) -> None:
+    def __init__(self, components: Sequence[_Component], simple: Sequence[Sparse],
+                 positive: Sequence[Sparse], omega: Tuple[int, Sequence[Sparse]],
+                 name: str) -> None:
         self.components = tuple(components)
         self.coords = sum(c.coords for c in self.components)
         self.name = name
@@ -111,12 +96,14 @@ class RootSystem:
             for i, v in row:
                 acc[i] += v
         self.delta = tuple(Fraction(x, 2) for x in acc)
+        starts = itertools.accumulate((c.coords for c in self.components), initial=0)
+        blocks = [(c.kind, lo, lo + c.coords) for c, lo in zip(self.components, starts)]
         # blocks whose constant tuple no root sees: labels omit their sums
-        central = ("A", "G2")
-        self._central = [(lo, hi) for c, lo, hi in self._blocks() if c.kind in central]
+        self._central = [(lo, hi) for kind, lo, hi in blocks if kind in ("A", "G2")]
+        self._g2 = [(lo, hi) for kind, lo, hi in blocks if kind == "G2"]
         self._dims: Dict[Labels, int] = {}
         self._weights_cache: Dict[Labels, Dict[Labels, int]] = {}
-        self._products: Dict[Tuple[Weight, Weight], Dict[Weight, int]] = {}
+        self._products: Dict[Tuple[Labels, Labels], Dict[Labels, int]] = {}
         norms = [sum(v * v for _, v in row) for row in self._simple]
         self._validate(norms, acc)
         # simple coroots 2*alpha/|alpha|^2 = 2 row / norm as nonzero
@@ -185,12 +172,6 @@ class RootSystem:
                     f"a = {_fmt(self.positive_roots[k])}"
                 )
 
-    def _blocks(self):
-        start = 0
-        for comp in self.components:
-            yield comp, start, start + comp.coords
-            start += comp.coords
-
     # -- integer tables and labels --------------------------------------------
 
     @cached_property
@@ -215,26 +196,23 @@ class RootSystem:
             out.append((_exact(labels, self._coden), coroot, Fraction(norm, 2)))
         return out
 
-    def _labels(self, w: Weight) -> tuple:
-        """Dynkin labels <w, alpha_i^vee>, as ints where integral."""
-        den = math.lcm(*(x.denominator for x in w))
-        ints = [x.numerator * (den // x.denominator) for x in w]
-        out = (sum(ints[i] * c for i, c in row) for row in self._coroots)
-        return _exact(out, den * self._coden)
-
-    def from_labels(self, labels: Sequence[int], like: Optional[Sequence] = None) -> Weight:
+    def from_labels(self, labels: Sequence[int], like: Optional[Sequence] = None,
+                    sums: Optional[Sequence] = None) -> Weight:
         """Euclidean coordinates of the weight with these Dynkin labels whose
-        sum over each A or G2 block is that of the weight ``like`` (zero
-        without one); every weight of V(lam) has the block sums of lam."""
+        sum over each A or G2 block is ``sums``, or that of the weight
+        ``like`` (zero without either); every weight of V(lam) has the block
+        sums of lam."""
+        if sums is None:
+            sums = [0 if like is None else sum(like[lo:hi]) for lo, hi in self._central]
         den, omega = self._omega
         acc = [0] * self.coords
         for x, row in zip(labels, omega):
             for i, v in row:
                 acc[i] += x * v
         dens = [den] * self.coords
-        for lo, hi in self._central:
+        for (lo, hi), target in zip(self._central, sums):
             # each entry moves by (target - block sum) / k, over den * k * t
-            target = Fraction(0 if like is None else sum(like[lo:hi]))
+            target = Fraction(target)
             k, t = hi - lo, target.denominator
             shift = target.numerator * den - sum(acc[lo:hi]) * t
             acc[lo:hi] = [a * k * t + shift for a in acc[lo:hi]]
@@ -245,12 +223,6 @@ class RootSystem:
 
     def trivial_weight(self) -> Weight:
         return (Fraction(0),) * self.coords
-
-    def is_trivial_weight(self, w: Weight) -> bool:
-        """Highest weight of the trivial representation: all labels zero (so
-        any constant A block, which the roots do not see) and G2 blocks zero."""
-        g2 = [sum(w[lo:hi]) for c, lo, hi in self._blocks() if c.kind == "G2"]
-        return not any(self._labels(w)) and not any(g2)
 
     def _mirror(self, labels: tuple, i: int) -> tuple:
         """The simple reflection s_i on labels: l <- l - l_i * C[i]."""
@@ -272,18 +244,26 @@ class RootSystem:
         return current, sign
 
     def _require_dominant(self, w) -> Tuple[Weight, Labels]:
-        """A checked highest weight, with its labels."""
-        w = _weight(w)
+        """A checked highest weight, with its Dynkin labels <w, alpha_i^vee>."""
+        w = tuple(v if type(v) is Fraction else Fraction(v) for v in w)
         if len(w) != self.coords:
             raise InputError(f"{_fmt(w)}: {self.name} weights have {self.coords} coordinates")
-        if any(sum(w[lo:hi]) for c, lo, hi in self._blocks() if c.kind == "G2"):
+        if any(sum(w[lo:hi]) for lo, hi in self._g2):
             raise InputError(f"{_fmt(w)} is off the trace-zero plane of G2")
-        labels = self._labels(w)
+        den = math.lcm(*(x.denominator for x in w))
+        ints = [x.numerator * (den // x.denominator) for x in w]
+        labels = _exact((sum(ints[i] * c for i, c in row) for row in self._coroots),
+                        den * self._coden)
         if any(x < 0 for x in labels):
             raise InputError(f"{_fmt(w)} is not dominant for {self.name}")
         if any(x.denominator != 1 for x in labels):
             raise InputError(f"{_fmt(w)} is not an integral weight for {self.name}")
         return w, labels
+
+    def _key(self, w) -> Key:
+        """A checked highest weight as its labels and block sums."""
+        w, labels = self._require_dominant(w)
+        return labels, _sums(sum(w[lo:hi]) for lo, hi in self._central)
 
     # -- numeric invariants ---------------------------------------------------
 
@@ -311,13 +291,11 @@ class RootSystem:
     def casimir(self, lam: Weight) -> Fraction:
         """Eigenvalue <lambda + 2*delta, lambda> of the quadratic Casimir.
 
-        For A-components the central (trace) part of a GL weight does not
-        act through the simple Lie algebra: it is dropped by taking the
-        weight with the same labels and block sums zero.
-        """
+        The central (trace) part of a GL weight does not act through the
+        simple Lie algebra: the weight with its labels and block sums zero."""
         _, labels = self._require_dominant(lam)
         p = self.from_labels(labels)
-        return _dot(p, p) + 2 * _dot(self.delta, p)
+        return sum((x * (x + 2 * d) for x, d in zip(p, self.delta) if x), Fraction(0))
 
     # -- weight systems ---------------------------------------------------------
 
@@ -385,7 +363,7 @@ class RootSystem:
                         if w[i] > 0 and (nu := self._mirror(w, i)) not in table:
                             table[nu] = m
                             work.append(nu)
-            size, dim = sum(table.values()), self.weyl_dimension(lam)
+            size, dim = sum(table.values()), self._dimension(top)
             check("weight system size", size == dim, system=self.name, highest_weight=lam,
                   multiplicities=size, weyl_dimension=dim)
             self._weights_cache[top] = table
@@ -468,10 +446,7 @@ def product_system(*systems: RootSystem) -> RootSystem:
     if len(systems) < 2:
         raise InputError("a product needs at least two factors")
     den = math.lcm(*(s._omega[0] for s in systems))
-    simple: List[Sparse] = []
-    positive: List[Sparse] = []
-    omega: List[Sparse] = []
-    offset = 0
+    simple, positive, omega, offset = [], [], [], 0  # sparse rows
     for s in systems:
         simple.extend(_shift(row, offset) for row in s._simple)
         positive.extend(_shift(row, offset) for row in s._positive)
@@ -489,116 +464,138 @@ def product_system(*systems: RootSystem) -> RootSystem:
 class RepSum:
     """Formal integer combination of irreducibles, keyed by highest weight.
 
-    Multiplicities are positive for honest representations: subtraction
-    refuses to leave a negative entry, and tensor products refuse a sum
-    built with one (a virtual sum).
+    Each term is kept under the labels and block sums of its highest weight
+    (checked when given in coordinates); ``terms`` and ``sorted_terms`` are
+    the coordinate view, built once.  Multiplicities are positive for honest
+    representations: subtraction refuses to leave a negative entry, and
+    tensor products refuse a sum built with one (a virtual sum).
     """
 
     def __init__(self, system: RootSystem, terms: Dict[Weight, int]) -> None:
-        self.system = system
-        self.terms = dict(terms)  # a dict copy keeps the stored key hashes
-        for w in [w for w, m in self.terms.items() if m == 0]:
-            del self.terms[w]
+        keys = {system._key(w): m for w, m in terms.items()}
+        self.system, self._keys = system, {k: m for k, m in keys.items() if m}
+        self._view: Optional[List[Tuple[Weight, int]]] = None
+
+    @classmethod
+    def _of(cls, system: RootSystem, keys: Dict[Key, int]) -> "RepSum":
+        """A sum over keys that passed the checks, zero entries dropped."""
+        rep = cls(system, {})
+        rep._keys = {k: m for k, m in keys.items() if m}
+        return rep
 
     def __eq__(self, other: object) -> bool:
         same_system = isinstance(other, RepSum) and self.system is other.system
-        return same_system and self.terms == other.terms
+        return same_system and self._keys == other._keys
 
     def __repr__(self) -> str:
         inside = ", ".join(f"{_fmt(w)}: {m}" for w, m in self.sorted_terms())
         return f"RepSum({self.system.name}; {inside})"
 
+    @property
+    def terms(self) -> Dict[Weight, int]:
+        """Highest weight in coordinates -> multiplicity, as a fresh dict."""
+        return dict(self.sorted_terms())
+
     def sorted_terms(self) -> List[Tuple[Weight, int]]:
-        return sorted(self.terms.items())
+        if self._view is None:
+            point = self.system.from_labels
+            self._view = sorted((point(w, sums=s), m) for (w, s), m in self._keys.items())
+        return list(self._view)
 
     def is_virtual(self) -> bool:
-        return any(m < 0 for m in self.terms.values())
+        return any(m < 0 for m in self._keys.values())
 
     @property
     def dimension(self) -> int:
-        return sum(m * self.system.weyl_dimension(w) for w, m in self.terms.items())
+        return sum(m * self.system._dimension(labels) for (labels, _), m in self._keys.items())
 
     def add(self, other: "RepSum") -> "RepSum":
         if other.system is not self.system:
             raise InputError("cannot combine representations of different systems")
-        merged = dict(self.terms)
-        for w, m in other.terms.items():
-            merged[w] = merged.get(w, 0) + m
-        return RepSum(self.system, merged)
+        merged = dict(self._keys)
+        for k, m in other._keys.items():
+            merged[k] = merged.get(k, 0) + m
+        return RepSum._of(self.system, merged)
 
     def subtract(self, other: "RepSum") -> "RepSum":
-        result = self.add(RepSum(self.system, {w: -m for w, m in other.terms.items()}))
+        result = self.add(RepSum._of(other.system, {k: -m for k, m in other._keys.items()}))
         if result.is_virtual():
-            bad = ", ".join(f"{_fmt(w)}: {m}" for w, m in result.terms.items() if m < 0)
+            point = self.system.from_labels
+            bad = ", ".join(f"{_fmt(point(w, sums=s))}: {m}"
+                            for (w, s), m in result._keys.items() if m < 0)
             raise ConsistencyError(
-                f"{self.system.name}: subtraction left negative multiplicities {bad}"
-            )
+                f"{self.system.name}: subtraction left negative multiplicities {bad}")
         return result
 
-    def trivial_multiplicity(self) -> int:
-        return sum(m for w, m in self.terms.items() if self.system.is_trivial_weight(w))
+    def trivial_multiplicity(self, center_acts: bool = False) -> int:
+        """Copies of the trivial representation: terms with all labels zero,
+        so any constant A block; with ``center_acts`` only the zero weight."""
+        if center_acts:
+            zero = (0,) * len(self.system._cartan), (0,) * len(self.system._central)
+            return self._keys.get(zero, 0)
+        return sum(m for (labels, _), m in self._keys.items() if not any(labels))
 
 
 def irreducible(system: RootSystem, lam) -> RepSum:
-    return RepSum(system, {system._require_dominant(lam)[0]: 1})
+    return RepSum._of(system, {system._key(lam): 1})
 
 
 # -- public operations --------------------------------------------------------
 
 
-def tensor_decompose(system: RootSystem, lam, mu) -> RepSum:
-    """Decompose V(lam) (x) V(mu) by Klimyk's dominant-reflection rule, on labels.
+def _klimyk(system: RootSystem, a: Key, b: Key) -> Dict[Labels, int]:
+    """V(a) (x) V(b) by Klimyk's dominant-reflection rule, on labels.
 
     The weight system of the smaller factor is enumerated; each shifted
     weight lam + nu + delta, whose labels are those of lam and nu plus one,
     is reflected into the dominant chamber, drops out on a wall, and
-    otherwise contributes its sign at the reflected labels less one.  Each
-    distinct term is turned into coordinates once, with the block sums of
-    lam + mu.  The result is checked to be an honest representation of the
-    right total dimension, and its terms are memoized per system under both
-    argument orders.  A memo hit skips the input checks: its key passed
-    them when it was stored, and equal weights hash alike whether given as
-    ints or Fractions.
+    otherwise contributes its sign at the reflected labels less one.  The
+    result is checked to be an honest representation of the right total
+    dimension and memoized per system under both label orders.  Its terms
+    carry no block sums (those of a + b, which the callers add), and the
+    callers must not modify it.
     """
-    lam, mu = tuple(lam), tuple(mu)
-    if (lam, mu) in system._products:
-        return RepSum(system, system._products[lam, mu])
-    lam, top = system._require_dominant(lam)
-    mu, other = system._require_dominant(mu)
-    left, right = system._dimension(top), system._dimension(other)
+    if (a[0], b[0]) in system._products:
+        return system._products[a[0], b[0]]
+    left, right = system._dimension(a[0]), system._dimension(b[0])
     if right > left:
-        lam, mu, top = mu, lam, other
-    shift = tuple(x + 1 for x in top)
+        a, b = b, a
+    lam, mu = (system.from_labels(k[0], sums=k[1]) for k in (a, b))
+    shift = tuple(x + 1 for x in a[0])
     counts: Dict[Labels, int] = {}
     for nu, mult in system.weight_multiplicities(mu).items():
         dom, sign = system.to_dominant(tuple(x + y for x, y in zip(shift, nu)))
         if 0 not in dom:
             w = tuple(x - 1 for x in dom)
             counts[w] = counts.get(w, 0) + sign * mult
-    both = _add(lam, mu)
-    terms = {system.from_labels(w, both): m for w, m in counts.items() if m}
-    negative = sorted((w, m) for w, m in terms.items() if m < 0)
-    if negative:
-        w, m = negative[0]
-        raise ConsistencyError(
-            f"{system.name}: V{_fmt(lam)} (x) V{_fmt(mu)}: "
-            f"Klimyk produced a negative multiplicity {m} at {_fmt(w)}"
-        )
-    dimension = sum(m * system._dimension(w) for w, m in counts.items())
-    expected = left * right
+    counts = {w: m for w, m in counts.items() if m}
+    if any(m < 0 for m in counts.values()):
+        both = tuple(x + y for x, y in zip(lam, mu))
+        w, m = min((system.from_labels(w, both), m) for w, m in counts.items() if m < 0)
+        raise ConsistencyError(f"{system.name}: V{_fmt(lam)} (x) V{_fmt(mu)}: Klimyk "
+                               f"produced a negative multiplicity {m} at {_fmt(w)}")
+    dimension, expected = sum(m * system._dimension(w) for w, m in counts.items()), left * right
     check("Klimyk tensor dimension", dimension == expected, system=system.name, left=lam,
           right=mu, dimension=dimension, expected=expected)
-    system._products[lam, mu] = system._products[mu, lam] = terms
-    return RepSum(system, terms)
+    system._products[a[0], b[0]] = system._products[b[0], a[0]] = counts
+    return counts
+
+
+def tensor_decompose(system: RootSystem, lam, mu) -> RepSum:
+    """V(lam) (x) V(mu) by Klimyk's rule, after checking both highest weights."""
+    return tensor_product_sum(system, irreducible(system, lam), irreducible(system, mu))
 
 
 def tensor_product_sum(system: RootSystem, a: RepSum, b: RepSum) -> RepSum:
-    """Tensor product of two (honest) representation sums."""
+    """Tensor product of two (honest) representation sums, on their keys."""
+    if a.system is not system or b.system is not system:
+        raise InputError("cannot combine representations of different systems")
     if a.is_virtual() or b.is_virtual():
         raise InputError("tensor products need honest representations")
-    counts: Dict[Weight, int] = {}
-    for wa, ma in a.terms.items():
-        for wb, mb in b.terms.items():
-            for w, m in tensor_decompose(system, wa, wb).terms.items():
-                counts[w] = counts.get(w, 0) + ma * mb * m
-    return RepSum(system, counts)
+    counts: Dict[Key, int] = {}
+    for ka, ma in a._keys.items():
+        for kb, mb in b._keys.items():
+            sums = _sums(x + y for x, y in zip(ka[1], kb[1]))  # those of ka + kb
+            for w, m in _klimyk(system, ka, kb).items():
+                counts[w, sums] = counts.get((w, sums), 0) + ma * mb * m
+    return RepSum._of(system, counts)

@@ -75,8 +75,8 @@ def _wang(monkeypatch, capsys):
 
 def _weight_system(monkeypatch, capsys):
     system = lie.type_b(3)
-    dimension = system.weyl_dimension
-    monkeypatch.setattr(system, "weyl_dimension", lambda lam: dimension(lam) + 1)
+    dimension = system._dimension  # the label-level Weyl formula the size check reads
+    monkeypatch.setattr(system, "_dimension", lambda labels: dimension(labels) + 1)
     system.weight_multiplicities((Fraction(1), Fraction(0), Fraction(0)))
 
 

@@ -168,8 +168,8 @@ def test_models_are_reused_per_input():
 @pytest.mark.parametrize("n", [8, 10])
 def test_sigma_three_half_runs_klimyk_once_per_pair(monkeypatch, n):
     model = _so_model(n)  # fresh, outside the model cache
-    calls = {"tensor": 0, "klimyk": 0}
-    decompose, weights = lie.tensor_decompose, model.system.weight_multiplicities
+    calls = {"klimyk": 0, "weights": 0}
+    klimyk, weights = lie._klimyk, model.system.weight_multiplicities
 
     def counted(name, fn):
         def wrapper(*args):
@@ -177,12 +177,16 @@ def test_sigma_three_half_runs_klimyk_once_per_pair(monkeypatch, n):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(lie, "tensor_decompose", counted("tensor", decompose))
-    monkeypatch.setattr(model.system, "weight_multiplicities", counted("klimyk", weights))
+    monkeypatch.setattr(lie, "_klimyk", counted("klimyk", klimyk))
+    monkeypatch.setattr(model.system, "weight_multiplicities", counted("weights", weights))
     model.sigma_three_half()
     # Sigma (x) T, then Sigma+ (x) T and Sigma- (x) T: two spinor terms, one tangent
     assert len(model.spinor.terms) == 2 and len(model.tangent.terms) == 1
-    assert calls == {"tensor": 4, "klimyk": 2}
+    # four label Klimyk calls: Sigma (x) T builds its two pairs, one weight system
+    # each, and the graded halves hit the memo, which holds each pair in both orders
+    assert calls == {"klimyk": 4, "weights": 2}
+    assert len(model.system._products) == 4
+
 
 def test_qk_bound_dimension_eight():
     report = qk_kernel_analysis(2)

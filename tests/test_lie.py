@@ -2,12 +2,14 @@
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
 import pytest
 
-from characters import assert_tensor_character
+from characters import assert_tensor_character, character, decompose, product_character
+from rslab import holonomy
 from rslab.errors import ConsistencyError, InputError
 from rslab.holonomy import sphere_check
 from rslab.lie import (
@@ -213,6 +215,50 @@ def test_repsum_arithmetic():
     assert vector.trivial_multiplicity() == 0
 
 
+@pytest.mark.parametrize(
+    "factory, weight, message",
+    [
+        (partial(type_b, 2), (1, 0, 0), r"^\(1, 0, 0\): B2 weights have 2 coordinates$"),
+        (partial(type_b, 2), (F(1, 2), F(3, 2)), r"^\(1/2, 3/2\) is not dominant for B2$"),
+        (partial(type_b, 2), (1, F(1, 2)), r"^\(1, 1/2\) is not an integral weight for B2$"),
+        (g2, (F(1, 3),) * 3, r"^\(1/3, 1/3, 1/3\) is off the trace-zero plane of G2$"),
+    ],
+    ids=["wrong-length", "non-dominant", "non-integral", "off-g2-plane"],
+)
+def test_repsum_refuses_weights_outside_the_system(factory, weight, message):
+    # every given weight is checked, a zero multiplicity too
+    for multiplicity in (1, 0):
+        with pytest.raises(InputError, match=message):
+            RepSum(factory(), {weight: multiplicity})
+
+
+def test_sums_of_different_systems_do_not_combine():
+    one, other = type_b(3), type_b(3)
+    a, b = irreducible(one, _w(1, 0, 0)), irreducible(other, _w(1, 0, 0))
+    for combine in (a.add, a.subtract, partial(tensor_product_sum, one, a)):
+        with pytest.raises(InputError, match="different systems"):
+            combine(b)
+
+
+@pytest.mark.parametrize(
+    "kind, parameter",
+    [("su", n) for n in (2, 3, 5)] + [("u", n) for n in (2, 3, 5)]
+    + [("sp", n) for n in (1, 2, 3)] + [("sp1sp", m) for m in (2, 3)]
+    + [("so", n) for n in (3, 4, 7, 8)] + [("g2", None), ("spin7", None)],
+)
+def test_repsum_terms_round_trip_for_holonomy_sums(monkeypatch, kind, parameter):
+    """The coordinate view gives back the tangent and spinor terms of every
+    holonomy model exactly, U(n)'s half-integral block sums included."""
+    built, model = [], holonomy.HolonomyModel
+    monkeypatch.setattr(holonomy, "HolonomyModel", lambda **kw: built.append(kw) or model(**kw))
+    holonomy._BUILDERS[kind](*([] if parameter is None else [parameter]))
+    (inputs,) = built
+    spinor = inputs["spinor"]
+    for terms in [inputs["tangent"], *(spinor if isinstance(spinor, tuple) else [spinor])]:
+        rep = RepSum(inputs["system"], terms)
+        assert rep.terms == terms and rep.sorted_terms() == sorted(terms.items())
+
+
 def test_scalar_factor_rejected():
     with pytest.raises(InputError):
         type_a(1)
@@ -240,34 +286,48 @@ def test_klimyk_failure_names_its_inputs(monkeypatch):
 def test_cached_products_and_weights_are_independent_copies():
     sys = type_b(3)
     vector, spinor = _w(1, 0, 0), _w(F(1, 2), F(1, 2), F(1, 2))
+    expected = {spinor: 1, _w(F(3, 2), F(1, 2), F(1, 2)): 1}
     first = tensor_decompose(sys, vector, spinor)
-    expected = dict(first.terms)
-    first.terms[vector] = 99
-    del first.terms[spinor]
+    view = first.terms
+    view[vector] = 99
+    del view[spinor]
+    assert first.terms == expected  # each read of ``terms`` is a fresh view
     for again in (tensor_decompose(sys, vector, spinor), tensor_decompose(sys, spinor, vector)):
-        assert again.terms == expected and again.terms is not first.terms
-        assert again == RepSum(sys, expected)
-    # one Klimyk pass, stored under both argument orders
-    assert list(sys._products) == [(spinor, vector), (vector, spinor)]
-    assert sys._products[spinor, vector] is sys._products[vector, spinor]
-    # labels of the highest and lowest spinor weights (1/2, 1/2, 1/2), -(1/2, 1/2, 1/2)
+        assert again.terms == expected and again == RepSum(sys, expected)
+    # one Klimyk pass, stored once under both orders of the label pair; B3
+    # labels of the spinor (0, 0, 1), the vector (1, 0, 0), rs (1, 0, 1)
     top, bottom = (0, 0, 1), (0, 0, -1)
+    assert list(sys._products) == [(top, (1, 0, 0)), ((1, 0, 0), top)]
+    assert sys._products[top, (1, 0, 0)] is sys._products[(1, 0, 0), top]
+    # the edited view never reached the memo, which holds labels only
+    assert sys._products[top, (1, 0, 0)] == {(1, 0, 1): 1, top: 1}
     weights = sys.weight_multiplicities(spinor)
     weights[top] = 5
     weights.pop(bottom)
     fresh = sys.weight_multiplicities(spinor)
     assert fresh[top] == 1 and len(fresh) == 8 and sum(fresh.values()) == 8
 
+
 def test_product_memo_hits_skip_the_input_checks(monkeypatch):
+    """Public calls check their weights once, at the boundary; products of
+    sums run on checked keys and run no check, memo hit or miss alike."""
     sys = type_c(3)
     lam, mu = _w(1, 1, 0), _w(1, 0, 0)
     first = tensor_decompose(sys, lam, mu)
+    left, right = irreducible(sys, lam), irreducible(sys, mu)
     checks = []
     require = sys._require_dominant
     monkeypatch.setattr(sys, "_require_dominant", lambda w: checks.append(w) or require(w))
+    for a, b in ((left, right), (right, left)):
+        assert tensor_product_sum(sys, a, b) == first
+    assert checks == []
+    # a fresh pair: only the public weight-system lookup of a factor checks it
+    square = tensor_product_sum(sys, right, right)
+    assert square.dimension == 36 and checks == [mu]
+    checks.clear()
     for args in ((lam, mu), (mu, lam), ((1, 1, 0), (1, 0, 0)), ((1, 0, 0), (1, 1, 0))):
         assert tensor_decompose(sys, *args) == first
-    assert checks == []
+    assert checks == [w for args in ((lam, mu), (mu, lam)) * 2 for w in args]
 
 
 # -- the integer label core against Euclidean formulas ------------------------
@@ -631,5 +691,82 @@ def test_property_klimyk_moves_with_central_shifts(name):
         shifted = tensor_decompose(sys, moved(lam, c), moved(mu, d))
         assert shifted.terms == {moved(w, c + d): m for w, m in plain.terms.items()}
         assert shifted.dimension == plain.dimension
+
+    prop()
+
+
+@pytest.mark.parametrize("name", sorted(CENTRAL_SYSTEMS))
+def test_property_product_memo_hit_adds_block_sums(name):
+    """The product memo holds labels only: a label pair with block sums c and
+    c' hits the entry stored without them, and its terms come back with block
+    sums c + c', kept as ints where integral."""
+    hypothesis, weights = _strategies(name, CENTRAL_SYSTEMS)
+    factory = CENTRAL_SYSTEMS[name]
+    block = factory().components[0].coords
+    shifts = hypothesis.strategies.sampled_from((F(-1, 2), F(1, 2), F(1, 3), -1, 2))
+
+    @hypothesis.settings(**_SETTINGS)
+    @hypothesis.given(weights(2), shifts, shifts)
+    def prop(drawn, c, d):
+        lam, mu = drawn
+        sys = factory()
+        tensor_decompose(sys, lam, mu)
+        memo = dict(sys._products)
+        moved = [tuple(x + s if i < block else x for i, x in enumerate(w))
+                 for w, s in ((lam, c), (mu, d))]
+        shifted = tensor_product_sum(sys, *(irreducible(sys, w) for w in moved))
+        assert sys._products == memo
+        want = sum(lam[:block]) + sum(mu[:block]) + (c + d) * block
+        assert {sums for _, sums in shifted._keys} == {(want,)}
+        assert all(sum(w[:block]) == want for w in shifted.terms)
+        (stored,) = {sums[0] for _, sums in shifted._keys}
+        assert (type(stored) is int) == (F(want).denominator == 1)
+
+    prop()
+
+
+# the RepSum operations against the character oracle of tests/characters.py
+ORACLE_SYSTEMS = {
+    **{f"A{n - 1}": partial(type_a, n) for n in range(3, 6)},
+    "B3": partial(type_b, 3),
+    "C1xC2": PROPERTY_SYSTEMS["C1xC2"],
+    "G2": g2,
+}
+CENTRAL_SHIFTS = (0, F(1, 2), F(-1, 2), 1, -2, F(3, 2))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_property_repsum_operations_match_the_character_oracle(name):
+    """add, subtract and tensor_product_sum on label keys give the terms that
+    coordinate arithmetic and the peeled product character give; weights of
+    label sum <= 1, moved by central shifts on the A blocks."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    factory = ORACLE_SYSTEMS[name]
+    shape = factory()
+    starts = itertools.accumulate((c.coords for c in shape.components), initial=0)
+    a_blocks = [(lo, lo + c.coords) for c, lo in zip(shape.components, starts) if c.kind == "A"]
+
+    def moved(w, c):
+        return tuple(x + c if any(lo <= i < hi for lo, hi in a_blocks) else x
+                     for i, x in enumerate(w))
+
+    weight = st.builds(moved, st.sampled_from(tuple(_dominant_weights(shape, 1))),
+                       st.sampled_from(CENTRAL_SHIFTS))
+    terms = st.dictionaries(weight, st.integers(1, 2), min_size=1, max_size=2)
+
+    @hypothesis.settings(**_SETTINGS)
+    @hypothesis.given(terms, terms)
+    def prop(left, right):
+        sys = factory()
+        a, b = RepSum(sys, left), RepSum(sys, right)
+        both = a.add(b)
+        assert both.terms == dict(Counter(left) + Counter(right))
+        assert both.subtract(b).terms == left and both.subtract(a).terms == right
+        with pytest.raises(ConsistencyError, match="negative multiplicities"):
+            b.subtract(both)
+        product = tensor_product_sum(sys, a, b)
+        assert product.terms == decompose(sys, product_character(character(a), character(b)))
+        assert product.dimension == a.dimension * b.dimension
 
     prop()
