@@ -6,8 +6,8 @@ of the tangent bundle together with the pairing ``<h**n, [M]>``.  Everything
 else is derived from it with exact rational arithmetic: Newton's identities
 convert Chern classes to power sums of the formal roots, Pontryagin classes
 come from power sums of the squared roots, and any multiplicative genus is
-evaluated through ``exp(sum_k log(Q)_k * s_k)``.  The genus values and the
-index report of a profile are computed once and kept on it.
+evaluated through ``exp(sum_k log(Q)_k * s_k)``, one Q per genus read by
+truncation.  The genus values and index report of a profile are kept on it.
 
 The spin-3/2 index functional is ``<Ahat(TM) * (ch(TM x C) + 1), [M]>``; it
 splits as a tangent-twisted Dirac index plus a plain Dirac index, and both
@@ -104,16 +104,13 @@ class ChernProfile:
 
 
 def elementary_from_power_sums(sums: Sequence[Fraction], count: int) -> Tuple[Fraction, ...]:
-    """First ``count`` elementary symmetric functions from power sums."""
-    if count > len(sums):
+    """e_1 .. e_count from power sums: e(t) = exp(sum_k (-1)**(k-1) s_k t**k / k)."""
+    if integer(count, "count") > len(sums):
         raise InputError("not enough power sums")
-    e: List[Fraction] = [Fraction(1)]
-    for k in range(1, count + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            acc += Fraction((-1) ** (i - 1)) * e[k - i] * Fraction(sums[i - 1])
-        e.append(acc / k)
-    return tuple(e[1:])
+    log_e = {(k,): rational(s, "power sum") * Fraction((-1) ** (k - 1), k)
+             for k, s in enumerate(sums[:count], 1)}
+    e = series_exp(TruncatedPoly(("t",), (count,), log_e))
+    return tuple(e.coefficient((k,)) for k in range(1, count + 1))
 
 
 def chern_to_pontryagin(profile: ChernProfile) -> Tuple[Fraction, ...]:
@@ -198,42 +195,24 @@ class GenusSpec:
         """log Q as int numerators over one denominator per total degree."""
         return tuple((den, tuple(terms)) for den, terms in _components(self.log_series))
 
-    def restricted(self, order: int) -> "GenusSpec":
-        """This genus with Q (and log Q) cut to x**order, and y**order for CHI_Y.
 
-        Exact: the truncation ideal is monomial and the series recurrences
-        are graded, so the cut commutes with building Q and with its log.
-        """
-
-        def cut(p: TruncatedPoly) -> TruncatedPoly:  # drops the monomials past the cutoffs
-            return TruncatedPoly(p.variables, (order,) * len(p.variables), p.coeffs)
-
-        out = GenusSpec(self.name, cut(self.series))
-        out.__dict__["log_series"] = cut(self.log_series)  # fills the cached_property
-        return out
-
-
-# name -> order -> spec, each built at the highest order asked for so far or
-# restricted from such a spec
-_SPECS: Dict[str, Dict[int, GenusSpec]] = {}
+# name -> the one spec of that genus, built at the highest order asked for so far
+_SPECS: Dict[str, GenusSpec] = {}
 
 
 def genus_spec(name: str, order: int) -> GenusSpec:
-    """The named genus with Q(x) expanded to x**order.
+    """The named genus with Q(x) expanded to at least x**order.
 
-    Memoized per (name, order), together with its ``log_series``.  A spec
-    is built only when no spec of ``name`` of at least this order exists;
-    otherwise it is the restriction of the highest one built.  The returned
+    One spec per genus is kept, with its ``log_series``, and rebuilt only for
+    a higher order; readers cut it to their own order, which is exact since the
+    truncation ideal is monomial and the series recurrences are graded.  The
     spec is shared, so callers must not modify its series.
     """
-    built = _SPECS.get(name, {})
-    spec = built.get(order)
-    if spec is None:
-        if order < 1:
-            raise InputError("order must be positive")
-        top = max(built, default=0)
-        spec = built[top].restricted(order) if top > order else _build_spec(name, order)
-        _SPECS.setdefault(name, {})[order] = spec
+    if integer(order, "order") < 1:
+        raise InputError("order must be positive")
+    spec = _SPECS.get(name)
+    if spec is None or spec.series.cutoffs[0] < order:
+        spec = _SPECS[name] = _build_spec(name, order)
     return spec
 
 
@@ -277,7 +256,8 @@ def _class_components(genus: str, profile: ChernProfile) -> Tuple[Tuple[int, ...
 
     Each log Q monomial x**i y**j becomes s_i h**i y**j: the int components
     of log Q are scaled by the power-sum numerators and go straight to the
-    exp recurrence.
+    exp recurrence.  Any spec of order >= n serves: log Q is cut to the class's
+    truncation first, which commutes with exp since the recurrence is graded.
     """
     n = profile.dim
     g = genus_spec(genus, n)
@@ -447,7 +427,7 @@ def verify_dimension_identities(real_dim: int) -> DimensionIdentityReport:
     dimension 12 the pair {ahat, signature} cannot span the 3-dimensional
     space, so the claim is certified by direct substitution.
     """
-    if real_dim not in (4, 8, 12):
+    if integer(real_dim, "real dimension") not in (4, 8, 12):
         raise NotApplicableError("identities are tabulated for dimensions 4, 8, 12")
     m = real_dim // 4
     parts = _partitions(m)
@@ -508,6 +488,7 @@ def product_rs_index(left: ChernProfile, right: ChernProfile) -> Fraction:
     product ring.  Route two combines the factor indices as
     ``indQ(M)*indD(N) - indD(M)*indD(N) + indD(M)*indQ(N)``.
     Disagreement raises ConsistencyError rather than returning anything.
+    Any AHAT spec of order >= max(dims) serves: log Ahat is read to each dim.
     """
     # the product's root power sums are s_k(M) hL**k + s_k(N) hR**k
     cut = (left.dim, right.dim)

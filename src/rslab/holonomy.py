@@ -312,11 +312,11 @@ class QKSummand:
         by tangent factors changes the degree by even amounts, so any
         summand of a spinor-valued bundle keeps the same parity.
         """
-        if m < 2:
+        if integer(m, "quaternionic dimension m") < 2:
             raise InputError("quaternionic dimension m must be at least 2")
-        if not (0 <= self.b <= self.a <= m):
+        if not (0 <= integer(self.b, "b") <= integer(self.a, "a") <= m):
             raise InputError(f"need 0 <= b <= a <= m, got (a, b) = ({self.a}, {self.b})")
-        if self.d < 0:
+        if integer(self.d, "d") < 0:
             raise InputError("Sym^d H needs d >= 0")
         if (self.d + self.a + self.b - m) % 2 != 0:
             raise InputError(
@@ -440,7 +440,7 @@ def sphere_check(n: int) -> SphereCheck:
     on the round sphere; the margin (n^2-n+4)/4 never vanishes, so round
     spheres carry no Rarita-Schwinger kernel in any dimension.
     """
-    if not 3 <= n <= SPHERE_LIMIT:
+    if not 3 <= integer(n, "sphere dimension") <= SPHERE_LIMIT:
         raise InputError(f"sphere_check needs 3 <= n <= {SPHERE_LIMIT}, got {n}")
     system = lie.type_b((n - 1) // 2) if n % 2 == 1 else lie.type_d(n // 2)
     lam = (Fraction(3, 2),) + (Fraction(1, 2),) * (system.coords - 1)
@@ -634,7 +634,7 @@ def hyperkahler_kernel_identity(n: int) -> bool:
     Sp(n) model must be n - 1.  Returns True or raises
     ``ConsistencyError``.
     """
-    if n < 1:
+    if integer(n, "quaternionic dimension") < 1:
         raise InputError("quaternionic dimension must be at least 1")
     for hodge in _unit_points((1,) * n):  # kernel_dimension refuses negatives
         h = {-1: 1, **dict(enumerate(hodge, start=1))}
@@ -741,6 +741,10 @@ class ParallelCounts:
     spinors: int
     rs_fields: int
     real_dimension: Optional[int] = None
+
+    def __post_init__(self) -> None:  # real_dimension is checked only when given
+        for f in fields(self)[: 2 if self.real_dimension is None else 3]:
+            integer(getattr(self, f.name), f.name)
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,7 @@ def fermat_signature(m: int, d: int) -> Fraction:
     a generating function that uses no Chern class; the division is
     ``series_inverse``.
     """
-    if m < 1 or d < 1:
+    if integer(m, "dimension") < 1 or integer(d, "degree") < 1:
         raise InputError("need m >= 1 and d >= 1")
     if m % 2:
         raise NotApplicableError("signature needs even complex dimension")

@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple
 
-from .errors import ConsistencyError, InputError, check
+from .errors import ConsistencyError, InputError, check, integer
 
 Weight = Tuple[Fraction, ...]
 Labels = Tuple[int, ...]
@@ -175,9 +175,9 @@ class RootSystem:
     # -- integer tables and labels --------------------------------------------
 
     @cached_property
-    def _roots(self) -> List[Tuple[Labels, Sparse, Fraction]]:
+    def _roots(self) -> List[Tuple[Labels, Sparse, int]]:
         """Per positive root: its labels, the nonzero c_j = 2<alpha, omega_j>
-        / |alpha|^2 of alpha^vee = sum_j c_j alpha_j^vee, and |alpha|^2 / 2,
+        / |alpha|^2 of alpha^vee = sum_j c_j alpha_j^vee, and |alpha|^2,
         from each root's integer row against the coroot and omega columns."""
         oden, omega = self._omega
         coroot_cols = _columns(self._coroots, self.coords)
@@ -193,7 +193,7 @@ class RootSystem:
             norm = sum(v * v for _, v in row)
             # c_j = <alpha, omega_j> / (|alpha|^2 / 2) = 2 p_j / (oden norm)
             coroot = tuple((j, 2 * p // (oden * norm)) for j, p in enumerate(pairs) if p)
-            out.append((_exact(labels, self._coden), coroot, Fraction(norm, 2)))
+            out.append((_exact(labels, self._coden), coroot, norm))
         return out
 
     def from_labels(self, labels: Sequence[int], like: Optional[Sequence] = None,
@@ -313,10 +313,10 @@ class RootSystem:
         drop, work = {top: 0}, [top]
         while work:
             mu = work.pop()
-            for alpha, coroot, half in self._roots:
+            for alpha, coroot, norm in self._roots:
                 nu = tuple(x - a for x, a in zip(mu, alpha))
                 if min(nu) >= 0 and nu not in drop:
-                    drop[nu] = drop[mu] + 2 * half * (sum(c * (mu[j] + 1) for j, c in coroot) - 1)
+                    drop[nu] = drop[mu] + norm * (sum(c * (mu[j] + 1) for j, c in coroot) - 1)
                     work.append(nu)
 
         def fail(mu: Labels, what: str) -> NoReturn:
@@ -328,8 +328,8 @@ class RootSystem:
         for mu in sorted(drop.keys() - {top}, key=drop.get):
             if drop[mu] <= 0:
                 fail(mu, f"Freudenthal denominator {drop[mu]} <= 0")
-            total = Fraction(0)
-            for alpha, coroot, half in self._roots:
+            total = 0  # 2 sum_alpha sum_k m(mu + k alpha) <mu + k alpha, alpha>
+            for alpha, coroot, norm in self._roots:
                 # <nu, alpha^vee> = <mu, alpha^vee> + 2k at nu = mu + k*alpha
                 pair, part = sum(c * mu[j] for j, c in coroot), 0
                 nu = tuple(x + a for x, a in zip(mu, alpha))
@@ -337,11 +337,10 @@ class RootSystem:
                     pair += 2
                     part += mult[rep] * pair
                     nu = tuple(x + a for x, a in zip(nu, alpha))
-                total += half * part
-            value = 2 * total / drop[mu]
-            if value <= 0 or value.denominator != 1:
-                fail(mu, f"multiplicity {value}, not in 1, 2, ...")
-            mult[mu] = int(value)
+                total += norm * part
+            mult[mu], rest = divmod(total, drop[mu])
+            if rest or mult[mu] <= 0:
+                fail(mu, f"multiplicity {Fraction(total, drop[mu])}, not in 1, 2, ...")
         return mult
 
     def weight_multiplicities(self, lam: Weight) -> Dict[Labels, int]:
@@ -394,7 +393,7 @@ def _shift(row: Sparse, offset: int, factor: int = 1) -> Sparse:
 
 def type_a(n: int) -> RootSystem:
     """sl(n) in GL coordinates: n entries, roots e_i - e_j."""
-    if n < 2:
+    if integer(n, "type A size") < 2:
         raise InputError("type A needs at least two coordinates")
     positive = [((i, 1), (j, -1)) for i in range(n) for j in range(i + 1, n)]
     return RootSystem([_Component("A", n)], _chain(n), positive, (1, _steps(n - 1)), f"A{n - 1}")
@@ -402,7 +401,7 @@ def type_a(n: int) -> RootSystem:
 
 def type_b(m: int) -> RootSystem:
     """so(2m+1): roots e_i +- e_j and the short e_i."""
-    if m < 1:
+    if integer(m, "type B rank") < 1:
         raise InputError("type B needs rank at least one")
     simple = _chain(m) + [((m - 1, 1),)]
     positive = [((i, 1),) for i in range(m)] + _pairs(m)
@@ -413,7 +412,7 @@ def type_b(m: int) -> RootSystem:
 
 def type_c(m: int) -> RootSystem:
     """sp(m): roots e_i +- e_j and the long 2e_i."""
-    if m < 1:
+    if integer(m, "type C rank") < 1:
         raise InputError("type C needs rank at least one")
     simple = _chain(m) + [((m - 1, 2),)]
     positive = [((i, 2),) for i in range(m)] + _pairs(m)
@@ -422,7 +421,7 @@ def type_c(m: int) -> RootSystem:
 
 def type_d(m: int) -> RootSystem:
     """so(2m), m >= 2: roots e_i +- e_j."""
-    if m < 2:
+    if integer(m, "type D rank") < 2:
         raise InputError("type D needs rank at least two")
     simple = _chain(m) + [((m - 2, 1), (m - 1, 1))]
     half = tuple((i, 1) for i in range(m - 1))  # (1/2, ..., 1/2, -+1/2)

@@ -148,6 +148,8 @@ def _product_rs_index(left: Dict[str, object], right: Dict[str, object]) -> int:
 
 
 def _product_parallel(left: Sequence[int], right: Sequence[int]) -> int:
+    if not all(isinstance(c, list) and len(c) in (2, 3) for c in (left, right)):
+        raise InputError("left and right must each be a list of 2 or 3 parallel counts")
     report = holonomy.product_parallel_rs(
         holonomy.ParallelCounts(*left), holonomy.ParallelCounts(*right)
     )

@@ -8,6 +8,7 @@ import pytest
 
 from rslab import charclass
 from rslab.charclass import (
+    GENUS_NAMES,
     ChernProfile,
     chern_to_pontryagin,
     ch_complexified_tangent,
@@ -23,7 +24,7 @@ from rslab.charclass import (
 )
 from rslab.errors import InputError, NotApplicableError
 from rslab.exactpoly import TruncatedPoly, _from_components
-from rslab.intersections import CISpec, build_ci
+from rslab.intersections import CISpec, build_ci, hodge_numbers
 
 # Tangent profile of the quartic surface: c1 = 0 and c2 h^2 pairs to 24.
 K3 = build_ci(CISpec(2, (4,))).profile
@@ -195,19 +196,24 @@ def test_rs_index_matches_full_products():
 def test_genus_spec_validation():
     with pytest.raises(InputError):
         genus_spec("ZETA", 4)
-    with pytest.raises(InputError):
+    genus_spec("L", 4)  # a stored spec must not let a bad order through
+    with pytest.raises(InputError, match="order must be positive"):
         genus_spec("L", 0)
+    with pytest.raises(InputError, match=re.escape("order 2.0 is not an int")):
+        genus_spec("L", 2.0)
 
 
-def test_genus_spec_is_memoized_and_stable():
-    for name in ("AHAT", "L", "TODD", "CHI_Y"):
+def test_genus_spec_is_memoized_and_stable(monkeypatch):
+    monkeypatch.setattr(charclass, "_SPECS", {})
+    for name in GENUS_NAMES:
         first = genus_spec(name, 6)
-        again = genus_spec(name, 6)
-        assert again.series == first.series
-        assert genus_spec(name, 5).series.cutoffs[0] == 5
+        assert first.series.cutoffs == (6,) * len(first.series.variables)
+        assert genus_spec(name, 6) is first
+        assert genus_spec(name, 5) is first  # a lower order reads the same spec
+    assert set(charclass._SPECS) == set(GENUS_NAMES)
 
 
-@pytest.mark.parametrize("name", ["AHAT", "L", "TODD", "CHI_Y"])
+@pytest.mark.parametrize("name", GENUS_NAMES)
 def test_genus_spec_is_cut_from_the_highest_order_built(monkeypatch, name):
     built = []
     real = charclass._build_spec
@@ -217,20 +223,15 @@ def test_genus_spec_is_cut_from_the_highest_order_built(monkeypatch, name):
         return real(genus, order)
 
     monkeypatch.setattr(charclass, "_build_spec", counting)
-    for low, high in [(3, 9), (1, 2), (5, 6)]:
-        monkeypatch.setattr(charclass, "_SPECS", {})
-        direct = genus_spec(name, low)
-        monkeypatch.setattr(charclass, "_SPECS", {})
-        top = genus_spec(name, high)
-        cut = genus_spec(name, low)
-        assert built[-2:] == [low, high]  # the order-low spec was not rebuilt
-        assert cut.series == direct.series
-        assert cut.log_series == direct.log_series
-        assert cut.log_series.cutoffs == (low,) * len(top.series.variables)
-        assert genus_spec(name, low) is cut
-    # a higher order than any built so far is built, never cut or rounded up
-    assert genus_spec(name, 11).series.cutoffs[0] == 11
-    assert built[-1] == 11
+    monkeypatch.setattr(charclass, "_SPECS", {})
+    for order in (3, 1, 9, 5, 9, 2, 11, 4):
+        spec = genus_spec(name, order)
+        assert spec is charclass._SPECS[name] and spec.series.cutoffs[0] == max(built)
+        # Q and log Q cut to this order are those of the spec built at it
+        direct = real(name, order)
+        for full, own in ((spec.series, direct.series), (spec.log_series, direct.log_series)):
+            assert TruncatedPoly(full.variables, own.cutoffs, full.coeffs) == own
+    assert built == [3, 9, 11]  # each new highest order once, a lower one never
 
 
 def test_genus_spec_variable_count_matches_name():
@@ -312,3 +313,50 @@ def test_profile_refuses_inexact_and_bool_data(dim, chern, pairing, named):
     with pytest.raises(InputError, match=re.escape(named)) as info:
         ChernProfile(dim, chern, pairing)
     assert "exactly" not in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "sums, count, named",
+    [([0.1], 1, "power sum 0.1"), ([True], 1, "power sum True"), ([1], 1.0, "count 1.0")],
+)
+def test_elementary_from_power_sums_refuses_inexact_inputs(sums, count, named):
+    with pytest.raises(InputError, match=f"^{re.escape(named)} is not an"):
+        elementary_from_power_sums(sums, count)
+
+
+# -- property tests (hypothesis; skipped where it is not installed) ------------
+
+_SETTINGS = {"max_examples": 12, "deadline": None, "derandomize": True, "database": None}
+
+
+def test_property_values_do_not_depend_on_the_spec_order(monkeypatch):
+    """Genus values, the index split and the Hodge table are the same whether
+    each genus spec is built at the profile's order or read off one of
+    order 12, on complete intersections and on random integral profiles."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    high = {name: charclass._build_spec(name, 12) for name in GENUS_NAMES}
+    degrees = st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple)
+    profiles = st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+        st.integers(-5, 5).filter(bool)))
+
+    def values(drawn):
+        """Everything read off genus specs, on a fresh profile (nothing kept)."""
+        if isinstance(drawn, CISpec):
+            manifold = build_ci(drawn)
+            profile, hodge = manifold.profile, hodge_numbers(manifold)
+        else:
+            profile, hodge = ChernProfile(*drawn), None
+        genera = tuple(evaluate_genus(name, profile) for name in GENUS_NAMES)
+        return genera, rs_index(profile), hodge
+
+    @hypothesis.settings(**_SETTINGS)
+    @hypothesis.given(st.builds(CISpec, st.integers(1, 8), degrees) | profiles)
+    def prop(drawn):
+        monkeypatch.setattr(charclass, "_SPECS", {})
+        own_order = values(drawn)
+        monkeypatch.setattr(charclass, "_SPECS", dict(high))
+        assert values(drawn) == own_order
+
+    prop()

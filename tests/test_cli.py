@@ -370,12 +370,24 @@ def test_verify_paper_reports_mismatch(tmp_path, monkeypatch, capsys):
      # a factor of a product index is bound like a complete-intersection check
      [{"id": "x", "description": "d", "check": "product_rs_index",
        "args": {"left": {"n": 2}, "right": {"n": 2, "degrees": [4]}}, "expected": -156,
-       "source": "s"}]],
+       "source": "s"}],
+     # int parameters: a float or bool is refused, not computed with
+     [{"id": "x", "description": "d", "check": "sphere_casimir", "args": {"n": 7.0},
+       "expected": "7", "source": "s"}],
+     [{"id": "x", "description": "d", "check": "dimension_identities",
+       "args": {"real_dim": 8.0}, "expected": True, "source": "s"}],
+     [{"id": "x", "description": "d", "check": "hk_identity", "args": {"n": 2.0},
+       "expected": True, "source": "s"}],
+     *[[{"id": "x", "description": "d", "check": "product_parallel",
+         "args": {"left": left, "right": [1, 0, 8]}, "expected": 1, "source": "s"}]
+       for left in ([1, 0, 8, 9], [1], 5, [True, 0, 8])]],
     ids=["not-an-object", "args-list", "args-unknown-key", "args-float-degree",
          "topological-unknown-key", "topological-stray-field", "topological-string-betti",
          "topological-int-hodge", "parallel-bool-parameter", "parallel-string-parameter",
          "hodge-negative-index", "hodge-index-past-n", "signature-odd-dimension",
-         "kernel-positive-c1", "graded-g2", "product-index-missing-key"],
+         "kernel-positive-c1", "graded-g2", "product-index-missing-key",
+         "sphere-float-n", "identities-float-dim", "hk-float-n", "product-parallel-four",
+         "product-parallel-one", "product-parallel-int", "product-parallel-bool"],
 )
 def test_verify_paper_malformed_manifest_exits_2(tmp_path, monkeypatch, capsys, entries):
     bad = tmp_path / "bad.json"

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rslab import holonomy, lie
-from rslab.charclass import rs_index
+from rslab.charclass import rs_index, verify_dimension_identities
 from rslab.errors import ConsistencyError, InputError, NotApplicableError
 from rslab.holonomy import (
     ParallelCounts,
@@ -24,7 +24,7 @@ from rslab.holonomy import (
     spin7_betti_identity,
     symmetric_space_catalog,
 )
-from rslab.intersections import CISpec, build_ci
+from rslab.intersections import CISpec, build_ci, fermat_signature
 
 F = Fraction
 
@@ -150,6 +150,34 @@ def test_model_parameter_must_be_an_int(kind, parameter, named):
 def test_topological_input_numbers_must_be_ints(family, fields, named):
     with pytest.raises(InputError, match=f"^{re.escape(named)}$"):
         kernel_dimension(TopologicalInput(family, **fields))
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: sphere_check(7.0), "sphere dimension 7.0"),
+        (lambda: hyperkahler_kernel_identity(2.0), "quaternionic dimension 2.0"),
+        (lambda: qk_casimir_bound(2.0, QKSummand(0, 0, 0)), "quaternionic dimension m 2.0"),
+        (lambda: qk_casimir_bound(2, QKSummand(0, 1.0, 1)), "a 1.0"),
+        (lambda: QKSummand(True, 0, 0).validate(3), "d True"),
+        (lambda: ParallelCounts(1.5, 0, 8), "spinors 1.5"),
+        (lambda: ParallelCounts(1, "0"), "rs_fields '0'"),
+        (lambda: ParallelCounts(1, 0, True), "real_dimension True"),
+        (lambda: lie.type_a(3.0), "type A size 3.0"),
+        (lambda: lie.type_b(2.0), "type B rank 2.0"),
+        (lambda: lie.type_c(True), "type C rank True"),
+        (lambda: lie.type_d(F(3)), "type D rank Fraction(3, 1)"),
+        (lambda: fermat_signature(4, 4.0), "degree 4.0"),
+        (lambda: fermat_signature(True, 4), "dimension True"),
+        (lambda: verify_dimension_identities(8.0), "real dimension 8.0"),
+    ],
+    ids=["sphere", "hk", "qk-m", "qk-a", "qk-d", "parallel-spinors", "parallel-rs",
+         "parallel-dimension", "type-a", "type-b", "type-c", "type-d", "fermat-degree",
+         "fermat-dimension", "dimension-identities"],
+)
+def test_int_parameters_refuse_other_types(call, named):
+    with pytest.raises(InputError, match=f"^{re.escape(named)} is not an int$"):
+        call()
 
 
 def test_topological_input_keeps_hodge_as_a_tuple():

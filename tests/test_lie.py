@@ -438,11 +438,12 @@ def test_integer_construction_matches_fraction_formulas(name):
     assert (den, [tuple(r) for r in omega]) == _over_lcm(fundamentals)
     roots = []
     for alpha in positive:
-        half = _dot(alpha, alpha) / 2
+        norm = _dot(alpha, alpha)  # |alpha|^2, an int: every realization has integer roots
         labels = tuple(_as_int(_dot(alpha, c)) for c in coroots)
-        coroot = _sparse_ints(_dot(alpha, w) / half for w in fundamentals)
-        roots.append((labels, coroot, half))
-    assert [(tuple(l), tuple(c), h) for l, c, h in sys._roots] == roots
+        coroot = _sparse_ints(2 * _dot(alpha, w) / norm for w in fundamentals)
+        roots.append((labels, coroot, norm))
+    assert [(tuple(l), tuple(c), n) for l, c, n in sys._roots] == roots
+    assert all(type(n) is int for _, _, n in sys._roots)
 
 
 # -- root sets against the textbook tables ------------------------------------
