@@ -524,10 +524,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_negative_values(argv: Sequence[str]) -> List[str]:
+    """Glue a value that starts with one minus sign to the ``--weight``,
+    ``--tensor`` or ``--point`` before it (``--weight -1,0`` becomes
+    ``--weight=-1,0``), which argparse would read as an option.  A ``--``
+    option stays one, so ``--weight --json`` is still a usage error."""
+    glued: List[str] = []
+    for arg in argv:
+        signed = arg[:1] == "-" and arg[1:2] != "-"
+        if signed and glued and glued[-1] in ("--weight", "--tensor", "--point"):
+            glued[-1] += "=" + arg
+        else:
+            glued.append(arg)
+    return glued
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

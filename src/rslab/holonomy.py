@@ -59,6 +59,11 @@ class HolonomyModel:
     (plus, minus) in even real dimension, whose sum is the full module;
     Clifford multiplication by T is odd, so the graded spin-3/2 parts are
     Sigma^+- (x) T (-) Sigma^-+.
+
+    ``zero_weight_trivial``: for U(n) the center acts on every spinor
+    summand through the square root of the canonical bundle, so only the
+    exact zero weight counts as trivial; in GL coordinates for SU(n) any
+    constant tuple does.
     """
 
     def __init__(
@@ -94,16 +99,6 @@ class HolonomyModel:
     def __repr__(self) -> str:
         return f"HolonomyModel({self.group})"
 
-    def trivial_count(self, rep: RepSum) -> int:
-        """Multiplicity of the trivial representation inside ``rep``.
-
-        For U(n) the center acts on every spinor summand through the
-        square root of the canonical bundle, so only the exact zero
-        weight is trivial; in GL coordinates for SU(n) any constant
-        tuple is.
-        """
-        return rep.trivial_multiplicity(center_acts=self.zero_weight_trivial)
-
     def sigma_three_half(self) -> SpinThreeHalf:
         if self._three_half is not None:
             return self._three_half
@@ -128,10 +123,10 @@ class HolonomyModel:
         return self._three_half
 
     def parallel_spinor_dimension(self) -> int:
-        return self.trivial_count(self.spinor)
+        return self.spinor.trivial_multiplicity(self.zero_weight_trivial)
 
     def parallel_rs_dimension(self) -> int:
-        return self.trivial_count(self.sigma_three_half().total)
+        return self.sigma_three_half().total.trivial_multiplicity(self.zero_weight_trivial)
 
 
 def _graded(summands: Sequence[Tuple[Weight, int]]) -> Tuple[Terms, Terms]:
@@ -151,8 +146,6 @@ def _su_like_model(n: int, twist: bool) -> HolonomyModel:
     kills, so it is applied exactly when the center is part of the
     group.
     """
-    if n < 2:
-        raise InputError("SU(n)/U(n) models need n >= 2")
     shift = Fraction(-1, 2) if twist else Fraction(0)
     forms = [
         (tuple((Fraction(1) if i < p else Fraction(0)) + shift for i in range(n)), 1)
@@ -177,8 +170,6 @@ def _lambda0(m: int, k: int) -> Weight:
 
 def _sp_model(n: int) -> HolonomyModel:
     """Sp(n) hyperkaehler model: spinors pile up primitive forms."""
-    if n < 1:
-        raise InputError("Sp(n) models need n >= 1")
     return HolonomyModel(
         group=f"Sp({n})",
         system=lie.type_c(n),
@@ -190,8 +181,6 @@ def _sp_model(n: int) -> HolonomyModel:
 
 def _sp1spm_model(m: int) -> HolonomyModel:
     """Sp(1)Sp(m) quaternion-Kaehler model on C1 x Cm."""
-    if m < 2:
-        raise InputError("Sp(1)Sp(m) models need m >= 2")
     summands = [((Fraction(m - k),) + _lambda0(m, k), 1) for k in range(m + 1)]
     return HolonomyModel(
         group=f"Sp(1)Sp({m})",
@@ -229,8 +218,6 @@ def _spin7_model() -> HolonomyModel:
 
 def _so_model(n: int) -> HolonomyModel:
     """Full special orthogonal holonomy, the generic case."""
-    if n < 3:
-        raise InputError("SO(n) models need n >= 3")
     half = Fraction(1, 2)
     m = n // 2
     if n % 2 == 1:
@@ -247,16 +234,19 @@ def _so_model(n: int) -> HolonomyModel:
     )
 
 
-_BUILDERS: Dict[str, Callable[..., HolonomyModel]] = {
-    "su": lambda n: _su_like_model(n, twist=False),
-    "u": lambda n: _su_like_model(n, twist=True),
-    "sp": _sp_model,
-    "sp1sp": _sp1spm_model,
-    "g2": _g2_model,
-    "spin7": _spin7_model,
-    "so": _so_model,
+# kind -> (builder, smallest parameter or None when the kind takes none,
+#          family whose kernel formula it carries or None)
+_KINDS: Dict[str, Tuple[Callable[..., HolonomyModel], Optional[int], Optional[str]]] = {
+    "su": (lambda n: _su_like_model(n, twist=False), 2, "CY"),
+    "u": (lambda n: _su_like_model(n, twist=True), 2, None),
+    "sp": (_sp_model, 1, "HK"),
+    "sp1sp": (_sp1spm_model, 2, "QK"),
+    "g2": (_g2_model, None, "G2"),
+    "spin7": (_spin7_model, None, "SPIN7"),
+    "so": (_so_model, 3, None),
 }
-HOLONOMY_KINDS = tuple(_BUILDERS)
+HOLONOMY_KINDS = tuple(_KINDS)
+KIND_FAMILIES = {kind: family for kind, (_, _, family) in _KINDS.items() if family}
 
 
 def holonomy_model(kind: str, parameter: Optional[int] = None) -> HolonomyModel:
@@ -269,11 +259,15 @@ def holonomy_model(kind: str, parameter: Optional[int] = None) -> HolonomyModel:
     again for the same (kind, parameter).
     """
     token = kind.strip().lower()
-    if token not in HOLONOMY_KINDS:
+    if token not in _KINDS:
         raise InputError(f"unknown holonomy kind {kind!r}; expected {HOLONOMY_KINDS}")
-    # before the cache, where True would hit the entry of 1 and 2.0 that of 2
-    if parameter is not None:
-        integer(parameter, "parameter")
+    # checked before the cache, where True would hit the entry of 1 and 2.0 that of 2
+    smallest = _KINDS[token][1]
+    if smallest is None:
+        if parameter is not None:
+            raise InputError(f"{token} takes no parameter")
+    elif parameter is None or integer(parameter, "parameter") < smallest:
+        raise InputError(f"{token} needs a parameter >= {smallest}, got {parameter}")
     return _build_model(token, parameter)
 
 
@@ -282,13 +276,8 @@ def holonomy_model(kind: str, parameter: Optional[int] = None) -> HolonomyModel:
 # eight alive (peak memory stays that of building each model afresh).
 @lru_cache(maxsize=8)
 def _build_model(token: str, parameter: Optional[int]) -> HolonomyModel:
-    if token in ("g2", "spin7"):
-        if parameter is not None:
-            raise InputError(f"{token} takes no parameter")
-        return _BUILDERS[token]()
-    if parameter is None:
-        raise InputError(f"{token} needs a rank parameter")
-    return _BUILDERS[token](parameter)
+    build = _KINDS[token][0]
+    return build() if parameter is None else build(parameter)
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +338,8 @@ def _qk_summand_from_weight(m: int, w: Weight) -> QKSummand:
     # integral Sp(1) label, dominant Sp(m) labels of a primitive two-column module
     ok = d.denominator == 1 and min(fundamental) >= 0 and sum(fundamental) <= 2
     check("Sp(1)Sp(m) summand weight", ok, m=m, weight=w)
-    indices = [i + 1 for i, f in enumerate(fundamental) for _ in range(f)]
-    a = indices[0] if len(indices) >= 1 else 0
-    b = indices[1] if len(indices) >= 2 else 0
-    if b > a:
-        a, b = b, a
+    indices = [i + 1 for i, f in enumerate(fundamental) for _ in range(f)]  # ascending
+    a, b = (indices[::-1] + [0, 0])[:2]
     return QKSummand(d=int(d), a=a, b=b)
 
 
@@ -473,8 +459,6 @@ FAMILY_FIELDS = {
     "QK": ("n", "b2"),
 }
 FAMILIES = tuple(FAMILY_FIELDS)
-# holonomy kind -> the family whose kernel formula it carries
-KIND_FAMILIES = {"su": "CY", "sp": "HK", "spin7": "SPIN7", "g2": "G2", "sp1sp": "QK"}
 
 
 @dataclass(frozen=True)
@@ -487,8 +471,9 @@ class TopologicalInput:
     family "G2":    b2, b3 (b3 >= 1, the parallel 3-form class)
     family "QK":    n = 2 and b2 (positive scalar curvature, dimension 8)
 
-    A field the family does not take must keep its default.  Every number
-    must be an int; ``hodge`` is a list or tuple, kept as a tuple.
+    A field the family does not take must keep its default, and one it
+    takes must be given.  Every number must be a nonnegative int; ``hodge``
+    is a list or tuple, kept as a tuple.
     """
 
     family: str
@@ -504,44 +489,26 @@ class TopologicalInput:
         if not isinstance(self.hodge, (list, tuple)):
             raise InputError(f"hodge {self.hodge!r} is not a list of Hodge numbers")
         object.__setattr__(self, "hodge", tuple(integer(h, "Hodge number") for h in self.hodge))
+        family, n, takes = self.family, self.n, FAMILY_FIELDS[self.family]
         for f in fields(self)[1:]:
-            value = getattr(self, f.name)
-            if f.name != "hodge" and value is not None:
-                integer(value, f.name)
-            if f.name not in FAMILY_FIELDS[self.family] and value != f.default:
-                raise InputError(f"{self.family} input takes no {f.name}")
-        if any(h < 0 for h in self.hodge):
-            raise InputError("Hodge numbers must be nonnegative")
-        for name in ("b2", "b3", "b4_minus"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise InputError("Betti numbers must be nonnegative")
-        if self.family == "CY":
-            if self.n is None or self.n < 2:
-                raise InputError("CY input needs complex dimension n >= 2")
-            if len(self.hodge) != self.n - 1:
-                raise InputError("CY input needs the row h^{1,1}..h^{1,n-1}")
-        elif self.family == "HK":
-            if self.n is None or self.n < 1:
-                raise InputError("HK input needs quaternionic dimension n >= 1")
-            if len(self.hodge) != self.n:
-                raise InputError("HK input needs the column h^{1,1}..h^{n,1}")
-        elif self.family == "SPIN7":
-            if None in (self.b2, self.b3, self.b4_minus):
-                raise InputError("Spin(7) input needs b2, b3 and b4_minus")
-        elif self.family == "G2":
-            if None in (self.b2, self.b3):
-                raise InputError("G2 input needs b2 and b3")
-            if self.b3 < 1:
-                raise InputError("a G2 holonomy manifold has b3 >= 1")
-        else:  # QK
-            if self.n != 2:
-                raise InputError(
-                    "a positive quaternion-Kaehler kernel exists only in "
-                    "dimension 8 (n = 2)"
-                )
-            if self.b2 is None:
-                raise InputError("QK input needs b2")
+            name, value = f.name, getattr(self, f.name)
+            ints = value if name == "hodge" else () if value is None else (integer(value, name),)
+            if name not in takes and value != f.default:
+                raise InputError(f"{family} input takes no {name}")
+            if name in takes and value is None:
+                raise InputError(f"{family} input needs {name}")
+            if min(ints, default=0) < 0:
+                raise InputError(f"{name} must be nonnegative")
+        if family == "CY" and not (n >= 2 and len(self.hodge) == n - 1):
+            raise InputError("CY input needs n >= 2 and the row h^{1,1}..h^{1,n-1}")
+        if family == "HK" and not (n >= 1 and len(self.hodge) == n):
+            raise InputError("HK input needs n >= 1 and the column h^{1,1}..h^{n,1}")
+        if family == "G2" and self.b3 < 1:
+            raise InputError("a G2 holonomy manifold has b3 >= 1")
+        if family == "QK" and n != 2:
+            raise InputError(
+                "a positive quaternion-Kaehler kernel exists only in dimension 8 (n = 2)"
+            )
 
 
 def kernel_dimension(data: TopologicalInput) -> int:
@@ -745,6 +712,8 @@ class ParallelCounts:
     def __post_init__(self) -> None:  # real_dimension is checked only when given
         for f in fields(self)[: 2 if self.real_dimension is None else 3]:
             integer(getattr(self, f.name), f.name)
+        if min(self.spinors, self.rs_fields) < 0:
+            raise InputError("parallel counts must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -765,8 +734,6 @@ def product_parallel_rs(
     both factors even-dimensional; for odd-dimensional factors the same
     count is reported but flagged as a formula used beyond its proof.
     """
-    if min(left.spinors, left.rs_fields, right.spinors, right.rs_fields) < 0:
-        raise InputError("parallel counts must be nonnegative")
     count = (
         left.spinors * right.spinors
         + left.rs_fields * right.spinors

@@ -156,6 +156,10 @@ def test_holonomy_missing_parameter(capsys):
         ("sp1sp 2 --b2 3 --hodge 1", "QK input takes no hodge"),
         ("u 3 --b2 1", "no kernel formula is wired up for holonomy kind 'u'"),
         ("so 5 --hodge 1", "no kernel formula is wired up for holonomy kind 'so'"),
+        ("spin7 --b2 1 --b3 1", "SPIN7 input needs b4_minus"),
+        ("g2 --b3 1", "G2 input needs b2"),
+        ("spin7 --b2 -1 --b3 1 --b4minus 1", "b2 must be nonnegative"),
+        ("su 3 --hodge 1", "CY input needs n >= 2 and the row h^{1,1}..h^{1,n-1}"),
     ],
 )
 def test_holonomy_refuses_topology_its_family_does_not_take(capsys, argv, field):
@@ -199,6 +203,62 @@ def test_rep_tensor_and_point(capsys):
     # moments sum(mult * <nu, (1, 2, 3)>^k), k = 0..4, over the weights nu of V(0, -1, 1)
     assert results["character_moments"] == ["7", "0", "12", "0", "36"]
     assert payload["inputs"]["point"] == "1,2,3"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["g2", "--weight", "-1,-1,2"],
+        ["g2", "--weight", "0,-1,1", "--tensor", "-1,-1,2"],
+        ["b3", "--weight", "1,0,0", "--point", "-1/2,2,3"],
+    ],
+    ids=["weight", "tensor", "point"],
+)
+def test_rep_takes_a_negative_value_after_a_space(capsys, argv):
+    *head, option, value = argv
+    for form in ([], ["--json"]):
+        spaced = _run(capsys, "rep", *argv, *form)
+        glued = _run(capsys, "rep", *head, f"{option}={value}", *form)
+        assert spaced == glued and spaced[0] == 0
+
+
+def test_rep_option_without_its_value_is_a_usage_error(capsys):
+    assert main(["rep", "g2", "--weight", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: argument --weight: expected one argument\n")
+
+
+def test_rep_multiplicities_list_the_weight_system(capsys):
+    code, payload = _run_json(capsys, "rep", "b3", "--weight", "1,0,0", "--multiplicities",
+                              "--json")
+    assert code == 0
+    weights = [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"], ["0", "0", "0"],
+               ["0", "0", "1"], ["0", "1", "0"], ["1", "0", "0"]]
+    assert payload["results"]["weights"] == [{"weight": w, "multiplicity": 1} for w in weights]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("rep g2 --weight 1,x,0", "bad rational list '1,x,0'"),
+        ("product holonomy su:x g2", "bad holonomy token 'su:x'; use kind:parameter"),
+        ("holonomy su 1", "su needs a parameter >= 2, got 1"),
+        ("holonomy su", "su needs a parameter >= 2, got None"),
+        ("holonomy sp1sp 1 --b2 1", "sp1sp needs a parameter >= 2, got 1"),
+        ("product holonomy su:1 g2", "su needs a parameter >= 2, got 1"),
+        ("ci -n 4 -d 3,3 --method series",
+         "the series signature route applies to hypersurfaces only"),
+        ("sphere --upto 2", "--upto must be at least 3"),
+    ],
+    ids=["rational-list", "holonomy-token", "su-1", "su-missing", "sp1sp-1", "product-su-1",
+         "series-codim-2", "upto-2"],
+)
+def test_usage_errors_exit_2_with_their_message(capsys, argv, message):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_rep_product_token(capsys):
@@ -329,6 +389,29 @@ def test_verify_paper_reports_mismatch(tmp_path, monkeypatch, capsys):
     code, out = _run(capsys, "verify-paper")
     assert code == 1
     assert "FAIL" in out and "broken" in out
+
+
+def test_verify_paper_reports_a_failed_cross_check(tmp_path, monkeypatch, capsys):
+    bad = tmp_path / "bad.json"
+    entry = {"id": "negative-kernel", "description": "no compact CY surface has h11 = 0",
+             "check": "topological_kernel", "args": {"family": "CY", "n": 2, "hodge": [0]},
+             "expected": 0, "source": "s"}
+    bad.write_text(json.dumps([entry]), encoding="utf-8")
+    monkeypatch.setenv("RSLAB_MANIFEST", str(bad))
+    error = (
+        "ConsistencyError: kernel formula: data = TopologicalInput(family='CY', n=2, "
+        "hodge=(0,), b2=None, b3=None, b4_minus=None), kernel_dimension = -2"
+    )
+    code, out = _run(capsys, "verify-paper")
+    assert code == 1
+    assert out == (
+        f"FAIL  negative-kernel  no compact CY surface has h11 = 0  [{error}]\n"
+        "1 entries, 1 failures\n"
+    )
+    code, payload = _run_json(capsys, "verify-paper", "--json")
+    assert code == 1
+    (row,) = payload["results"]["entries"]
+    assert row["error"] == error and row["actual"] is None and row["passed"] is False
 
 
 @pytest.mark.parametrize(

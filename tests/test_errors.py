@@ -62,6 +62,13 @@ def _serre(monkeypatch, capsys):
     hodge_numbers(build_ci(CISpec(2, (4,))))
 
 
+def _hodge_euler(monkeypatch, capsys):
+    # Serre-dual chi_p with an integral nonnegative middle row (1, 1, 1, 1), the
+    # quintic's table with h^{2,1} = 1 instead of 101
+    monkeypatch.setattr(intersections, "evaluate_genus", lambda genus, profile: (0,) * 4)
+    hodge_numbers(build_ci(CISpec(3, (5,))))
+
+
 def _wang(monkeypatch, capsys):
     invariants = intersections.ci_invariants
 
@@ -101,6 +108,11 @@ def _weight_system(monkeypatch, capsys):
             "mirrored = (3, -20, 2)",
         ),
         (
+            _hodge_euler,
+            "Euler number of the Hodge table: spec = CISpec(n=3, degrees=(5,)), table = 0, "
+            "c_n = -200",
+        ),
+        (
             _wang,
             "b4- of a Calabi-Yau fourfold: n = 4, degrees = [6], "
             "(b4 - signature)/2 = 851, b2 + 2 h13 - 1 = 852",
@@ -112,7 +124,7 @@ def _weight_system(monkeypatch, capsys):
         ),
     ],
     ids=["holonomy-sphere", "holonomy-spinors", "cli-signature", "charclass-product",
-         "intersections-serre", "manifest-wang", "lie-weight-system"],
+         "intersections-serre", "intersections-euler", "manifest-wang", "lie-weight-system"],
 )
 def test_failed_cross_check_names_inputs_and_values(monkeypatch, capsys, breaks, message):
     with pytest.raises(ConsistencyError) as failure:

@@ -26,6 +26,15 @@ def test_binomial_expansion():
     assert fifth.coefficient((6,)) == 0
 
 
+def test_repr_lists_terms_by_degree():
+    coeffs = {(0, 0): Fraction(-1, 2), (1, 0): 1, (0, 1): Fraction(2, 3), (2, 1): 3,
+              (1, 1): -1, (0, 2): 1}
+    p = TruncatedPoly(("x", "y"), (3, 3), coeffs)
+    assert repr(p) == "-1/2 + 2/3*y + x + y^2 - x*y + 3*x^2*y"
+    assert repr(-p) == "1/2 - 2/3*y - x - y^2 + x*y - 3*x^2*y"
+    assert repr(TruncatedPoly(("h",), (2,))) == "0"
+
+
 def test_truncation_drops_high_terms():
     p = TruncatedPoly(("x",), (3,), {(0,): 1, (1,): 1})
     q = p**5

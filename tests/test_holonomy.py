@@ -128,6 +128,37 @@ def test_model_dispatch_validation():
 
 
 @pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: holonomy_model("su", 1), "su needs a parameter >= 2, got 1"),
+        (lambda: holonomy_model("su"), "su needs a parameter >= 2, got None"),
+        (lambda: holonomy_model("u", 1), "u needs a parameter >= 2, got 1"),
+        (lambda: holonomy_model("so", 2), "so needs a parameter >= 3, got 2"),
+        (lambda: holonomy_model("sp", 0), "sp needs a parameter >= 1, got 0"),
+        (lambda: holonomy_model("sp1sp", 1), "sp1sp needs a parameter >= 2, got 1"),
+        (lambda: holonomy_model("spin7", "x"), "spin7 takes no parameter"),
+        (lambda: TopologicalInput("SPIN7", b2=1, b3=1), "SPIN7 input needs b4_minus"),
+        (lambda: TopologicalInput("G2", b3=1), "G2 input needs b2"),
+        (lambda: TopologicalInput("CY", hodge=(1,)), "CY input needs n"),
+        (lambda: TopologicalInput("QK", b2=1), "QK input needs n"),
+        (lambda: TopologicalInput("CY", n=1),
+         "CY input needs n >= 2 and the row h^{1,1}..h^{1,n-1}"),
+        (lambda: TopologicalInput("HK", n=0),
+         "HK input needs n >= 1 and the column h^{1,1}..h^{n,1}"),
+        (lambda: TopologicalInput("SPIN7", b2=-1, b3=1, b4_minus=1), "b2 must be nonnegative"),
+        (lambda: TopologicalInput("QK", n=2, b2=-1), "b2 must be nonnegative"),
+        (lambda: TopologicalInput("G2", b2=0, b3=-1), "b3 must be nonnegative"),
+        (lambda: TopologicalInput("HK", n=2, hodge=(1, -1)), "hodge must be nonnegative"),
+        (lambda: ParallelCounts(-1, 0), "parallel counts must be nonnegative"),
+        (lambda: ParallelCounts(1, -2, 8), "parallel counts must be nonnegative"),
+    ],
+)
+def test_refusals_name_what_is_missing_or_out_of_range(call, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize(
     "kind, parameter, named",
     [("sp", True, "parameter True"), ("su", "3", "parameter '3'"), ("so", 7.0, "parameter 7.0")],
 )

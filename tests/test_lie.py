@@ -251,7 +251,7 @@ def test_repsum_terms_round_trip_for_holonomy_sums(monkeypatch, kind, parameter)
     holonomy model exactly, U(n)'s half-integral block sums included."""
     built, model = [], holonomy.HolonomyModel
     monkeypatch.setattr(holonomy, "HolonomyModel", lambda **kw: built.append(kw) or model(**kw))
-    holonomy._BUILDERS[kind](*([] if parameter is None else [parameter]))
+    holonomy._KINDS[kind][0](*([] if parameter is None else [parameter]))
     (inputs,) = built
     spinor = inputs["spinor"]
     for terms in [inputs["tangent"], *(spinor if isinstance(spinor, tuple) else [spinor])]:
