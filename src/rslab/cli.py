@@ -527,12 +527,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _glue_negative_values(argv: Sequence[str]) -> List[str]:
     """Glue a value that starts with one minus sign to the ``--weight``,
     ``--tensor`` or ``--point`` before it (``--weight -1,0`` becomes
-    ``--weight=-1,0``), which argparse would read as an option.  A ``--``
-    option stays one, so ``--weight --json`` is still a usage error."""
+    ``--weight=-1,0``), which argparse would read as an option.  Any prefix
+    argparse resolves to one of them counts (``--wei``; no other ``rep``
+    option starts with w, t or p).  A ``--`` option stays one, so
+    ``--weight --json`` is still a usage error."""
     glued: List[str] = []
     for arg in argv:
         signed = arg[:1] == "-" and arg[1:2] != "-"
-        if signed and glued and glued[-1] in ("--weight", "--tensor", "--point"):
+        option = glued[-1] if glued else ""
+        if signed and len(option) > 2 and any(
+                name.startswith(option) for name in ("--weight", "--tensor", "--point")):
             glued[-1] += "=" + arg
         else:
             glued.append(arg)

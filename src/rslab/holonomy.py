@@ -412,8 +412,8 @@ class SphereCheck:
     margin: Fraction
 
 
-# sphere_check(n) builds about n**2/4 positive roots: 0.11-0.16 s at n = 400
-# on a 2-core VM, and `sphere --upto 400` about 17 s
+# sphere_check(n) builds about n**2/4 positive roots: 0.06-0.08 s at n = 400
+# on a 2-core VM, and `sphere --upto 400` 6-8 s
 SPHERE_LIMIT = 400
 
 

@@ -28,6 +28,13 @@ integral), and adds, subtracts, measures and multiplies on those keys; its
 ``terms`` are a coordinate view, built through ``from_labels`` once per
 sum.  Coordinates appear only at the API, where the highest weights a
 caller passes are checked once.  Every call returns a fresh dict or RepSum.
+
+Equal factory calls (``type_b(3)`` twice, or ``product_system`` over the
+same factor objects) return one shared RootSystem while it is kept, so its
+tables and memos serve every later request on that Lie algebra.  The least
+recently used are dropped once the kept systems hold more than
+``_KEPT_ROOTS`` positive roots; a later call builds a fresh system, and sums
+over the old and the new one refuse to combine ("different systems").
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, InputError, check, integer
 
@@ -80,7 +87,10 @@ class RootSystem:
 
     Instances are immutable after construction apart from internal caches
     (integer tables, the Fraction tuples, Weyl dimensions, weight systems,
-    Klimyk products), which are only ever appended to.
+    Klimyk products), which are only ever appended to.  The factories hand
+    one instance to every caller on the same root datum, so those caches
+    are shared across requests: nothing may modify them, and callers of
+    ``_klimyk`` must not modify the memo entries it returns.
     """
 
     def __init__(self, components: Sequence[_Component], simple: Sequence[Sparse],
@@ -135,16 +145,24 @@ class RootSystem:
 
     def _validate(self, norms: List[int], acc: List[int]) -> None:
         """Cartan entries and delta, on the integer rows; keeps the Cartan
-        rows _cartan (row i: the nonzero labels <alpha_i, alpha_j^vee>)."""
+        rows _cartan (row i: the nonzero labels <alpha_i, alpha_j^vee>).
+
+        Only simple roots that share a coordinate with alpha_j, found through
+        the coordinate columns, can have a nonzero entry on it; every other
+        entry is 0, an integer <= 0, so no check is skipped."""
         cartan: List[list] = [[] for _ in norms]
+        columns = _columns(self._simple, self.coords)
         for j, norm in enumerate(norms):
             if norm == 0:
                 raise ConsistencyError(
                     f"{self.name}: simple root {_fmt(self.simple_roots[j])} has norm 0"
                 )
-            a_row = dict(self._simple[j])
-            for i, row in enumerate(self._simple):
-                twice = 2 * sum(v * a_row.get(k, 0) for k, v in row)
+            dots: Dict[int, int] = {}
+            for k, v in self._simple[j]:
+                for i, w in columns[k]:
+                    dots[i] = dots.get(i, 0) + v * w
+            for i in sorted(dots):
+                twice = 2 * dots[i]
                 entry, rest = divmod(twice, norm)
                 if rest or (i != j and entry > 0):
                     a, b = self.simple_roots[j], self.simple_roots[i]
@@ -162,10 +180,12 @@ class RootSystem:
         for row in omega:
             for i, v in row:
                 total[i] += v
+        # <delta, a> - <sum omega, a> over 2 oden, per coordinate
+        gap = [a * oden - 2 * t for a, t in zip(acc, total)]
         for k, row in enumerate(self._positive):
-            on_delta = sum(v * acc[i] for i, v in row)  # over 2
-            on_omega = sum(v * total[i] for i, v in row)  # over oden
-            if on_delta * oden != on_omega * 2:
+            if sum(v * gap[i] for i, v in row):
+                on_delta = sum(v * acc[i] for i, v in row)  # over 2
+                on_omega = sum(v * total[i] for i, v in row)  # over oden
                 raise ConsistencyError(
                     f"{self.name}: <delta, a> = {Fraction(on_delta, 2)} but "
                     f"<sum of fundamental weights, a> = {Fraction(on_omega, oden)}, "
@@ -371,6 +391,25 @@ class RootSystem:
 
 # -- factories -----------------------------------------------------------------
 
+# Factory results by root datum, least recently used first.  A system holds
+# about 200 bytes of sparse rows per positive root, so the store is bounded
+# by the positive roots it holds (about 0.8 MiB), not by a count of systems.
+_kept: Dict[tuple, RootSystem] = {}
+_KEPT_ROOTS = 4096
+
+
+def _shared(key: tuple, build: Callable[[], RootSystem]) -> RootSystem:
+    """The kept system under ``key``, or a new one; then the least recently
+    used are dropped until the kept positive roots total at most
+    _KEPT_ROOTS.  A system larger than that is not kept."""
+    system = _kept.pop(key, None) or build()
+    if len(system._positive) <= _KEPT_ROOTS:
+        _kept[key] = system
+        held = sum(len(s._positive) for s in _kept.values())
+        while held > _KEPT_ROOTS:
+            held -= len(_kept.pop(next(iter(_kept)))._positive)
+    return system
+
 
 def _chain(n: int) -> List[Sparse]:
     """The simple roots e_i - e_(i+1), i < n - 1."""
@@ -395,66 +434,91 @@ def type_a(n: int) -> RootSystem:
     """sl(n) in GL coordinates: n entries, roots e_i - e_j."""
     if integer(n, "type A size") < 2:
         raise InputError("type A needs at least two coordinates")
-    positive = [((i, 1), (j, -1)) for i in range(n) for j in range(i + 1, n)]
-    return RootSystem([_Component("A", n)], _chain(n), positive, (1, _steps(n - 1)), f"A{n - 1}")
+
+    def build() -> RootSystem:
+        positive = [((i, 1), (j, -1)) for i in range(n) for j in range(i + 1, n)]
+        return RootSystem([_Component("A", n)], _chain(n), positive, (1, _steps(n - 1)), f"A{n - 1}")
+
+    return _shared(("A", n), build)
 
 
 def type_b(m: int) -> RootSystem:
     """so(2m+1): roots e_i +- e_j and the short e_i."""
     if integer(m, "type B rank") < 1:
         raise InputError("type B needs rank at least one")
-    simple = _chain(m) + [((m - 1, 1),)]
-    positive = [((i, 1),) for i in range(m)] + _pairs(m)
-    spin = tuple((i, 1) for i in range(m))  # (1/2, ..., 1/2)
-    omega = (2, _steps(m - 1, 2) + [spin])
-    return RootSystem([_Component("B", m)], simple, positive, omega, f"B{m}")
+
+    def build() -> RootSystem:
+        simple = _chain(m) + [((m - 1, 1),)]
+        positive = [((i, 1),) for i in range(m)] + _pairs(m)
+        spin = tuple((i, 1) for i in range(m))  # (1/2, ..., 1/2)
+        omega = (2, _steps(m - 1, 2) + [spin])
+        return RootSystem([_Component("B", m)], simple, positive, omega, f"B{m}")
+
+    return _shared(("B", m), build)
 
 
 def type_c(m: int) -> RootSystem:
     """sp(m): roots e_i +- e_j and the long 2e_i."""
     if integer(m, "type C rank") < 1:
         raise InputError("type C needs rank at least one")
-    simple = _chain(m) + [((m - 1, 2),)]
-    positive = [((i, 2),) for i in range(m)] + _pairs(m)
-    return RootSystem([_Component("C", m)], simple, positive, (1, _steps(m)), f"C{m}")
+
+    def build() -> RootSystem:
+        simple = _chain(m) + [((m - 1, 2),)]
+        positive = [((i, 2),) for i in range(m)] + _pairs(m)
+        return RootSystem([_Component("C", m)], simple, positive, (1, _steps(m)), f"C{m}")
+
+    return _shared(("C", m), build)
 
 
 def type_d(m: int) -> RootSystem:
     """so(2m), m >= 2: roots e_i +- e_j."""
     if integer(m, "type D rank") < 2:
         raise InputError("type D needs rank at least two")
-    simple = _chain(m) + [((m - 2, 1), (m - 1, 1))]
-    half = tuple((i, 1) for i in range(m - 1))  # (1/2, ..., 1/2, -+1/2)
-    omega = (2, _steps(m - 2, 2) + [half + ((m - 1, -1),), half + ((m - 1, 1),)])
-    return RootSystem([_Component("D", m)], simple, _pairs(m), omega, f"D{m}")
+
+    def build() -> RootSystem:
+        simple = _chain(m) + [((m - 2, 1), (m - 1, 1))]
+        half = tuple((i, 1) for i in range(m - 1))  # (1/2, ..., 1/2, -+1/2)
+        omega = (2, _steps(m - 2, 2) + [half + ((m - 1, -1),), half + ((m - 1, 1),)])
+        return RootSystem([_Component("D", m)], simple, _pairs(m), omega, f"D{m}")
+
+    return _shared(("D", m), build)
 
 
 def g2() -> RootSystem:
     """G2 in the trace-zero hyperplane of three coordinates."""
-    # a1, a2, a1 + a2, 2a1 + a2, 3a1 + a2, 3a1 + 2a2
-    roots = ((1, -1, 0), (-2, 1, 1), (-1, 0, 1), (0, -1, 1), (1, -2, 1), (-1, -1, 2))
-    positive = [tuple((i, x) for i, x in enumerate(r) if x) for r in roots]
-    # omega_1 = 2a1 + a2, omega_2 = 3a1 + 2a2
-    omega = (1, [positive[3], positive[5]])
-    return RootSystem([_Component("G2", 3)], positive[:2], positive, omega, "G2")
+
+    def build() -> RootSystem:
+        # a1, a2, a1 + a2, 2a1 + a2, 3a1 + a2, 3a1 + 2a2
+        roots = ((1, -1, 0), (-2, 1, 1), (-1, 0, 1), (0, -1, 1), (1, -2, 1), (-1, -1, 2))
+        positive = [tuple((i, x) for i, x in enumerate(r) if x) for r in roots]
+        # omega_1 = 2a1 + a2, omega_2 = 3a1 + 2a2
+        omega = (1, [positive[3], positive[5]])
+        return RootSystem([_Component("G2", 3)], positive[:2], positive, omega, "G2")
+
+    return _shared(("G2",), build)
 
 
 def product_system(*systems: RootSystem) -> RootSystem:
     """Direct product with concatenated coordinates; the fundamental weights
-    go over the lcm of the factors' denominators."""
+    go over the lcm of the factors' denominators.  Kept under the factor
+    objects themselves: a rebuilt factor gives a new product."""
     if len(systems) < 2:
         raise InputError("a product needs at least two factors")
-    den = math.lcm(*(s._omega[0] for s in systems))
-    simple, positive, omega, offset = [], [], [], 0  # sparse rows
-    for s in systems:
-        simple.extend(_shift(row, offset) for row in s._simple)
-        positive.extend(_shift(row, offset) for row in s._positive)
-        oden, rows = s._omega
-        omega.extend(_shift(row, offset, den // oden) for row in rows)
-        offset += s.coords
-    components = [c for s in systems for c in s.components]
-    name = "x".join(s.name for s in systems)
-    return RootSystem(components, simple, positive, (den, omega), name)
+
+    def build() -> RootSystem:
+        den = math.lcm(*(s._omega[0] for s in systems))
+        simple, positive, omega, offset = [], [], [], 0  # sparse rows
+        for s in systems:
+            simple.extend(_shift(row, offset) for row in s._simple)
+            positive.extend(_shift(row, offset) for row in s._positive)
+            oden, rows = s._omega
+            omega.extend(_shift(row, offset, den // oden) for row in rows)
+            offset += s.coords
+        components = [c for s in systems for c in s.components]
+        name = "x".join(s.name for s in systems)
+        return RootSystem(components, simple, positive, (den, omega), name)
+
+    return _shared(("x", *systems), build)
 
 
 # -- representation sums ---------------------------------------------------------

@@ -219,14 +219,16 @@ def test_rep_takes_a_negative_value_after_a_space(capsys, argv):
     for form in ([], ["--json"]):
         spaced = _run(capsys, "rep", *argv, *form)
         glued = _run(capsys, "rep", *head, f"{option}={value}", *form)
-        assert spaced == glued and spaced[0] == 0
+        abbreviated = _run(capsys, "rep", *head, option[:4], value, *form)  # --we, --te, --po
+        assert spaced == glued == abbreviated and spaced[0] == 0
 
 
 def test_rep_option_without_its_value_is_a_usage_error(capsys):
-    assert main(["rep", "g2", "--weight", "--json"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.endswith("error: argument --weight: expected one argument\n")
+    for option in ("--weight", "--wei"):
+        assert main(["rep", "g2", option, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: argument --weight: expected one argument\n")
 
 
 def test_rep_multiplicities_list_the_weight_system(capsys):

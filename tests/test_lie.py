@@ -9,7 +9,7 @@ from functools import partial
 import pytest
 
 from characters import assert_tensor_character, character, decompose, product_character
-from rslab import holonomy
+from rslab import holonomy, lie
 from rslab.errors import ConsistencyError, InputError
 from rslab.holonomy import sphere_check
 from rslab.lie import (
@@ -233,11 +233,80 @@ def test_repsum_refuses_weights_outside_the_system(factory, weight, message):
 
 
 def test_sums_of_different_systems_do_not_combine():
-    one, other = type_b(3), type_b(3)
+    one, other = type_b(3), type_c(3)  # two root data on the same coordinates
     a, b = irreducible(one, _w(1, 0, 0)), irreducible(other, _w(1, 0, 0))
     for combine in (a.add, a.subtract, partial(tensor_product_sum, one, a)):
         with pytest.raises(InputError, match="different systems"):
             combine(b)
+
+
+# -- one shared system per root datum -------------------------------------------
+
+
+def test_equal_factory_calls_share_one_system():
+    for factory, args in ((type_a, (4,)), (type_b, (3,)), (type_c, (2,)), (type_d, (4,)), (g2, ())):
+        assert factory(*args) is factory(*args)
+    assert type_b(3) is not type_c(3)
+    pair = product_system(type_c(1), type_c(6))
+    assert pair is product_system(type_c(1), type_c(6)) and pair.name == "C1xC6"
+    assert product_system(type_c(6), type_c(1)) is not pair
+
+
+@pytest.mark.parametrize(
+    "factory, kept, refused",
+    [(type_c, 1, True), (type_a, 3, 3.0), (type_b, 3, "3")],
+    ids=["bool", "float", "str"],
+)
+def test_factories_check_their_argument_ahead_of_the_store(factory, kept, refused):
+    factory(kept)
+    with pytest.raises(InputError, match="is not an int"):
+        factory(refused)
+
+
+def test_kept_systems_stay_within_the_root_budget():
+    first = type_b(1)  # the system of sphere_check(3)
+    for n in range(3, 121):
+        sphere_check(n)
+        assert sum(len(s._positive) for s in lie._kept.values()) <= lie._KEPT_ROOTS
+    assert lie._kept[("D", 60)] is type_d(60)  # the last one used, 3,540 roots
+    assert type_b(1) is not first  # dropped long ago, built afresh
+
+
+def test_a_system_beyond_the_root_budget_is_not_kept():
+    small = type_b(3)
+    big = type_d(70)
+    assert len(big._positive) == 4830 > lie._KEPT_ROOTS
+    assert type_d(70) is not big and ("D", 70) not in lie._kept
+    assert list(lie._kept) == [("B", 3)] and type_b(3) is small
+
+
+def test_results_do_not_depend_on_the_order_of_requests():
+    """Shared systems carry their memos from one request to the next; the
+    answers are those of a fresh system, in either order."""
+
+    def model(kind, parameter=None):
+        built = holonomy.holonomy_model(kind, parameter)
+        sigma = built.sigma_three_half()
+        graded = [] if sigma.plus is None else [sigma.plus.sorted_terms(), sigma.minus.sorted_terms()]
+        return sigma.total.sorted_terms(), graded, built.parallel_rs_dimension()
+
+    def tensor(factory, lam, mu):
+        return tensor_decompose(factory(), lam, mu).sorted_terms()
+
+    half = F(1, 2)
+    jobs = [partial(model, kind, parameter) for kind, parameter in
+            [("su", 3), ("u", 3), ("sp", 3), ("sp1sp", 3), ("so", 7), ("g2", None), ("spin7", None)]]
+    jobs += [partial(tensor, partial(type_a, 3), _w(1, 0, 0), _w(1, 1, 0)),
+             partial(tensor, partial(type_b, 3), _w(1, 0, 0), _w(half, half, half)),
+             partial(tensor, partial(type_c, 3), _w(1, 1, 0), _w(1, 0, 0)),
+             partial(tensor, g2, _w(0, -1, 1), _w(-1, -1, 2))]
+    jobs += [partial(sphere_check, n) for n in (6, 7, 8)]
+    runs = []
+    for order in (jobs, jobs[::-1]):
+        lie._kept.clear()
+        holonomy._build_model.cache_clear()
+        runs.append([job() for job in order])
+    assert runs[0] == runs[1][::-1]
 
 
 @pytest.mark.parametrize(
