@@ -44,6 +44,7 @@ from .holonomy import (
     sphere_check,
 )
 from .intersections import (
+    HODGE_LIMIT,
     CIManifold,
     CISpec,
     build_ci,
@@ -459,7 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="chern",
         help="signature route: characteristic classes, series extraction, or both",
     )
-    ci.add_argument("--hodge", action="store_true", help="include the Hodge table")
+    ci.add_argument(
+        "--hodge", action="store_true", help=f"include the Hodge table (n at most {HODGE_LIMIT})"
+    )
     ci.add_argument("--kernel", action="store_true", help="include the kernel report")
     ci.add_argument("--json", action="store_true")
     ci.set_defaults(handler=_cmd_ci)

@@ -20,7 +20,6 @@ formula for Riemannian products.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -254,28 +253,18 @@ def holonomy_model(kind: str, parameter: Optional[int] = None) -> HolonomyModel:
 
     ``kind`` is one of su, u, sp, sp1sp, g2, spin7, so; the parameter is
     n for SU(n)/U(n)/Sp(n)/SO(n) and m for Sp(1)Sp(m), and must be
-    omitted for g2 and spin7.  Models are immutable apart from their own
-    lazy Sigma_3/2, so the most recently used ones are kept and returned
-    again for the same (kind, parameter).
+    omitted for g2 and spin7.  Each call builds its model on the shared
+    root system of ``lie``, whose memos make a repeated build cheap.
     """
     token = kind.strip().lower()
     if token not in _KINDS:
         raise InputError(f"unknown holonomy kind {kind!r}; expected {HOLONOMY_KINDS}")
-    # checked before the cache, where True would hit the entry of 1 and 2.0 that of 2
     smallest = _KINDS[token][1]
     if smallest is None:
         if parameter is not None:
             raise InputError(f"{token} takes no parameter")
     elif parameter is None or integer(parameter, "parameter") < smallest:
         raise InputError(f"{token} needs a parameter >= {smallest}, got {parameter}")
-    return _build_model(token, parameter)
-
-
-# `rslab verify-paper` builds 9 distinct models 19 times; keeping eight
-# serves 9 of its 10 repeats, while a sweep over every model keeps at most
-# eight alive (peak memory stays that of building each model afresh).
-@lru_cache(maxsize=8)
-def _build_model(token: str, parameter: Optional[int]) -> HolonomyModel:
     build = _KINDS[token][0]
     return build() if parameter is None else build(parameter)
 

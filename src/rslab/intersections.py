@@ -162,6 +162,11 @@ def fermat_signature(m: int, d: int) -> Fraction:
     return ((p - q) * series_inverse(one_minus * (p + q))).coefficient((order,))
 
 
+# the chi_y class behind a Hodge table grows about as n**4: `ci -n N -d N+2
+# --hodge` took 1.0 s at N = 64 and 4.1 s at N = 100 on a 2-core VM
+HODGE_LIMIT = 100
+
+
 def hodge_numbers(m: CIManifold) -> Tuple[Tuple[int, ...], ...]:
     """Full Hodge table h^{p,q} as nested tuples, rows indexed by p.
 
@@ -170,8 +175,11 @@ def hodge_numbers(m: CIManifold) -> Tuple[Tuple[int, ...], ...]:
     determine the middle row.  The solve is checked for Serre duality of
     the chi_p, for an integral nonnegative middle row, and against a second
     route: sum (-1)^(p+q) h^{p,q} is chi_y at y = -1, the Euler number c_n[X].
+    Complex dimensions above HODGE_LIMIT are refused before any work.
     """
     n = m.spec.n
+    if n > HODGE_LIMIT:
+        raise InputError(f"hodge_numbers needs n <= {HODGE_LIMIT}, got {n}")
     chi = evaluate_genus("CHI_Y", m.profile)
     mirrored = tuple((-1) ** n * c for c in reversed(chi))
     check("Serre duality of chi_p", chi == mirrored, spec=m.spec, chi=chi, mirrored=mirrored)

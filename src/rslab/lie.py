@@ -35,6 +35,8 @@ tables and memos serve every later request on that Lie algebra.  The least
 recently used are dropped once the kept systems hold more than
 ``_KEPT_ROOTS`` positive roots; a later call builds a fresh system, and sums
 over the old and the new one refuse to combine ("different systems").
+This store is the one cache that lasts across requests: ``holonomy``
+builds each model afresh on the kept system, so a model never outlives it.
 """
 
 from __future__ import annotations

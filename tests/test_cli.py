@@ -252,9 +252,10 @@ def test_rep_multiplicities_list_the_weight_system(capsys):
         ("ci -n 4 -d 3,3 --method series",
          "the series signature route applies to hypersurfaces only"),
         ("sphere --upto 2", "--upto must be at least 3"),
+        ("ci -n 101 -d 103 --hodge", "hodge_numbers needs n <= 100, got 101"),
     ],
     ids=["rational-list", "holonomy-token", "su-1", "su-missing", "sp1sp-1", "product-su-1",
-         "series-codim-2", "upto-2"],
+         "series-codim-2", "upto-2", "hodge-above-limit"],
 )
 def test_usage_errors_exit_2_with_their_message(capsys, argv, message):
     assert main(argv.split()) == 2

@@ -12,7 +12,6 @@ from rslab.holonomy import (
     ParallelCounts,
     QKSummand,
     TopologicalInput,
-    _so_model,
     family_index,
     holonomy_model,
     hyperkahler_kernel_identity,
@@ -163,7 +162,7 @@ def test_refusals_name_what_is_missing_or_out_of_range(call, message):
     [("sp", True, "parameter True"), ("su", "3", "parameter '3'"), ("so", 7.0, "parameter 7.0")],
 )
 def test_model_parameter_must_be_an_int(kind, parameter, named):
-    holonomy_model(kind, int(parameter))  # the int is cached; True, "3", 7.0 must not hit it
+    holonomy_model(kind, int(parameter))  # the int is accepted; True, "3", 7.0 are not
     with pytest.raises(InputError, match=f"^{named} is not an int$"):
         holonomy_model(kind, parameter)
 
@@ -217,16 +216,30 @@ def test_topological_input_keeps_hodge_as_a_tuple():
     assert kernel_dimension(data) == 31
 
 
-def test_models_are_reused_per_input():
-    model = holonomy_model("sp1sp", 2)
-    assert holonomy_model(" Sp1Sp ", 2) is model
-    assert holonomy_model("g2") is holonomy_model("G2")
-    assert holonomy_model("sp", 2) is not holonomy_model("sp", 3)
+def test_equal_inputs_give_equal_models():
+    def seen(kind, parameter=None):
+        model = holonomy_model(kind, parameter)
+        return model.group, model.sigma_three_half().total.sorted_terms()
+
+    assert seen(" Sp1Sp ", 2) == seen("sp1sp", 2)
+    assert seen("G2") == seen("g2")
+    assert seen("sp", 2) != seen("sp", 3)
+
+
+def test_models_follow_their_shared_root_system():
+    """A model is built on the system the factory hands out now, also after
+    the shared store has dropped and rebuilt it."""
+    holonomy_model("sp", 3)
+    for n in range(3, 121):  # B_m and D_m up to m = 60 push C3 out of the store
+        sphere_check(n)
+    model = holonomy_model("sp", 3)
+    assert model.system is lie.type_c(3)
+    model.tangent.add(lie.irreducible(lie.type_c(3), (1, 0, 0)))
 
 
 @pytest.mark.parametrize("n", [8, 10])
 def test_sigma_three_half_runs_klimyk_once_per_pair(monkeypatch, n):
-    model = _so_model(n)  # fresh, outside the model cache
+    model = holonomy_model("so", n)
     calls = {"klimyk": 0, "weights": 0}
     klimyk, weights = lie._klimyk, model.system.weight_multiplicities
 

@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from rslab import charclass
+from rslab import charclass, intersections
 from rslab.charclass import evaluate_genus, rs_index
 from rslab.errors import ConsistencyError, InputError, NotApplicableError
 from rslab.intersections import (
+    HODGE_LIMIT,
     CISpec,
     build_ci,
     ci_invariants,
@@ -134,6 +135,22 @@ def test_general_type_surface_hodge():
     table = hodge_numbers(_ci(2, 6))
     assert table[2][0] == 10
     assert table[1][1] == 86
+
+
+def test_hodge_table_above_the_limit_is_refused_before_any_work(monkeypatch):
+    genus = intersections.evaluate_genus
+
+    def no_chi_y(name, profile):
+        assert name != "CHI_Y", "the chi_y class was built"
+        return genus(name, profile)
+
+    monkeypatch.setattr(intersections, "evaluate_genus", no_chi_y)
+    n = HODGE_LIMIT + 1
+    message = f"^hodge_numbers needs n <= {HODGE_LIMIT}, got {n}$"
+    with pytest.raises(InputError, match=message):
+        hodge_numbers(_ci(n, n + 2))
+    with pytest.raises(InputError, match=message):  # the Ricci-flat report reads the table
+        ci_rs_kernel(_ci(n, n + 2))
 
 
 def test_kernel_report_ricci_flat():

@@ -304,7 +304,6 @@ def test_results_do_not_depend_on_the_order_of_requests():
     runs = []
     for order in (jobs, jobs[::-1]):
         lie._kept.clear()
-        holonomy._build_model.cache_clear()
         runs.append([job() for job in order])
     assert runs[0] == runs[1][::-1]
 
