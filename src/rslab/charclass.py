@@ -29,7 +29,7 @@ from .exactpoly import (
     TruncatedPoly,
     _components,
     _exp,
-    _reduced,
+    _log,
     series_exp,
     series_inverse,
     series_log,
@@ -167,7 +167,10 @@ class GenusSpec:
 
     ``series`` is Q expanded in the formal Chern-root variable x (plus the
     parameter y for the CHI_Y family) with Q(0, y) = 1, so log Q has no
-    pure-y part.  CHI_Y series have two variables, every other genus one.
+    pure-y part.  CHI_Y series have two variables, every other genus one,
+    and no monomial x**i y**j with j > i: in u = x, v = xy each monomial is
+    then u**(i-j) v**j, of total degree i, so Q, log Q and every genus class
+    are graded by the power of x alone.
     """
 
     name: str
@@ -184,6 +187,10 @@ class GenusSpec:
             )
         at_x0 = tuple((e, c) for e, c in self.series.items() if not e[0])
         check("genus series at x = 0", at_x0 == (((0,) * count, 1),), genus=self.name, terms=at_x0)
+        above = [e for e in self.series.coeffs if count == 2 and e[1] > e[0]]
+        if above:
+            i, j = min(above)
+            raise InputError(f"{self.name} series has x^{i}*y^{j}, a power of y above that of x")
 
     @cached_property
     def log_series(self) -> TruncatedPoly:
@@ -192,8 +199,18 @@ class GenusSpec:
 
     @cached_property
     def _log_components(self) -> Tuple[Component, ...]:
-        """log Q as int numerators over one denominator per total degree."""
-        return tuple((den, tuple(terms)) for den, terms in _components(self.log_series))
+        """log Q graded by the power of x, as int numerators over one
+        denominator per component.
+
+        Component d holds the x**d part of log Q, keyed by the power of u in
+        u = x, v = xy (x**i y**j is u**(i-j) v**j), so x**(order+1) is the
+        only truncation and no product is formed only to be cut away.
+        """
+        q = self.series
+        if len(q.variables) == 2:
+            q = TruncatedPoly(("u", "v"), q.cutoffs, {(i - j, j): c for (i, j), c in q.items()})
+        graded = _components(q)[: q.cutoffs[0] + 1]
+        return tuple((den, tuple(terms)) for den, terms in _log(graded, q.cutoffs))
 
 
 # name -> the one spec of that genus, built at the highest order asked for so far
@@ -203,8 +220,8 @@ _SPECS: Dict[str, GenusSpec] = {}
 def genus_spec(name: str, order: int) -> GenusSpec:
     """The named genus with Q(x) expanded to at least x**order.
 
-    One spec per genus is kept, with its ``log_series``, and rebuilt only for
-    a higher order; readers cut it to their own order, which is exact since the
+    One spec per genus is kept, with its log Q, and rebuilt only for a
+    higher order; readers cut it to their own order, which is exact since the
     truncation ideal is monomial and the series recurrences are graded.  The
     spec is shared, so callers must not modify its series.
     """
@@ -252,31 +269,23 @@ def _build_spec(name: str, order: int) -> GenusSpec:
 
 
 def _class_components(genus: str, profile: ChernProfile) -> Tuple[Tuple[int, ...], Components]:
-    """Cutoffs and components of the genus class exp(sum_k log(Q)_k s_k h**k).
+    """Cutoffs and components of the genus class exp(sum_d s_d (log Q)_d h**d),
+    graded by the power of h as log Q is by the power of x.
 
-    Each log Q monomial x**i y**j becomes s_i h**i y**j: the int components
-    of log Q are scaled by the power-sum numerators and go straight to the
-    exp recurrence.  Any spec of order >= n serves: log Q is cut to the class's
-    truncation first, which commutes with exp since the recurrence is graded.
+    Component d of log Q is scaled by the one power sum s_d = S_d / D**d and
+    goes straight to the exp recurrence as int numerators.  Any spec of
+    order >= n serves: log Q is cut after h**n first, which commutes with exp
+    since the recurrence is graded.
     """
     n = profile.dim
     g = genus_spec(genus, n)
     den_s, sums = profile._power_sum_numerators
+    scaled = [(1, [])] + [
+        (den * den_s**d, [(i, c * sums[d - 1]) for i, c in terms])
+        for d, (den, terms) in enumerate(g._log_components[1 : n + 1], 1)
+    ]
     cut = (n,) * len(g.series.variables)
-    scaled = []
-    for k, (den, terms) in enumerate(g._log_components[: sum(cut) + 1]):
-        comp = []
-        for i, c in terms:  # i >= 1: log Q(0, y) = 0
-            if i <= n and k - i <= n:
-                comp.append((i, c * sums[i - 1] * den_s ** (k - i)))
-        scaled.append(_reduced(comp, den * den_s**k))
     return cut, _exp(scaled, cut)
-
-
-def _coefficient(comp: Component, first: int) -> Fraction:
-    """The coefficient with first exponent ``first`` in a component."""
-    den, terms = comp
-    return Fraction(dict(terms).get(first, 0), den)
 
 
 def evaluate_genus(genus: str, profile: ChernProfile) -> Union[Fraction, Tuple[Fraction, ...]]:
@@ -284,16 +293,21 @@ def evaluate_genus(genus: str, profile: ChernProfile) -> Union[Fraction, Tuple[F
 
     Returns a single rational, except for CHI_Y where the result is the
     tuple of coefficients of y**0 .. y**n, the arithmetic genera
-    chi_p = sum_q (-1)**q h^{p,q}.  Each genus is evaluated once per profile.
+    chi_p = sum_q (-1)**q h^{p,q}.  h**n y**j is u**(n-j) v**j in u = h,
+    v = hy, the entry n - j of the class's top component; each value is one
+    Fraction.  Each genus is evaluated once per profile.
     """
     if genus in profile._values:
         return profile._values[genus]
     n = profile.dim
     cut, comps = _class_components(genus, profile)
-    if len(cut) == 2:  # h**n y**j lies in the component of total degree n + j
-        value = tuple(_coefficient(comps[n + j], n) * profile.pairing for j in range(n + 1))
+    den, terms = comps[n]
+    top = dict(terms)
+    p, q = profile.pairing.numerator, profile.pairing.denominator
+    if len(cut) == 2:
+        value = tuple(Fraction(top.get(n - j, 0) * p, den * q) for j in range(n + 1))
     else:
-        value = _coefficient(comps[n], n) * profile.pairing
+        value = Fraction(top.get(n, 0) * p, den * q)
     profile._values[genus] = value
     return value
 
@@ -326,31 +340,47 @@ class RSIndexReport:
     dirac: Fraction
 
 
+def _paired_top(
+    ahat: List[Tuple[int, int]], factor: List[Tuple[int, int]], pairing: Fraction
+) -> Fraction:
+    """The h**n coefficient of Ahat * factor, paired with [M].
+
+    Both classes are lists of (denominator, int numerator) by degree 0 .. n;
+    the sum runs on ints over one lcm denominator, then makes one Fraction.
+    """
+    terms = [(da * df, a * f) for (da, a), (df, f) in zip(ahat, reversed(factor)) if a and f]
+    den = math.lcm(*(d for d, _ in terms))
+    num = sum(c * (den // d) for d, c in terms)
+    return Fraction(num * pairing.numerator, den * pairing.denominator)
+
+
 def rs_index(profile: ChernProfile) -> RSIndexReport:
     """Index functional Ahat(TM)*(ch(TM x C) + 1) paired with [M].
 
     The summand splits as a tangent-twisted Dirac index plus the plain
     Dirac index; the split is recomputed and cross-checked.  Both sides read
     one list of Ahat coefficients, so the check catches a convolution error
-    but not a wrong Ahat class.  The report is computed once per profile.
+    but not a wrong Ahat class.  Each sum runs on int numerators over one
+    lcm denominator, and each reported number is one Fraction.  The report
+    is computed once per profile.
     """
     if rs_index in profile._values:
         return profile._values[rs_index]
     n = profile.dim
+    # Ahat_k = A_k / a_k: one variable, so component k holds at most (k, A_k)
     comps = _class_components("AHAT", profile)[1]
-    ahat = [_coefficient(comps[k], k) for k in range(n + 1)]
-    ch_cls = ch_complexified_tangent(profile)
-    ch = [ch_cls.coefficient((k,)) for k in range(n + 1)]
-
-    def top(factor: List[Fraction]) -> Fraction:
-        """The h**n coefficient of Ahat * factor, paired with [M]."""
-        return sum((a * b for a, b in zip(ahat, reversed(factor))), Fraction(0)) * profile.pairing
-
-    total = top([ch[0] + 1] + ch[1:])
-    twisted = top(ch)
-    dirac = ahat[n] * profile.pairing
+    ahat = [(den, terms[0][1] if terms else 0) for den, terms in comps]
+    # ch_k = 2 s_k / k! = 2 S_k / (k! D**k) for even k >= 2; odd k cancel
+    den_s, sums = profile._power_sum_numerators
+    ch = [(1, 2 * n)] + [
+        (math.factorial(k) * den_s**k, 0 if k % 2 else 2 * sums[k - 1]) for k in range(1, n + 1)
+    ]
+    pairing = profile.pairing
+    total = _paired_top(ahat, [(1, 2 * n + 1)] + ch[1:], pairing)
+    twisted = _paired_top(ahat, ch, pairing)
+    dirac = Fraction(ahat[n][1] * pairing.numerator, ahat[n][0] * pairing.denominator)
     recombined = twisted + dirac
-    check("index split", total == recombined, chern=profile.chern, pairing=profile.pairing,
+    check("index split", total == recombined, chern=profile.chern, pairing=pairing,
           total=total, **{"twisted + dirac": recombined})
     report = profile._values[rs_index] = RSIndexReport(
         total=total, dirac_tangent=twisted, dirac=dirac

@@ -31,6 +31,10 @@ Euler derivation sum_v v*d/dv; the recurrences are therefore exact for any
 per-variable cutoffs.  Each component is computed once, which costs O(n^4)
 coefficient products in two variables at cutoff n, against O(n^5) for the
 n full truncated products of a geometric or power series.
+
+The exp and log recurrences themselves are ``_exp`` and ``_log``, lists of
+components in and out; ``charclass`` runs them on genus series graded by
+the power of x, where the only truncation is the length of the list.
 """
 
 from __future__ import annotations
@@ -306,10 +310,14 @@ def series_log(p: TruncatedPoly) -> TruncatedPoly:
     """
     if p.constant_term != 1:
         raise InputError("series_log needs constant term one")
-    a = _components(p)
+    return _from_components(p, _log(_components(p), p.cutoffs))
+
+
+def _log(a: Sequence[Component], cutoffs: Exponent) -> Components:
+    """Components of log(p), given the components of p (p_0 = 1)."""
     dg: Components = [(1, [])]  # j g_j, component by component
     for k in range(1, len(a)):
-        den, terms = _convolve(a, dg, k, p.cutoffs)
+        den, terms = _convolve(a, dg, k, cutoffs)
         da, own = a[k]
         common = lcm(da, den)
         acc = {i: k * (common // da) * c for i, c in own}
@@ -317,4 +325,4 @@ def series_log(p: TruncatedPoly) -> TruncatedPoly:
         for i, c in terms:
             acc[i] = acc[i] - scale * c if i in acc else -scale * c
         dg.append(_reduced(acc.items(), common))
-    return _from_components(p, [(k * den, terms) for k, (den, terms) in enumerate(dg)])
+    return [(1, [])] + [_reduced(terms, k * den) for k, (den, terms) in enumerate(dg) if k]

@@ -163,7 +163,8 @@ def fermat_signature(m: int, d: int) -> Fraction:
 
 
 # the chi_y class behind a Hodge table grows about as n**4: `ci -n N -d N+2
-# --hodge` took 1.0 s at N = 64 and 4.1 s at N = 100 on a 2-core VM
+# --hodge` took a median of 0.5 s at N = 64 and 3.5 s at N = 100 over five
+# runs on a 2-core VM
 HODGE_LIMIT = 100
 
 
@@ -175,22 +176,26 @@ def hodge_numbers(m: CIManifold) -> Tuple[Tuple[int, ...], ...]:
     determine the middle row.  The solve is checked for Serre duality of
     the chi_p, for an integral nonnegative middle row, and against a second
     route: sum (-1)^(p+q) h^{p,q} is chi_y at y = -1, the Euler number c_n[X].
+    After one integrality test of the chi_p, the row, table and Euler sum
+    are ints; a non-integral chi_p fails the row check, written as p/q.
     Complex dimensions above HODGE_LIMIT are refused before any work.
     """
     n = m.spec.n
     if n > HODGE_LIMIT:
         raise InputError(f"hodge_numbers needs n <= {HODGE_LIMIT}, got {n}")
     chi = evaluate_genus("CHI_Y", m.profile)
+    integral = all(c.denominator == 1 for c in chi)
+    if integral:
+        chi = tuple(c.numerator for c in chi)
     mirrored = tuple((-1) ** n * c for c in reversed(chi))
     check("Serre duality of chi_p", chi == mirrored, spec=m.spec, chi=chi, mirrored=mirrored)
     middle = tuple(
         (-1) ** p * chi[p] if 2 * p == n else (-1) ** (n - p) * (chi[p] - (-1) ** p)
         for p in range(n + 1)
     )
-    ok = all(h.denominator == 1 and h >= 0 for h in middle)
-    check("middle Hodge row", ok, spec=m.spec, row=middle)
+    check("middle Hodge row", integral and min(middle) >= 0, spec=m.spec, row=middle)
     table = tuple(
-        tuple(int(middle[p]) if p + q == n else int(p == q) for q in range(n + 1))
+        tuple(middle[p] if p + q == n else int(p == q) for q in range(n + 1))
         for p in range(n + 1)
     )
     euler = sum((-1) ** (p + q) * h for p, row in enumerate(table) for q, h in enumerate(row))

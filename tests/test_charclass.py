@@ -16,6 +16,7 @@ from rslab.charclass import (
     euler_characteristic,
     evaluate_genus,
     GenusSpec,
+    RSIndexReport,
     genus_spec,
     pontryagin_numbers,
     product_rs_index,
@@ -23,7 +24,7 @@ from rslab.charclass import (
     verify_dimension_identities,
 )
 from rslab.errors import InputError, NotApplicableError
-from rslab.exactpoly import TruncatedPoly, _from_components
+from rslab.exactpoly import TruncatedPoly, _from_components, series_exp
 from rslab.intersections import CISpec, build_ci, hodge_numbers
 
 # Tangent profile of the quartic surface: c1 = 0 and c2 h^2 pairs to 24.
@@ -242,6 +243,14 @@ def test_genus_spec_variable_count_matches_name():
         GenusSpec("CHI_Y", genus_spec("TODD", 4).series)
 
 
+def test_chi_y_spec_refuses_a_power_of_y_above_that_of_x():
+    chi_y = genus_spec("CHI_Y", 4).series
+    above = TruncatedPoly(chi_y.variables, chi_y.cutoffs, {(1, 3): Fraction(1, 7), (2, 4): 1})
+    message = "CHI_Y series has x^1*y^3, a power of y above that of x"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        GenusSpec("CHI_Y", chi_y + above)
+
+
 @pytest.mark.parametrize("real_dim", [4, 8, 12])
 def test_dimension_identities(real_dim):
     report = verify_dimension_identities(real_dim)
@@ -358,5 +367,55 @@ def test_property_values_do_not_depend_on_the_spec_order(monkeypatch):
         own_order = values(drawn)
         monkeypatch.setattr(charclass, "_SPECS", dict(high))
         assert values(drawn) == own_order
+
+    prop()
+
+
+def _total_degree_route(profile):
+    """The genus values and the index report by a route graded differently
+    from the engine's: log Q in (x, y) cut by total degree, each x**i y**j
+    term times the power sum s_i, then series_exp and the top coefficients;
+    the index by full products with ch_complexified_tangent."""
+    n, pairing, sums = profile.dim, profile.pairing, profile.power_sums
+    classes = {}
+    for name in GENUS_NAMES:
+        log_q = genus_spec(name, n).log_series
+        cut = (n,) * len(log_q.variables)
+        scaled = {e: c * sums[e[0] - 1] for e, c in log_q.items() if max(e) <= n}
+        classes[name] = series_exp(TruncatedPoly(("h", "y")[: len(cut)], cut, scaled))
+    values = {name: classes[name].coefficient((n,)) * pairing for name in ("AHAT", "L", "TODD")}
+    values["CHI_Y"] = tuple(classes["CHI_Y"].coefficient((n, j)) * pairing for j in range(n + 1))
+    ahat, ch = classes["AHAT"], ch_complexified_tangent(profile)
+    one = TruncatedPoly.constant(1, ("h",), (n,))
+    index = RSIndexReport(
+        total=(ahat * (ch + one)).coefficient((n,)) * pairing,
+        dirac_tangent=(ahat * ch).coefficient((n,)) * pairing,
+        dirac=values["AHAT"],
+    )
+    return values, index
+
+
+def test_property_non_integral_chern_data_match_the_total_degree_route():
+    """The engine scales the x**d part of log Q by S_d / D**d; complete
+    intersections all have D = 1, so random profiles with non-integral Chern
+    coefficients check that scaling against the total-degree route."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    profiles = st.integers(1, 7).flatmap(lambda n: st.builds(
+        ChernProfile,
+        st.just(n),
+        st.lists(fractions, min_size=n, max_size=n).filter(
+            lambda chern: any(c.denominator > 1 for c in chern)).map(tuple),
+        fractions.filter(bool)))
+
+    @hypothesis.settings(**_SETTINGS)
+    @hypothesis.given(profiles)
+    def prop(profile):
+        assert profile._power_sum_numerators[0] > 1
+        values, index = _total_degree_route(profile)
+        for name in GENUS_NAMES:
+            assert evaluate_genus(name, profile) == values[name], name
+        assert rs_index(profile) == index
 
     prop()

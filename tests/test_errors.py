@@ -57,8 +57,30 @@ def _product_index(monkeypatch, capsys):
     product_rs_index(quartic, quartic)
 
 
+def _index_split(monkeypatch, capsys):
+    paired = charclass._paired_top
+
+    def shifted(ahat, factor, pairing):  # the total's factor starts at 2n + 1, odd
+        return paired(ahat, factor, pairing) + factor[0][1] % 2
+
+    monkeypatch.setattr(charclass, "_paired_top", shifted)
+    charclass.rs_index(build_ci(CISpec(2, (4,))).profile)
+
+
 def _serre(monkeypatch, capsys):
     monkeypatch.setattr(intersections, "evaluate_genus", lambda genus, profile: (2, -20, 3))
+    hodge_numbers(build_ci(CISpec(2, (4,))))
+
+
+def _middle_row_non_integral(monkeypatch, capsys):
+    # Serre-dual chi_p whose middle row would be nonnegative, but not integral
+    chi = (Fraction(3, 2), Fraction(-20), Fraction(3, 2))
+    monkeypatch.setattr(intersections, "evaluate_genus", lambda genus, profile: chi)
+    hodge_numbers(build_ci(CISpec(2, (4,))))
+
+
+def _middle_row_negative(monkeypatch, capsys):
+    monkeypatch.setattr(intersections, "evaluate_genus", lambda genus, profile: (0, -20, 0))
     hodge_numbers(build_ci(CISpec(2, (4,))))
 
 
@@ -103,9 +125,21 @@ def _weight_system(monkeypatch, capsys):
             "right_pairing = 4, direct = -156, combined = -152",
         ),
         (
+            _index_split,
+            "index split: chern = (0, 6), pairing = 4, total = -37, twisted + dirac = -38",
+        ),
+        (
             _serre,
             "Serre duality of chi_p: spec = CISpec(n=2, degrees=(4,)), chi = (2, -20, 3), "
             "mirrored = (3, -20, 2)",
+        ),
+        (
+            _middle_row_non_integral,
+            "middle Hodge row: spec = CISpec(n=2, degrees=(4,)), row = (1/2, 20, 1/2)",
+        ),
+        (
+            _middle_row_negative,
+            "middle Hodge row: spec = CISpec(n=2, degrees=(4,)), row = (-1, 20, -1)",
         ),
         (
             _hodge_euler,
@@ -124,7 +158,9 @@ def _weight_system(monkeypatch, capsys):
         ),
     ],
     ids=["holonomy-sphere", "holonomy-spinors", "cli-signature", "charclass-product",
-         "intersections-serre", "intersections-euler", "manifest-wang", "lie-weight-system"],
+         "charclass-index-split", "intersections-serre", "intersections-middle-row-fraction",
+         "intersections-middle-row-negative", "intersections-euler", "manifest-wang",
+         "lie-weight-system"],
 )
 def test_failed_cross_check_names_inputs_and_values(monkeypatch, capsys, breaks, message):
     with pytest.raises(ConsistencyError) as failure:
