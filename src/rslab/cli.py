@@ -44,6 +44,7 @@ from .holonomy import (
     sphere_check,
 )
 from .intersections import (
+    CI_LIMIT,
     HODGE_LIMIT,
     CIManifold,
     CISpec,
@@ -157,12 +158,22 @@ def _parse_system_factor(tag: str) -> RootSystem:
     return _SYSTEM_FACTORIES[kind](int(rank_text))
 
 
-def _parse_ci_token(token: str) -> CIManifold:
+def _parse_ci_token(token: str) -> CISpec:
     """``n:d1,d2,...`` such as ``2:4`` for the quartic surface."""
     head, sep, tail = token.partition(":")
     if not sep or not head.strip().isdigit():
         raise InputError(f"bad complete-intersection token {token!r}; use n:d1,d2,...")
-    return build_ci(CISpec(int(head), tuple(_parse_int_list(tail))))
+    return CISpec(int(head), tuple(_parse_int_list(tail)))
+
+
+def _build_within_limit(*specs: CISpec) -> List[CIManifold]:
+    """The complete intersections of one request, refused before any class is
+    built when their complex dimensions total more than CI_LIMIT."""
+    total = sum(spec.n for spec in specs)
+    if total > CI_LIMIT:
+        what = "n" if len(specs) == 1 else "n1 + n2"
+        raise InputError(f"complete intersections need {what} <= {CI_LIMIT}, got {total}")
+    return [build_ci(spec) for spec in specs]
 
 
 def _parse_holonomy_token(token: str) -> HolonomyModel:
@@ -188,7 +199,7 @@ def _entries(rep: RepSum) -> List[Dict[str, Any]]:
 
 
 def _cmd_ci(args: argparse.Namespace) -> int:
-    manifold = build_ci(CISpec(args.n, tuple(args.degrees)))
+    (manifold,) = _build_within_limit(CISpec(args.n, tuple(args.degrees)))
     inv = ci_invariants(manifold)
     results: Dict[str, Any] = {
         "manifold": manifold.name,
@@ -356,7 +367,7 @@ def _cmd_sphere(args: argparse.Namespace) -> int:
 def _cmd_product(args: argparse.Namespace) -> int:
     sides = ("left", "right")
     if args.mode == "ci":
-        manifolds = [_parse_ci_token(args.left), _parse_ci_token(args.right)]
+        manifolds = _build_within_limit(_parse_ci_token(args.left), _parse_ci_token(args.right))
         invariants = [ci_invariants(m) for m in manifolds]
         results: Dict[str, Any] = {
             side: {"manifold": m.name, "rs_index": inv.rs_index, "dirac_index": inv.dirac_index}
@@ -443,7 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     ci = sub.add_parser("ci", help="complete-intersection invariants")
-    ci.add_argument("-n", type=int, required=True, help="complex dimension")
+    ci.add_argument(
+        "-n", type=int, required=True, help=f"complex dimension (at most {CI_LIMIT})"
+    )
     ci.add_argument(
         "-d",
         "--degree",
@@ -514,7 +527,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     prod = sub.add_parser("product", help="Riemannian product bookkeeping")
     prod.add_argument("mode", choices=("ci", "holonomy"))
-    prod.add_argument("left", help="n:d1,d2,... or a holonomy token like sp:2")
+    prod.add_argument(
+        "left",
+        help=f"n:d1,d2,... (n1 + n2 at most {CI_LIMIT}) or a holonomy token like sp:2",
+    )
     prod.add_argument("right")
     prod.add_argument("--json", action="store_true")
     prod.set_defaults(handler=_cmd_product)

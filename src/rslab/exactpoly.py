@@ -17,7 +17,11 @@ degree k and hold each component as int numerators over one positive,
 gcd-reduced denominator.  Their inner loops multiply and add ints; each
 output coefficient becomes one ``Fraction`` when the result is built (the
 fraction-free idea of Bareiss, Math. Comp. 22, 1968: divide once per
-result, not once per product).
+result, not once per product).  A one-variable series has one coefficient
+per degree, so each component is one numerator over one denominator, and
+a degree-k convolution is one running int sum whose denominator grows by
+one gcd per term; the Ahat, L and Todd classes, the genus specs and
+``intersections.build_ci`` run on that path.
 
 ``series_inverse``, ``series_exp`` and ``series_log`` are graded
 recurrences over the components:
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Collection, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import InputError, integer, rational
 
@@ -69,13 +73,17 @@ class TruncatedPoly:
             raise InputError("one cutoff per variable required")
         if any(c < 0 for c in self.cutoffs):
             raise InputError("cutoffs must be nonnegative")
+        count, cutoffs = len(self.variables), self.cutoffs
         clean: Dict[Exponent, Fraction] = {}
         for exps, value in (coeffs or {}).items():
-            key = tuple(integer(e, "exponent") for e in exps)
-            if len(key) != len(self.variables) or any(e < 0 for e in key):
+            key = tuple(exps)
+            if len(key) != count or not all(type(e) is int and e >= 0 for e in key):
+                for e in key:
+                    integer(e, "exponent")
                 raise InputError(f"bad exponent tuple {exps!r}")
-            value = rational(value)
-            if not value or any(e > c for e, c in zip(key, self.cutoffs)):
+            if type(value) is not Fraction:
+                value = rational(value)
+            if not value or not all(map(int.__le__, key, cutoffs)):
                 continue  # zero, or truncated away by construction
             total = clean[key] + value if key in clean else value
             if total:
@@ -123,7 +131,9 @@ class TruncatedPoly:
 
     def _check_compatible(self, other: "TruncatedPoly") -> None:
         if self.variables != other.variables or self.cutoffs != other.cutoffs:
-            raise InputError("operands live in different truncated rings")
+            raise InputError(
+                f"operands live in different truncated rings: {_ring(self)} and {_ring(other)}"
+            )
 
     def __add__(self, other: "TruncatedPoly") -> "TruncatedPoly":
         self._check_compatible(other)
@@ -156,7 +166,7 @@ class TruncatedPoly:
 
     def __pow__(self, n: int) -> "TruncatedPoly":
         if integer(n, "power") < 0:
-            raise InputError("negative powers: use series_inverse")
+            raise InputError(f"negative power {n}: use series_inverse")
         result = TruncatedPoly.constant(1, self.variables, self.cutoffs)
         base = self
         while n:
@@ -200,26 +210,44 @@ class TruncatedPoly:
         return " + ".join(terms).replace("+ -", "- ")
 
 
+def _ring(p: TruncatedPoly) -> str:
+    """The ring of ``p`` for messages, such as Q[x,y]/(x^4, y^3)."""
+    ideal = ", ".join(f"{v}^{c + 1}" for v, c in zip(p.variables, p.cutoffs))
+    return f"Q[{','.join(p.variables)}]/({ideal})"
+
+
 def _components(p: TruncatedPoly) -> Components:
     """Homogeneous components of ``p`` by total degree 0 .. sum(cutoffs).
 
     A monomial of total degree k is determined by its first exponent i
     (the second, if any, is k - i), so component k is (den, [(i, num)]):
     int numerators over the lcm of the component's denominators, which is
-    already gcd-reduced against them.
+    already gcd-reduced against them.  In one variable component k is
+    (den, [(k, num)]), or (1, []) when p has no term of degree k.
     """
+    if len(p.cutoffs) == 1:
+        out: Components = [(1, []) for _ in range(p.cutoffs[0] + 1)]
+        for (k,), c in p.coeffs.items():
+            out[k] = (c.denominator, [(k, c.numerator)])
+        return out
     comps: List[List[Tuple[int, Fraction]]] = [[] for _ in range(sum(p.cutoffs) + 1)]
     for exps, c in p.coeffs.items():
         comps[sum(exps)].append((exps[0], c))
-    out: Components = []
+    out = []
     for comp in comps:
         den = lcm(*[c.denominator for _, c in comp])
         out.append((den, [(i, c.numerator * (den // c.denominator)) for i, c in comp]))
     return out
 
 
-def _reduced(terms: Iterable[Tuple[int, int]], den: int) -> Component:
+def _reduced(terms: Collection[Tuple[int, int]], den: int) -> Component:
     """The component sum_i num_i/den, zeros dropped, over a positive gcd-reduced denominator."""
+    if len(terms) == 1:  # every nonzero one-variable component
+        ((i, c),) = terms
+        if not c:
+            return 1, []
+        g = gcd(den, c) if den > 0 else -gcd(den, c)
+        return den // g, [(i, c // g)]
     terms = [(i, c) for i, c in terms if c]
     g = gcd(den, *[c for _, c in terms])
     if den < 0:
@@ -234,13 +262,24 @@ def _convolve(
 ) -> Component:
     """Degree-k part of sum_{j>=first} a_j * b_{k-j}, truncated, as one component.
 
-    The numerators share the lcm of the pairwise denominator products, so
-    the inner loop multiplies and adds ints only; zeros are not dropped.
+    In one variable every product lands on h**k, so the sum is one running
+    int numerator over the lcm of the denominator products seen so far.  In
+    two, the numerators share the lcm of the pairwise denominator products,
+    so the inner loop multiplies and adds ints only.  Zeros are not dropped.
     """
+    if len(cutoffs) == 1:
+        num, den = 0, 1
+        for j in range(first, k + 1):
+            (da, aj), (db, bj) = a[j], b[k - j]
+            if aj and bj:
+                d = da * db
+                g = gcd(den, d)
+                num = num * (d // g) + aj[0][1] * bj[0][1] * (den // g)
+                den = den // g * d
+        return den, [(k, num)]
     # a first exponent s is kept when s <= c_0 and the second, k - s, is
-    # within its cutoff (one variable: the second exponent is always 0)
-    lo = max(0, k - cutoffs[1]) if len(cutoffs) == 2 else k
-    hi = cutoffs[0]
+    # within its cutoff
+    lo, hi = max(0, k - cutoffs[1]), cutoffs[0]
     pairs = [(a[j], b[k - j]) for j in range(first, k + 1) if a[j][1] and b[k - j][1]]
     den = lcm(*[da * db for (da, _), (db, _) in pairs])
     out: Dict[int, int] = {}
@@ -289,7 +328,7 @@ def series_exp(p: TruncatedPoly) -> TruncatedPoly:
     With f = exp(g) and the Euler derivation: k f_k = sum_{j>=1} j g_j f_{k-j}.
     """
     if p.constant_term:
-        raise InputError("series_exp needs a zero constant term")
+        raise InputError(f"series_exp needs a zero constant term, got {p.constant_term}")
     return _from_components(p, _exp(_components(p), p.cutoffs))
 
 
@@ -309,7 +348,7 @@ def series_log(p: TruncatedPoly) -> TruncatedPoly:
     With g = log(p): k g_k = k p_k - sum_{j<k} j g_j p_{k-j}.
     """
     if p.constant_term != 1:
-        raise InputError("series_log needs constant term one")
+        raise InputError(f"series_log needs constant term one, got {p.constant_term}")
     return _from_components(p, _log(_components(p), p.cutoffs))
 
 

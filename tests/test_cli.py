@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from rslab.cli import main
+from rslab.errors import InputError
 
 
 def _run(capsys, *argv):
@@ -253,9 +254,13 @@ def test_rep_multiplicities_list_the_weight_system(capsys):
          "the series signature route applies to hypersurfaces only"),
         ("sphere --upto 2", "--upto must be at least 3"),
         ("ci -n 101 -d 103 --hodge", "hodge_numbers needs n <= 100, got 101"),
+        ("ci -n 100000 -d 100002", "complete intersections need n <= 400, got 100000"),
+        ("product ci 100000:100002 2:4",
+         "complete intersections need n1 + n2 <= 400, got 100002"),
     ],
     ids=["rational-list", "holonomy-token", "su-1", "su-missing", "sp1sp-1", "product-su-1",
-         "series-codim-2", "upto-2", "hodge-above-limit"],
+         "series-codim-2", "upto-2", "hodge-above-limit", "ci-above-limit",
+         "product-ci-above-limit"],
 )
 def test_usage_errors_exit_2_with_their_message(capsys, argv, message):
     assert main(argv.split()) == 2
@@ -324,6 +329,35 @@ def test_sphere_past_the_limit_exits_2_before_any_check(monkeypatch, capsys, arg
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: sphere checks stop at n = 400, got {argv[1]}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, total, admitted",
+    [
+        ("ci -n 401 -d 403", "n <= 400, got 401", False),
+        ("product ci 200:202 201:203", "n1 + n2 <= 400, got 401", False),
+        ("ci -n 400 -d 402", None, True),
+        ("product ci 200:202 200:202", None, True),
+    ],
+)
+def test_complete_intersections_past_the_limit_exit_2_before_any_class(
+    monkeypatch, capsys, argv, total, admitted
+):
+    built = []
+
+    def stand_in(spec):  # records the spec and stops before any class is built
+        built.append(spec.n)
+        raise InputError("stopped at build_ci")
+
+    monkeypatch.setattr("rslab.cli.build_ci", stand_in)
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if admitted:
+        assert built and captured.err == "error: stopped at build_ci\n"
+    else:
+        assert not built
+        assert captured.err == f"error: complete intersections need {total}\n"
 
 
 def test_product_ci(capsys):

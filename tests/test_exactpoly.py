@@ -1,5 +1,6 @@
 """Truncated polynomial ring and series arithmetic."""
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from rslab.errors import InputError
 from rslab.exactpoly import (
     TruncatedPoly,
+    _reduced,
     series_exp,
     series_inverse,
     series_log,
@@ -56,10 +58,14 @@ def test_two_variable_product():
 def test_ring_mismatch_rejected():
     p = _poly({0: 1})
     q = TruncatedPoly(("z",), (8,), {(0,): 1})
-    with pytest.raises(InputError):
+    rings = "operands live in different truncated rings: Q[x]/(x^9) and Q[z]/(z^9)"
+    with pytest.raises(InputError, match=re.escape(rings)):
         _ = p + q
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=re.escape(rings)):
         _ = p * q
+    two = TruncatedPoly(("x", "y"), (3, 2))
+    with pytest.raises(InputError, match=re.escape("Q[x]/(x^9) and Q[x,y]/(x^4, y^3)") + "$"):
+        _ = p - two
 
 
 def test_add_sub_round_trip():
@@ -85,7 +91,7 @@ def test_series_inverse():
         assert inv.constant_term == 1 / Fraction(c0)
         assert p * inv == one
         assert _reference_mul(p, inv) == one
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^series has no inverse: constant term is zero$"):
         series_inverse(_poly({1: 1}))
 
 
@@ -94,21 +100,36 @@ def test_exp_log_round_trip():
     assert series_log(series_exp(p)) == p
     q = _poly({0: 1, 1: 1})
     assert series_exp(series_log(q)) == q
-    with pytest.raises(InputError):
-        series_exp(_poly({0: 1}))
-    with pytest.raises(InputError):
-        series_log(_poly({0: 2}))
+    with pytest.raises(InputError, match="^series_exp needs a zero constant term, got -1/3$"):
+        series_exp(_poly({0: Fraction(-1, 3), 1: 1}))
+    with pytest.raises(InputError, match="^series_log needs constant term one, got 3/2$"):
+        series_log(_poly({0: Fraction(3, 2)}))
+    with pytest.raises(InputError, match="^series_log needs constant term one, got 0$"):
+        series_log(_poly({1: 1}))
+    with pytest.raises(InputError, match="^negative power -2: use series_inverse$"):
+        _ = q**-2
 
 
 def test_constructor_validation():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^supported variable counts are 1 and 2$"):
         TruncatedPoly(("x", "y", "z"), (2, 2, 2), {})
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^one cutoff per variable required$"):
         TruncatedPoly(("x",), (2, 3), {})
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^cutoffs must be nonnegative$"):
         TruncatedPoly(("x",), (-1,), {})
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=re.escape("bad exponent tuple (0, 0)")):
         TruncatedPoly(("x",), (2,), {(0, 0): 1})
+    with pytest.raises(InputError, match=re.escape("bad exponent tuple (1,)")):
+        TruncatedPoly(("x", "y"), (2, 2), {(1,): 1})
+    with pytest.raises(InputError, match=re.escape("bad exponent tuple (-1,)")):
+        TruncatedPoly(("x",), (2,), {(-1,): 1})
+    with pytest.raises(InputError, match=re.escape("bad exponent tuple (1, -2)")):
+        TruncatedPoly(("x", "y"), (2, 2), {(1, -2): 0})  # even with a zero coefficient
+    # a non-int entry is named before the tuple's length or sign is looked at
+    with pytest.raises(InputError, match=re.escape("exponent 0.5 is not an int")):
+        TruncatedPoly(("x",), (2,), {(-1, 0.5): 1})
+    # an exponent past its cutoff is dropped, not refused
+    assert TruncatedPoly(("x", "y"), (2, 2), {(3, 0): 1, (0, 1): 2}).coeffs == {(0, 1): 2}
 
 
 @pytest.mark.parametrize("bad", [2.7, 2.0, "2", Fraction(2), Fraction(5, 2), True])
@@ -220,21 +241,36 @@ def _random_cutoffs(rng):
     return (rng.randint(0, 6), rng.randint(0, 6))
 
 
+def _todd_like(rng, cutoff, constant):
+    """Dense one-variable series whose degree-k coefficient has its own
+    denominator, a multiple of (k+1)! as in the Todd and Ahat series."""
+    coeffs = {(0,): constant}
+    for k in range(1, cutoff + 1):
+        den = rng.randint(1, 4) * math.factorial(k + 1)
+        coeffs[(k,)] = Fraction(rng.choice([-1, 1]) * rng.randint(0, 9), den)
+    return TruncatedPoly(("x",), (cutoff,), coeffs)
+
+
+def _check_series_ops(unit, one_plus):
+    one = TruncatedPoly.constant(1, unit.variables, unit.cutoffs)
+    assert series_inverse(unit) == _reference_inverse(unit)
+    assert unit * series_inverse(unit) == one
+    assert series_log(one_plus) == _reference_log(one_plus)
+    assert series_exp(series_log(one_plus)) == one_plus
+    nilpotent = one_plus - one
+    assert series_exp(nilpotent) == _reference_exp(nilpotent)
+    assert series_log(series_exp(nilpotent)) == nilpotent
+
+
 def test_series_ops_match_reference_loops():
     rng = random.Random(1804)
     for _ in range(60):
         cutoffs = _random_cutoffs(rng)
-        one = TruncatedPoly.constant(1, ("x", "y")[: len(cutoffs)], cutoffs)
         c0 = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
-        unit = _random_series(rng, cutoffs, c0)
-        assert series_inverse(unit) == _reference_inverse(unit)
-        assert unit * series_inverse(unit) == one
-        one_plus = _random_series(rng, cutoffs, 1)
-        assert series_log(one_plus) == _reference_log(one_plus)
-        assert series_exp(series_log(one_plus)) == one_plus
-        nilpotent = one_plus - one
-        assert series_exp(nilpotent) == _reference_exp(nilpotent)
-        assert series_log(series_exp(nilpotent)) == nilpotent
+        _check_series_ops(_random_series(rng, cutoffs, c0), _random_series(rng, cutoffs, 1))
+    for cutoff in range(21):  # one variable: one coefficient per degree
+        c0 = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+        _check_series_ops(_todd_like(rng, cutoff, c0), _todd_like(rng, cutoff, 1))
 
 
 
@@ -262,6 +298,24 @@ def test_mul_and_pow_match_reference_product():
         assert a * (b - b) == TruncatedPoly.zero(a.variables, cutoffs)
         n = rng.randint(0, 4)
         assert a**n == _reference_pow(a, n)
+    for cutoff in range(21):
+        a = _todd_like(rng, cutoff, Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+        b = _random_operand(rng, (cutoff,), rng.randint(0, 7))
+        assert a * b == _reference_mul(a, b)
+        assert a * a == _reference_mul(a, a)
+        assert a**3 == _reference_pow(a, 3)
+
+
+def test_reduced_components():
+    # one term: the sign moves to the numerator, zeros leave an empty component
+    assert _reduced([(3, 4)], -6) == (3, [(3, -2)])
+    assert _reduced([(3, -4)], -6) == (3, [(3, 2)])
+    assert _reduced([(2, 5)], -1) == (1, [(2, -5)])
+    assert _reduced([(2, 7)], 3) == (3, [(2, 7)])
+    assert _reduced([(2, 0)], -6) == (1, [])
+    # several terms share one gcd; zeros are dropped first
+    assert _reduced([(0, 4), (1, 0), (2, -6)], -10) == (5, [(0, -2), (2, 3)])
+    assert _reduced([], 7) == (1, [])
 
 
 def test_products_that_cancel_to_zero():

@@ -28,12 +28,36 @@ def _ci(n, *degrees):
 
 
 def test_spec_validation():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^complex dimension must be at least 1, got 0$"):
         CISpec(0, (4,))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=re.escape("need at least one degree, got ()")):
         CISpec(2, ())
-    with pytest.raises(InputError):
-        CISpec(2, (4, 0))
+    with pytest.raises(InputError, match=re.escape("degrees must be positive integers, got (3, 0)")):
+        CISpec(2, (3, 0))
+
+
+def _complete_homogeneous(j, degrees):
+    """h_j(d): the sum of all degree-j monomials in the degrees."""
+    return sum(math.prod(m) for m in itertools.combinations_with_replacement(degrees, j))
+
+
+@pytest.mark.parametrize(
+    "degrees", [(1,), (2,), (5,), (7,), (2, 3), (4, 4), (1, 6), (2, 2, 2), (3, 5, 7)]
+)
+def test_build_ci_matches_the_complete_homogeneous_oracle(degrees):
+    # 1/prod_j (1 + d_j h) = sum_j (-1)**j h_j(d) h**j, so
+    # c_k = sum_j C(n+r+1, k-j) (-1)**j h_j(d)
+    r = len(degrees)
+    for n in range(1, 21):
+        expected = tuple(
+            sum(math.comb(n + r + 1, k - j) * (-1) ** j * _complete_homogeneous(j, degrees)
+                for j in range(k + 1))
+            for k in range(1, n + 1)
+        )
+        profile = build_ci(CISpec(n, degrees)).profile
+        assert profile.chern == expected
+        assert all(type(c) is Fraction for c in profile.chern)
+        assert profile.pairing == math.prod(degrees)
 
 
 @pytest.mark.parametrize(
@@ -94,9 +118,9 @@ def test_signature_agrees_with_series_route():
 
 
 def test_series_route_rejects_odd_dimension():
-    with pytest.raises(NotApplicableError):
+    with pytest.raises(NotApplicableError, match="^signature needs even complex dimension, got 3$"):
         fermat_signature(3, 5)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^need m >= 1 and d >= 1, got m = 0, d = 5$"):
         fermat_signature(0, 5)
 
 
