@@ -32,6 +32,7 @@ from .errors import ConsistencyError, InputError, NotApplicableError, check
 from .holonomy import (
     HOLONOMY_KINDS,
     KIND_FAMILIES,
+    PARAMETER_RANGES,
     SPHERE_LIMIT,
     HolonomyModel,
     ParallelCounts,
@@ -46,9 +47,8 @@ from .holonomy import (
 from .intersections import (
     CI_LIMIT,
     HODGE_LIMIT,
-    CIManifold,
     CISpec,
-    build_ci,
+    build_within_limit,
     ci_invariants,
     ci_rs_kernel,
     fermat_signature,
@@ -166,16 +166,6 @@ def _parse_ci_token(token: str) -> CISpec:
     return CISpec(int(head), tuple(_parse_int_list(tail)))
 
 
-def _build_within_limit(*specs: CISpec) -> List[CIManifold]:
-    """The complete intersections of one request, refused before any class is
-    built when their complex dimensions total more than CI_LIMIT."""
-    total = sum(spec.n for spec in specs)
-    if total > CI_LIMIT:
-        what = "n" if len(specs) == 1 else "n1 + n2"
-        raise InputError(f"complete intersections need {what} <= {CI_LIMIT}, got {total}")
-    return [build_ci(spec) for spec in specs]
-
-
 def _parse_holonomy_token(token: str) -> HolonomyModel:
     """``g2``, ``spin7``, or ``kind:parameter`` such as ``sp:2``."""
     head, sep, tail = token.partition(":")
@@ -199,7 +189,7 @@ def _entries(rep: RepSum) -> List[Dict[str, Any]]:
 
 
 def _cmd_ci(args: argparse.Namespace) -> int:
-    (manifold,) = _build_within_limit(CISpec(args.n, tuple(args.degrees)))
+    (manifold,) = build_within_limit(CISpec(args.n, tuple(args.degrees)))
     inv = ci_invariants(manifold)
     results: Dict[str, Any] = {
         "manifold": manifold.name,
@@ -367,7 +357,7 @@ def _cmd_sphere(args: argparse.Namespace) -> int:
 def _cmd_product(args: argparse.Namespace) -> int:
     sides = ("left", "right")
     if args.mode == "ci":
-        manifolds = _build_within_limit(_parse_ci_token(args.left), _parse_ci_token(args.right))
+        manifolds = build_within_limit(_parse_ci_token(args.left), _parse_ci_token(args.right))
         invariants = [ci_invariants(m) for m in manifolds]
         results: Dict[str, Any] = {
             side: {"manifold": m.name, "rs_index": inv.rs_index, "dirac_index": inv.dirac_index}
@@ -482,7 +472,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     hol = sub.add_parser("holonomy", help="spin-3/2 bundle of a holonomy group")
     hol.add_argument("kind", choices=HOLONOMY_KINDS)
-    hol.add_argument("parameter", nargs="?", type=int, default=None)
+    ranges = ", ".join(f"{kind} {lo}-{hi}" for kind, (lo, hi) in PARAMETER_RANGES.items())
+    hol.add_argument(
+        "parameter",
+        nargs="?",
+        type=int,
+        default=None,
+        help=f"n, or m for sp1sp; none for g2 and spin7 (admitted: {ranges})",
+    )
     hol.add_argument("--b2", type=int, default=None)
     hol.add_argument("--b3", type=int, default=None)
     hol.add_argument("--b4minus", type=int, default=None)

@@ -57,7 +57,7 @@ class HolonomyModel:
     module: one term map in odd real dimension, or the half-spinor pair
     (plus, minus) in even real dimension, whose sum is the full module;
     Clifford multiplication by T is odd, so the graded spin-3/2 parts are
-    Sigma^+- (x) T (-) Sigma^-+.
+    Sigma^+- (x) T (-) Sigma^-+, and their sum is the whole bundle.
 
     ``zero_weight_trivial``: for U(n) the center acts on every spinor
     summand through the square root of the canonical bundle, so only the
@@ -101,19 +101,16 @@ class HolonomyModel:
     def sigma_three_half(self) -> SpinThreeHalf:
         if self._three_half is not None:
             return self._three_half
-        total = lie.tensor_product_sum(self.system, self.spinor, self.tangent)
-        total = total.subtract(self.spinor)
+        def twisted(spinor: RepSum, less: RepSum) -> RepSum:
+            return lie.tensor_product_sum(self.system, spinor, self.tangent).subtract(less)
+
         plus = minus = None
-        if self.spinor_plus is not None:
-            plus = lie.tensor_product_sum(
-                self.system, self.spinor_plus, self.tangent
-            ).subtract(self.spinor_minus)
-            minus = lie.tensor_product_sum(
-                self.system, self.spinor_minus, self.tangent
-            ).subtract(self.spinor_plus)
-            recombined = plus.add(minus)
-            check("graded spin-3/2 halves", recombined == total, group=self.group,
-                  **{"plus + minus": recombined, "total": total})
+        if self.spinor_plus is None:
+            total = twisted(self.spinor, self.spinor)
+        else:
+            plus = twisted(self.spinor_plus, self.spinor_minus)
+            minus = twisted(self.spinor_minus, self.spinor_plus)
+            total = plus.add(minus)
         dimension = total.dimension
         expected = self.spinor.dimension * (self.real_dimension - 1)
         check("spin-3/2 dimension", dimension == expected, group=self.group,
@@ -233,19 +230,24 @@ def _so_model(n: int) -> HolonomyModel:
     )
 
 
-# kind -> (builder, smallest parameter or None when the kind takes none,
-#          family whose kernel formula it carries or None)
-_KINDS: Dict[str, Tuple[Callable[..., HolonomyModel], Optional[int], Optional[str]]] = {
-    "su": (lambda n: _su_like_model(n, twist=False), 2, "CY"),
-    "u": (lambda n: _su_like_model(n, twist=True), 2, None),
-    "sp": (_sp_model, 1, "HK"),
-    "sp1sp": (_sp1spm_model, 2, "QK"),
+# kind -> (builder, (smallest, largest) parameter or None when the kind takes
+#          none, family whose kernel formula it carries or None).  The largest
+#          model of each kind takes a few seconds: on a 2-core VM `holonomy su 80`
+#          and `u 80` took 2.6-2.9 s, `sp 64` 2.2 s, `sp1sp 32` 1.6 s and `so 179`
+#          3.5 s (odd n is the costly parity: `so 201` took 6.1 s, `so 180` 0.8 s)
+_KINDS: Dict[str, Tuple[Callable[..., HolonomyModel], Optional[Tuple[int, int]],
+                        Optional[str]]] = {
+    "su": (lambda n: _su_like_model(n, twist=False), (2, 80), "CY"),
+    "u": (lambda n: _su_like_model(n, twist=True), (2, 80), None),
+    "sp": (_sp_model, (1, 64), "HK"),
+    "sp1sp": (_sp1spm_model, (2, 32), "QK"),
     "g2": (_g2_model, None, "G2"),
     "spin7": (_spin7_model, None, "SPIN7"),
-    "so": (_so_model, 3, None),
+    "so": (_so_model, (3, 180), None),
 }
 HOLONOMY_KINDS = tuple(_KINDS)
 KIND_FAMILIES = {kind: family for kind, (_, _, family) in _KINDS.items() if family}
+PARAMETER_RANGES = {kind: bounds for kind, (_, bounds, _) in _KINDS.items() if bounds}
 
 
 def holonomy_model(kind: str, parameter: Optional[int] = None) -> HolonomyModel:
@@ -253,19 +255,21 @@ def holonomy_model(kind: str, parameter: Optional[int] = None) -> HolonomyModel:
 
     ``kind`` is one of su, u, sp, sp1sp, g2, spin7, so; the parameter is
     n for SU(n)/U(n)/Sp(n)/SO(n) and m for Sp(1)Sp(m), and must be
-    omitted for g2 and spin7.  Each call builds its model on the shared
-    root system of ``lie``, whose memos make a repeated build cheap.
+    omitted for g2 and spin7; one outside the kind's PARAMETER_RANGES is
+    refused before any model is built.  Each call builds its model on the
+    shared root system of ``lie``, whose memos make a repeated build cheap.
     """
     token = kind.strip().lower()
     if token not in _KINDS:
         raise InputError(f"unknown holonomy kind {kind!r}; expected {HOLONOMY_KINDS}")
-    smallest = _KINDS[token][1]
-    if smallest is None:
+    build, bounds, _ = _KINDS[token]
+    if bounds is None:
         if parameter is not None:
             raise InputError(f"{token} takes no parameter")
-    elif parameter is None or integer(parameter, "parameter") < smallest:
-        raise InputError(f"{token} needs a parameter >= {smallest}, got {parameter}")
-    build = _KINDS[token][0]
+    elif parameter is None or integer(parameter, "parameter") < bounds[0]:
+        raise InputError(f"{token} needs a parameter >= {bounds[0]}, got {parameter}")
+    elif parameter > bounds[1]:
+        raise InputError(f"{token} needs a parameter <= {bounds[1]}, got {parameter}")
     return build() if parameter is None else build(parameter)
 
 
@@ -592,6 +596,7 @@ def hyperkahler_kernel_identity(n: int) -> bool:
     """
     if integer(n, "quaternionic dimension") < 1:
         raise InputError("quaternionic dimension must be at least 1")
+    model = holonomy_model("sp", n)  # refuses an n past its range before the loop
     for hodge in _unit_points((1,) * n):  # kernel_dimension refuses negatives
         h = {-1: 1, **dict(enumerate(hodge, start=1))}
         kernel, index = -(n + 1), n + 1
@@ -606,7 +611,7 @@ def hyperkahler_kernel_identity(n: int) -> bool:
         formula = family_index(data)
         check("hyperkaehler index", index == formula, at=hodge, summands=index,
               family_index=formula)
-    parallel = holonomy_model("sp", n).parallel_rs_dimension()
+    parallel = model.parallel_rs_dimension()
     check("hyperkaehler parallel count", parallel == n - 1, n=n, parallel_rs=parallel,
           expected=n - 1)
     return True

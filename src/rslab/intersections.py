@@ -6,7 +6,7 @@ series inverse of the normal class and one product; on top of that sit the
 classical invariants, a Hodge-table solver, a fully independent signature
 series for hypersurfaces, and the kernel-dimension reports for the
 spin-3/2 operator in the three scalar-curvature regimes.  ``CI_LIMIT`` and
-``HODGE_LIMIT`` bound the complex dimensions the command line admits.
+``HODGE_LIMIT`` bound the complex dimensions of every request.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .charclass import (
     ChernProfile,
@@ -174,6 +174,17 @@ def fermat_signature(m: int, d: int) -> Fraction:
 # class about as (n1 + n2)**3.5: `ci -n 400 -d 402` took 2.0 s and
 # `product ci 200:202 200:202` 3.8 s (median of three runs on a 2-core VM)
 CI_LIMIT = 400
+
+
+def build_within_limit(*specs: CISpec) -> List[CIManifold]:
+    """The complete intersections of one command-line or manifest request, refused
+    before any class is built when their complex dimensions total more than CI_LIMIT."""
+    total = sum(spec.n for spec in specs)
+    if total > CI_LIMIT:
+        what = "n" if len(specs) == 1 else "n1 + n2"
+        raise InputError(f"complete intersections need {what} <= {CI_LIMIT}, got {total}")
+    return [build_ci(spec) for spec in specs]
+
 
 # the chi_y class behind a Hodge table grows about as n**4: `ci -n N -d N+2
 # --hodge` took a median of 0.5 s at N = 64 and 3.5 s at N = 100 over five

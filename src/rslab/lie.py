@@ -413,6 +413,19 @@ def _shared(key: tuple, build: Callable[[], RootSystem]) -> RootSystem:
     return system
 
 
+# The per-root table and each Weyl dimension walk the rank^2 positive roots,
+# each with up to rank coroot terms, so a system costs about rank^3: on a
+# 2-core VM `rep` at rank 200 took 2.7 s (a200) to 4.0 s (c200).  RANK_LIMIT
+# keeps the B199 and D200 of `sphere_check` inside.
+RANK_LIMIT = 200
+
+
+def _within_rank(rank: int) -> None:
+    """Refuse a system of rank above RANK_LIMIT before any of it is built."""
+    if rank > RANK_LIMIT:
+        raise InputError(f"root systems need rank <= {RANK_LIMIT}, got {rank}")
+
+
 def _chain(n: int) -> List[Sparse]:
     """The simple roots e_i - e_(i+1), i < n - 1."""
     return [((i, 1), (i + 1, -1)) for i in range(n - 1)]
@@ -436,6 +449,7 @@ def type_a(n: int) -> RootSystem:
     """sl(n) in GL coordinates: n entries, roots e_i - e_j."""
     if integer(n, "type A size") < 2:
         raise InputError("type A needs at least two coordinates")
+    _within_rank(n - 1)
 
     def build() -> RootSystem:
         positive = [((i, 1), (j, -1)) for i in range(n) for j in range(i + 1, n)]
@@ -448,6 +462,7 @@ def type_b(m: int) -> RootSystem:
     """so(2m+1): roots e_i +- e_j and the short e_i."""
     if integer(m, "type B rank") < 1:
         raise InputError("type B needs rank at least one")
+    _within_rank(m)
 
     def build() -> RootSystem:
         simple = _chain(m) + [((m - 1, 1),)]
@@ -463,6 +478,7 @@ def type_c(m: int) -> RootSystem:
     """sp(m): roots e_i +- e_j and the long 2e_i."""
     if integer(m, "type C rank") < 1:
         raise InputError("type C needs rank at least one")
+    _within_rank(m)
 
     def build() -> RootSystem:
         simple = _chain(m) + [((m - 1, 2),)]
@@ -476,6 +492,7 @@ def type_d(m: int) -> RootSystem:
     """so(2m), m >= 2: roots e_i +- e_j."""
     if integer(m, "type D rank") < 2:
         raise InputError("type D needs rank at least two")
+    _within_rank(m)
 
     def build() -> RootSystem:
         simple = _chain(m) + [((m - 2, 1), (m - 1, 1))]
@@ -506,6 +523,7 @@ def product_system(*systems: RootSystem) -> RootSystem:
     objects themselves: a rebuilt factor gives a new product."""
     if len(systems) < 2:
         raise InputError("a product needs at least two factors")
+    _within_rank(sum(len(s._simple) for s in systems))
 
     def build() -> RootSystem:
         den = math.lcm(*(s._omega[0] for s in systems))

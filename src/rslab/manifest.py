@@ -51,7 +51,7 @@ def _as_int(value: Fraction) -> int:
 
 
 def _build(n: int, degrees: Sequence[int]) -> intersections.CIManifold:
-    return intersections.build_ci(intersections.CISpec(n, tuple(degrees)))
+    return intersections.build_within_limit(intersections.CISpec(n, tuple(degrees)))[0]
 
 
 def _bind_ci(name: str, value: object) -> None:
@@ -144,7 +144,9 @@ def _symmetric_catalog() -> Dict[str, int]:
 
 
 def _product_rs_index(left: Dict[str, object], right: Dict[str, object]) -> int:
-    return _as_int(charclass.product_rs_index(_build(**left).profile, _build(**right).profile))
+    sides = intersections.build_within_limit(
+        *(intersections.CISpec(s["n"], tuple(s["degrees"])) for s in (left, right)))
+    return _as_int(charclass.product_rs_index(*(m.profile for m in sides)))
 
 
 def _product_parallel(left: Sequence[int], right: Sequence[int]) -> int:

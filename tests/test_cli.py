@@ -349,7 +349,7 @@ def test_complete_intersections_past_the_limit_exit_2_before_any_class(
         built.append(spec.n)
         raise InputError("stopped at build_ci")
 
-    monkeypatch.setattr("rslab.cli.build_ci", stand_in)
+    monkeypatch.setattr("rslab.intersections.build_ci", stand_in)
     assert main(argv.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -358,6 +358,39 @@ def test_complete_intersections_past_the_limit_exit_2_before_any_class(
     else:
         assert not built
         assert captured.err == f"error: complete intersections need {total}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message, systems",
+    [
+        ("holonomy sp1sp 33", "sp1sp needs a parameter <= 32, got 33", []),
+        ("product holonomy sp:2 so:181", "so needs a parameter <= 180, got 181", [("C", 2)]),
+        ("rep a201 --weight 0", "root systems need rank <= 200, got 201", []),
+        ("rep b201 --weight 0", "root systems need rank <= 200, got 201", []),
+        ("rep c201 --weight 0", "root systems need rank <= 200, got 201", []),
+        ("rep d201 --weight 0", "root systems need rank <= 200, got 201", []),
+        ("rep c100xc101 --weight 0", "root systems need rank <= 200, got 201",
+         [("C", 100), ("C", 101)]),
+    ],
+)
+def test_models_and_systems_past_the_limit_exit_2_before_they_are_built(
+    monkeypatch, capsys, argv, message, systems
+):
+    from rslab import lie
+
+    requested = []
+    shared = lie._shared
+
+    def recorded(key, build):  # every root system a factory hands out
+        requested.append(key)
+        return shared(key, build)
+
+    monkeypatch.setattr(lie, "_shared", recorded)
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert requested == systems
 
 
 def test_product_ci(capsys):

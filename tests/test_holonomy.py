@@ -136,6 +136,13 @@ def test_model_dispatch_validation():
         (lambda: holonomy_model("sp", 0), "sp needs a parameter >= 1, got 0"),
         (lambda: holonomy_model("sp1sp", 1), "sp1sp needs a parameter >= 2, got 1"),
         (lambda: holonomy_model("spin7", "x"), "spin7 takes no parameter"),
+        (lambda: holonomy_model("su", 81), "su needs a parameter <= 80, got 81"),
+        (lambda: holonomy_model("u", 81), "u needs a parameter <= 80, got 81"),
+        (lambda: holonomy_model("sp", 65), "sp needs a parameter <= 64, got 65"),
+        (lambda: holonomy_model("sp1sp", 33), "sp1sp needs a parameter <= 32, got 33"),
+        (lambda: holonomy_model("so", 181), "so needs a parameter <= 180, got 181"),
+        (lambda: hyperkahler_kernel_identity(65), "sp needs a parameter <= 64, got 65"),
+        (lambda: qk_kernel_analysis(33), "sp1sp needs a parameter <= 32, got 33"),
         (lambda: TopologicalInput("SPIN7", b2=1, b3=1), "SPIN7 input needs b4_minus"),
         (lambda: TopologicalInput("G2", b3=1), "G2 input needs b2"),
         (lambda: TopologicalInput("CY", hodge=(1,)), "CY input needs n"),
@@ -252,11 +259,11 @@ def test_sigma_three_half_runs_klimyk_once_per_pair(monkeypatch, n):
     monkeypatch.setattr(lie, "_klimyk", counted("klimyk", klimyk))
     monkeypatch.setattr(model.system, "weight_multiplicities", counted("weights", weights))
     model.sigma_three_half()
-    # Sigma (x) T, then Sigma+ (x) T and Sigma- (x) T: two spinor terms, one tangent
+    # Sigma+ (x) T and Sigma- (x) T, whose sum is the total: two spinor terms, one tangent
     assert len(model.spinor.terms) == 2 and len(model.tangent.terms) == 1
-    # four label Klimyk calls: Sigma (x) T builds its two pairs, one weight system
-    # each, and the graded halves hit the memo, which holds each pair in both orders
-    assert calls == {"klimyk": 4, "weights": 2}
+    # two label Klimyk calls, one per half and one weight system each; the memo
+    # holds each pair in both orders
+    assert calls == {"klimyk": 2, "weights": 2}
     assert len(model.system._products) == 4
 
 

@@ -270,6 +270,42 @@ def test_wang_relation_refuses_other_dimensions_before_building(monkeypatch):
         CHECKS["wang_cy4_b4minus"](n=3, degrees=[5])
 
 
+@pytest.mark.parametrize(
+    "check, args, total",
+    [
+        ("ci_euler", {"n": 401, "degrees": [403]}, "n <= 400, got 401"),
+        ("product_rs_index",
+         {"left": {"n": 200, "degrees": [202]}, "right": {"n": 201, "degrees": [203]}},
+         "n1 + n2 <= 400, got 401"),
+        ("ci_euler", {"n": 400, "degrees": [402]}, None),
+        ("product_rs_index",
+         {"left": {"n": 200, "degrees": [202]}, "right": {"n": 200, "degrees": [202]}}, None),
+    ],
+    ids=["ci-401", "product-401", "ci-400", "product-400"],
+)
+def test_complete_intersections_past_the_limit_exit_2_naming_the_entry(
+    tmp_path, monkeypatch, capsys, check, args, total
+):
+    from rslab.cli import main
+
+    built = []
+
+    def stand_in(spec):  # records the spec and stops before any class is built
+        built.append(spec.n)
+        raise InputError("stopped at build_ci")
+
+    chosen = tmp_path / "manifest.json"
+    _write_manifest(chosen, [dict(GOOD_ENTRY, id="big", check=check, args=args)])
+    monkeypatch.setenv("RSLAB_MANIFEST", str(chosen))
+    monkeypatch.setattr(intersections, "build_ci", stand_in)
+    assert main(["verify-paper"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = "stopped at build_ci" if total is None else f"complete intersections need {total}"
+    assert captured.err == f"error: manifest entry 0 ('big'): {reason}\n"
+    assert bool(built) == (total is None)
+
+
 @pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
 def test_unreadable_manifest_rejected(tmp_path, monkeypatch, kind):
     chosen = tmp_path / "manifest.json"
