@@ -56,15 +56,17 @@ class ChernProfile:
 
     def __post_init__(self):
         if integer(self.dim, "complex dimension") < 1:
-            raise InputError("complex dimension must be positive")
+            raise InputError(f"complex dimension must be positive, got {self.dim}")
         object.__setattr__(
             self, "chern", tuple(rational(c, "Chern coefficient") for c in self.chern)
         )
         object.__setattr__(self, "pairing", rational(self.pairing, "pairing"))
         if len(self.chern) != self.dim:
-            raise InputError("need exactly dim Chern coefficients")
+            raise InputError(
+                f"need exactly dim = {self.dim} Chern coefficients, got {len(self.chern)}"
+            )
         if self.pairing == 0:
-            raise InputError("pairing must be nonzero")
+            raise InputError(f"pairing must be nonzero, got {self.pairing}")
 
     @cached_property
     def _power_sum_numerators(self) -> Tuple[int, Tuple[int, ...]]:
@@ -106,7 +108,7 @@ class ChernProfile:
 def elementary_from_power_sums(sums: Sequence[Fraction], count: int) -> Tuple[Fraction, ...]:
     """e_1 .. e_count from power sums: e(t) = exp(sum_k (-1)**(k-1) s_k t**k / k)."""
     if integer(count, "count") > len(sums):
-        raise InputError("not enough power sums")
+        raise InputError(f"not enough power sums for count {count}, got {len(sums)}")
     log_e = {(k,): rational(s, "power sum") * Fraction((-1) ** (k - 1), k)
              for k, s in enumerate(sums[:count], 1)}
     e = series_exp(TruncatedPoly(("t",), (count,), log_e))
@@ -226,7 +228,7 @@ def genus_spec(name: str, order: int) -> GenusSpec:
     spec is shared, so callers must not modify its series.
     """
     if integer(order, "order") < 1:
-        raise InputError("order must be positive")
+        raise InputError(f"order must be positive, got {order}")
     spec = _SPECS.get(name)
     if spec is None or spec.series.cutoffs[0] < order:
         spec = _SPECS[name] = _build_spec(name, order)

@@ -55,6 +55,7 @@ from .intersections import (
     hodge_numbers,
 )
 from .lie import (
+    WEIGHT_TABLE_LIMIT,
     RepSum,
     RootSystem,
     g2,
@@ -290,12 +291,26 @@ def _cmd_holonomy(args: argparse.Namespace) -> int:
 def _cmd_rep(args: argparse.Namespace) -> int:
     system = _parse_system(args.system)
     lam = _parse_fraction_list(args.weight)
+    mu = _parse_fraction_list(args.tensor) if args.tensor else None
+    dim = system.weyl_dimension(lam)
     results: Dict[str, Any] = {
         "system": system.name,
         "weight": [str(c) for c in lam],
-        "dimension": system.weyl_dimension(lam),
+        "dimension": dim,
         "casimir": system.casimir(lam),
     }
+    # the weight systems this request builds: lam's for --multiplicities and
+    # --point, and Klimyk's smaller factor (mu on a tie) for --tensor
+    built = [(dim, lam)] if args.multiplicities or args.point else []
+    if mu is not None:
+        built.append(min((system.weyl_dimension(mu), mu), (dim, lam), key=lambda pair: pair[0]))
+    for size, weight in built:
+        if size * system.coords > WEIGHT_TABLE_LIMIT:
+            shown = ", ".join(map(str, weight))
+            raise InputError(
+                f"weight systems need dimension x coordinates <= {WEIGHT_TABLE_LIMIT}, "
+                f"got {size} x {system.coords} = {size * system.coords} for ({shown})"
+            )
     if args.multiplicities or args.point:
         weights = {
             system.from_labels(nu, lam): m for nu, m in system.weight_multiplicities(lam).items()
@@ -304,8 +319,7 @@ def _cmd_rep(args: argparse.Namespace) -> int:
         results["weights"] = [
             {"weight": [str(c) for c in w], "multiplicity": m} for w, m in sorted(weights.items())
         ]
-    if args.tensor:
-        mu = _parse_fraction_list(args.tensor)
+    if mu is not None:
         product = tensor_decompose(system, lam, mu)
         results["tensor_with"] = [str(c) for c in mu]
         results["tensor_decomposition"] = _entries(product)

@@ -230,11 +230,16 @@ def _so_model(n: int) -> HolonomyModel:
     )
 
 
+# sphere_check(n) builds about n**2/4 positive roots: 0.06-0.08 s at n = 400
+# on a 2-core VM, and `sphere --upto 400` 6-8 s
+SPHERE_LIMIT = 400
+
+
 # kind -> (builder, (smallest, largest) parameter or None when the kind takes
 #          none, family whose kernel formula it carries or None).  The largest
 #          model of each kind takes a few seconds: on a 2-core VM `holonomy su 80`
-#          and `u 80` took 2.6-2.9 s, `sp 64` 2.2 s, `sp1sp 32` 1.6 s and `so 179`
-#          3.5 s (odd n is the costly parity: `so 201` took 6.1 s, `so 180` 0.8 s)
+#          and `u 80` took 2.6-2.9 s, `sp 64` 2.2 s, `sp1sp 32` 1.6 s, and `so 399`
+#          and `so 400` 7-9 s; so stops where the sphere checks do
 _KINDS: Dict[str, Tuple[Callable[..., HolonomyModel], Optional[Tuple[int, int]],
                         Optional[str]]] = {
     "su": (lambda n: _su_like_model(n, twist=False), (2, 80), "CY"),
@@ -243,7 +248,7 @@ _KINDS: Dict[str, Tuple[Callable[..., HolonomyModel], Optional[Tuple[int, int]],
     "sp1sp": (_sp1spm_model, (2, 32), "QK"),
     "g2": (_g2_model, None, "G2"),
     "spin7": (_spin7_model, None, "SPIN7"),
-    "so": (_so_model, (3, 180), None),
+    "so": (_so_model, (3, SPHERE_LIMIT), None),
 }
 HOLONOMY_KINDS = tuple(_KINDS)
 KIND_FAMILIES = {kind: family for kind, (_, _, family) in _KINDS.items() if family}
@@ -403,11 +408,6 @@ class SphereCheck:
     casimir_value: Fraction
     positivity_threshold: Fraction
     margin: Fraction
-
-
-# sphere_check(n) builds about n**2/4 positive roots: 0.06-0.08 s at n = 400
-# on a 2-core VM, and `sphere --upto 400` 6-8 s
-SPHERE_LIMIT = 400
 
 
 def sphere_check(n: int) -> SphereCheck:

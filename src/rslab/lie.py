@@ -7,7 +7,9 @@ the usual m-coordinate realizations with half-integer spin weights, and G2
 the trace-zero hyperplane of three coordinates; products concatenate them.
 On top sit Weyl's dimension formula, Casimir eigenvalues
 ``<lambda+2*delta, lambda>``, Freudenthal's multiplicity recursion over the
-dominant weights and the Klimyk tensor-product rule.
+dominant weights, which spreads each multiplicity along its Weyl orbit as
+it goes and so builds the full weight table in one pass, and the Klimyk
+tensor-product rule.
 
 Root data is held once, as integers: the factories pass each root as a
 sparse row of its nonzero (coordinate, value) int pairs, and the
@@ -321,15 +323,18 @@ class RootSystem:
 
     # -- weight systems ---------------------------------------------------------
 
-    def dominant_weight_multiplicities(self, lam: Weight) -> Dict[Labels, int]:
-        """Freudenthal recursion over the dominant weights of V(lam), on labels.
+    def dominant_weight_multiplicities(self, lam: Weight, top: Labels) -> Dict[Labels, int]:
+        """Every weight of V(lam) with its multiplicity, keyed by Dynkin
+        labels, for the checked highest weight ``lam`` with labels ``top``.
 
-        The dominant weights are the chains of positive roots below lam
-        (Stembridge); a weight lies in V(lam) when its dominant Weyl
-        representative does.  Returns the multiplicities keyed by the
-        weights' Dynkin labels, highest weight first.
+        Freudenthal's recursion runs over the dominant weights, the chains of
+        positive roots below lam (Stembridge), and spreads each multiplicity
+        along its Weyl orbit, walked by the simple reflections at positive
+        labels, as soon as it is known (Moody-Patera).  Each mu + k*alpha
+        above mu has a dominant representative reached before mu, so it is
+        in the table, and a missing key means "not a weight".
         """
-        lam, top = self._require_dominant(lam)
+        # the name is kept for perfbench's tracer, which spans it as lie.freudenthal
         # drop[mu] = |top + delta|^2 - |mu + delta|^2; stepping from mu down
         # to mu - alpha adds |alpha|^2 (<mu + delta, alpha^vee> - 1)
         drop, work = {top: 0}, [top]
@@ -345,45 +350,42 @@ class RootSystem:
             at = _fmt(self.from_labels(mu, lam))
             raise ConsistencyError(f"{self.name}: V{_fmt(lam)} at {at}: {what}")
 
-        mult: Dict[Labels, int] = {top: 1}
+        table: Dict[Labels, int] = {}
         # drop grows strictly down the dominance order: weights above mu come first
-        for mu in sorted(drop.keys() - {top}, key=drop.get):
-            if drop[mu] <= 0:
-                fail(mu, f"Freudenthal denominator {drop[mu]} <= 0")
-            total = 0  # 2 sum_alpha sum_k m(mu + k alpha) <mu + k alpha, alpha>
-            for alpha, coroot, norm in self._roots:
-                # <nu, alpha^vee> = <mu, alpha^vee> + 2k at nu = mu + k*alpha
-                pair, part = sum(c * mu[j] for j, c in coroot), 0
-                nu = tuple(x + a for x, a in zip(mu, alpha))
-                while (rep := self.to_dominant(nu)[0]) in drop:
-                    pair += 2
-                    part += mult[rep] * pair
-                    nu = tuple(x + a for x, a in zip(nu, alpha))
-                total += norm * part
-            mult[mu], rest = divmod(total, drop[mu])
-            if rest or mult[mu] <= 0:
-                fail(mu, f"multiplicity {Fraction(total, drop[mu])}, not in 1, 2, ...")
-        return mult
+        for mu in [top] + sorted(drop.keys() - {top}, key=drop.get):
+            m = 1
+            if mu != top:
+                if drop[mu] <= 0:
+                    fail(mu, f"Freudenthal denominator {drop[mu]} <= 0")
+                total = 0  # 2 sum_alpha sum_k m(mu + k alpha) <mu + k alpha, alpha>
+                for alpha, coroot, norm in self._roots:
+                    # <nu, alpha^vee> = <mu, alpha^vee> + 2k at nu = mu + k*alpha
+                    pair, part = sum(c * mu[j] for j, c in coroot), 0
+                    nu = tuple(x + a for x, a in zip(mu, alpha))
+                    while above := table.get(nu):
+                        pair += 2
+                        part += above * pair
+                        nu = tuple(x + a for x, a in zip(nu, alpha))
+                    total += norm * part
+                m, rest = divmod(total, drop[mu])
+                if rest or m <= 0:
+                    fail(mu, f"multiplicity {Fraction(total, drop[mu])}, not in 1, 2, ...")
+            table[mu], work = m, [mu]
+            while work:
+                w = work.pop()
+                for i in range(len(w)):
+                    if w[i] > 0 and (nu := self._mirror(w, i)) not in table:
+                        table[nu] = m
+                        work.append(nu)
+        return table
 
     def weight_multiplicities(self, lam: Weight) -> Dict[Labels, int]:
         """Every weight of V(lam) with its multiplicity, keyed by Dynkin
         labels (``from_labels(w, lam)`` gives coordinates); sums to the
-        dimension, memoized per label tuple of lam.
-
-        Each dominant multiplicity spreads along its Weyl orbit, walked by
-        the simple reflections at positive labels.
-        """
+        dimension, memoized per label tuple of lam."""
         lam, top = self._require_dominant(lam)
         if top not in self._weights_cache:
-            table: Dict[Labels, int] = {}
-            for mu, m in self.dominant_weight_multiplicities(lam).items():
-                table[mu], work = m, [mu]
-                while work:
-                    w = work.pop()
-                    for i in range(len(w)):
-                        if w[i] > 0 and (nu := self._mirror(w, i)) not in table:
-                            table[nu] = m
-                            work.append(nu)
+            table = self.dominant_weight_multiplicities(lam, top)
             size, dim = sum(table.values()), self._dimension(top)
             check("weight system size", size == dim, system=self.name, highest_weight=lam,
                   multiplicities=size, weyl_dimension=dim)
@@ -416,8 +418,17 @@ def _shared(key: tuple, build: Callable[[], RootSystem]) -> RootSystem:
 # The per-root table and each Weyl dimension walk the rank^2 positive roots,
 # each with up to rank coroot terms, so a system costs about rank^3: on a
 # 2-core VM `rep` at rank 200 took 2.7 s (a200) to 4.0 s (c200).  RANK_LIMIT
-# keeps the B199 and D200 of `sphere_check` inside.
+# keeps the B199 and D200 of `sphere_check` and `holonomy so 399/400` inside.
 RANK_LIMIT = 200
+
+# `rep --multiplicities` and `--point` build, convert and print every weight of
+# V(lam), `--tensor` builds Klimyk's smaller factor; their cost follows the
+# entries printed (weights x coordinates), which the Weyl dimension times the
+# coordinate count bounds.  On a 2-core VM, a30 with weight 1,1,1,0,...,0
+# (4,495 x 31 = 139,345) took 2.6-3.3 s with --multiplicities --point and
+# 5-6 s tensored with a generic weight; unbounded, a50 with 1,1,1,0,...,0
+# (1,062,075) took 14 s.
+WEIGHT_TABLE_LIMIT = 150_000
 
 
 def _within_rank(rank: int) -> None:

@@ -198,8 +198,10 @@ def test_genus_spec_validation():
     with pytest.raises(InputError):
         genus_spec("ZETA", 4)
     genus_spec("L", 4)  # a stored spec must not let a bad order through
-    with pytest.raises(InputError, match="order must be positive"):
+    with pytest.raises(InputError, match="^order must be positive, got 0$"):
         genus_spec("L", 0)
+    with pytest.raises(InputError, match="^order must be positive, got -2$"):
+        genus_spec("L", -2)
     with pytest.raises(InputError, match=re.escape("order 2.0 is not an int")):
         genus_spec("L", 2.0)
 
@@ -298,12 +300,21 @@ def test_product_rs_index_matches_component_combination(left_spec, right_spec):
 
 
 def test_profile_validation():
-    with pytest.raises(InputError):
-        ChernProfile(0, (), Fraction(1))
-    with pytest.raises(InputError):
-        ChernProfile(2, (Fraction(1),), Fraction(1))
-    with pytest.raises(InputError):
-        ChernProfile(2, (Fraction(0), Fraction(6)), Fraction(0))
+    for dim, chern, pairing, message in [
+        (0, (), Fraction(1), "complex dimension must be positive, got 0"),
+        (-3, (), Fraction(1), "complex dimension must be positive, got -3"),
+        (2, (Fraction(1),), Fraction(1), "need exactly dim = 2 Chern coefficients, got 1"),
+        (1, (Fraction(1, 2), 3), Fraction(1), "need exactly dim = 1 Chern coefficients, got 2"),
+        (2, (Fraction(0), Fraction(6)), Fraction(0), "pairing must be nonzero, got 0"),
+    ]:
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            ChernProfile(dim, chern, pairing)
+
+
+def test_elementary_from_power_sums_needs_count_sums():
+    message = "not enough power sums for count 3, got 2"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        elementary_from_power_sums([Fraction(1, 2), 1], 3)
 
 
 @pytest.mark.parametrize(

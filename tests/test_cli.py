@@ -331,6 +331,53 @@ def test_sphere_past_the_limit_exits_2_before_any_check(monkeypatch, capsys, arg
     assert captured.err == f"error: sphere checks stop at n = 400, got {argv[1]}\n"
 
 
+B4_PAST = "got 37509367104 x 4 = 150037468416 for (12, 9, 6, 3)"
+SPINOR = ["1/2"] * 4
+
+
+@pytest.mark.parametrize(
+    "argv, limit, refusal, built",
+    [
+        ("rep b4 --weight 12,9,6,3 --multiplicities", None, B4_PAST, []),
+        ("rep b4 --weight 12,9,6,3 --point 1,0,0,0", None, B4_PAST, []),
+        ("rep b4 --weight 12,9,6,3 --tensor 13,9,6,3", None, B4_PAST, []),
+        ("rep b4 --weight 1/2,1/2,1/2,1/2 --tensor 12,9,6,3", None, None, [SPINOR]),
+        ("rep b4 --weight 1/2,1/2,1/2,1/2 --multiplicities --tensor 12,9,6,3", None, None,
+         [SPINOR, SPINOR]),
+        ("rep b4 --weight 12,9,6,3 --multiplicities --tensor 1/2,1/2,1/2,1/2", None, B4_PAST, []),
+        ("rep a2 --weight 1,0,0 --multiplicities", 9, None, [["1", "0", "0"]]),
+        ("rep a2 --weight 1,0,0 --multiplicities", 8, "got 3 x 3 = 9 for (1, 0, 0)", []),
+        # equal dimensions: Klimyk enumerates the second factor
+        ("rep a2 --weight 1,0,0 --tensor 0,0,-1", 8, "got 3 x 3 = 9 for (0, 0, -1)", []),
+    ],
+)
+def test_weight_systems_past_the_limit_exit_2_before_they_are_built(
+    monkeypatch, capsys, argv, limit, refusal, built
+):
+    from rslab import cli, lie
+
+    requested = []
+    original = lie.RootSystem.weight_multiplicities
+
+    def stand_in(system, lam):
+        requested.append([str(x) for x in lam])
+        return original(system, lam)
+
+    monkeypatch.setattr(lie.RootSystem, "weight_multiplicities", stand_in)
+    if limit is not None:
+        monkeypatch.setattr(cli, "WEIGHT_TABLE_LIMIT", limit)
+    limit = cli.WEIGHT_TABLE_LIMIT
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    if refusal is None:
+        assert code == 0 and captured.err == ""
+    else:
+        assert code == 2 and captured.out == ""
+        message = f"weight systems need dimension x coordinates <= {limit}, {refusal}"
+        assert captured.err == f"error: {message}\n"
+    assert requested == built
+
+
 @pytest.mark.parametrize(
     "argv, total, admitted",
     [
@@ -364,7 +411,7 @@ def test_complete_intersections_past_the_limit_exit_2_before_any_class(
     "argv, message, systems",
     [
         ("holonomy sp1sp 33", "sp1sp needs a parameter <= 32, got 33", []),
-        ("product holonomy sp:2 so:181", "so needs a parameter <= 180, got 181", [("C", 2)]),
+        ("product holonomy sp:2 so:401", "so needs a parameter <= 400, got 401", [("C", 2)]),
         ("rep a201 --weight 0", "root systems need rank <= 200, got 201", []),
         ("rep b201 --weight 0", "root systems need rank <= 200, got 201", []),
         ("rep c201 --weight 0", "root systems need rank <= 200, got 201", []),

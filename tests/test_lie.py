@@ -137,6 +137,57 @@ def test_multiplicities_sum_to_dimension():
         assert sum(mults.values()) == sys.weyl_dimension(lam)
 
 
+def _unit(n, i, sign=1):
+    return tuple(sign if j == i else 0 for j in range(n))
+
+
+def _exterior(weights, k):
+    """The weight multiset of the k-th exterior power of a module whose
+    basis vectors carry ``weights``: sums over k distinct basis vectors."""
+    n = len(weights[0])
+    return Counter(tuple(sum(w[i] for w in picked) for i in range(n))
+                   for picked in itertools.combinations(weights, k))
+
+
+def _oracle(kind, m, k):
+    """A system, a highest weight and the weight multiset of its irreducible,
+    read off exterior powers of the vector module V (weight e_1 + ... + e_k)
+    or, for "spin", off the B_m spinor (every +-1/2 vector once)."""
+    top = (1,) * k + (0,) * (m - k)
+    if kind == "A":  # Lambda^k C^(m+1)
+        return type_a(m + 1), top + (0,), _exterior([_unit(m + 1, i) for i in range(m + 1)], k)
+    if kind == "spin":
+        return type_b(m), (F(1, 2),) * m, Counter(itertools.product((F(1, 2), F(-1, 2)), repeat=m))
+    vector = [_unit(m, i, s) for i in range(m) for s in (1, -1)]
+    if kind == "B":  # Lambda^k V, k <= m; V has the zero weight too
+        return type_b(m), top, _exterior(vector + [(0,) * m], k)
+    if kind == "D":  # Lambda^k V, k < m
+        return type_d(m), top, _exterior(vector, k)
+    # C: Lambda^k V = V(e_1 + ... + e_k) + Lambda^(k-2) V
+    weights = _exterior(vector, k)
+    weights.subtract(_exterior(vector, k - 2) if k >= 2 else Counter())
+    assert min(weights.values()) >= 0
+    return type_c(m), top, +weights
+
+
+ORACLE_CASES = (
+    [("A", n, k) for n in range(1, 7) for k in range(1, n + 1)]
+    + [("B", m, k) for m in range(1, 6) for k in range(1, m + 1)]
+    + [("C", m, k) for m in range(1, 6) for k in range(1, m + 1)]
+    + [("D", m, k) for m in range(2, 7) for k in range(1, m)]
+    + [("spin", m, 0) for m in range(1, 7)]
+    + [("B", 75, 1)]  # the B75 vector: one zero weight, far below the top
+)
+
+
+@pytest.mark.parametrize("kind, m, k", ORACLE_CASES,
+                         ids=[f"{kind}{m}-k{k}" for kind, m, k in ORACLE_CASES])
+def test_multiplicities_match_vector_exterior_powers_and_spinors(kind, m, k):
+    sys, lam, expected = _oracle(kind, m, k)
+    table = {sys.from_labels(nu, lam): mult for nu, mult in sys.weight_multiplicities(lam).items()}
+    assert table == dict(expected)
+
+
 def test_sp4_products():
     sys = type_c(2)
     assert sys.weyl_dimension(_w(1, 0)) == 4
