@@ -3,11 +3,11 @@ generated by a single degree-two class.
 
 A :class:`ChernProfile` records the Chern classes ``c_k = chern[k-1] * h**k``
 of the tangent bundle together with the pairing ``<h**n, [M]>``.  Everything
-else is derived from it with exact rational arithmetic: Newton's identities
-convert Chern classes to power sums of the formal roots, Pontryagin classes
-come from power sums of the squared roots, and any multiplicative genus is
-evaluated through ``exp(sum_k log(Q)_k * s_k)``, one Q per genus read by
-truncation.  The genus values and index report of a profile are kept on it.
+else is derived from it with exact rational arithmetic: Pontryagin classes
+come straight from c(T) c(conj T), Newton's identities convert Chern classes
+to power sums of the formal roots, and any multiplicative genus is evaluated
+through ``exp(sum_k log(Q)_k * s_k)``, one Q per genus read by truncation.
+The genus values and index report of a profile are kept on it.
 
 The spin-3/2 index functional is ``<Ahat(TM) * (ch(TM x C) + 1), [M]>``; it
 splits as a tangent-twisted Dirac index plus a plain Dirac index, and both
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .errors import InputError, NotApplicableError, check, integer, rational
 from .exactpoly import (
@@ -105,27 +105,19 @@ class ChernProfile:
         return {}
 
 
-def elementary_from_power_sums(sums: Sequence[Fraction], count: int) -> Tuple[Fraction, ...]:
-    """e_1 .. e_count from power sums: e(t) = exp(sum_k (-1)**(k-1) s_k t**k / k)."""
-    if integer(count, "count") > len(sums):
-        raise InputError(f"not enough power sums for count {count}, got {len(sums)}")
-    log_e = {(k,): rational(s, "power sum") * Fraction((-1) ** (k - 1), k)
-             for k, s in enumerate(sums[:count], 1)}
-    e = series_exp(TruncatedPoly(("t",), (count,), log_e))
-    return tuple(e.coefficient((k,)) for k in range(1, count + 1))
-
-
 def chern_to_pontryagin(profile: ChernProfile) -> Tuple[Fraction, ...]:
     """Pontryagin coefficients p_k on h**(2k), for 2k <= n.
 
-    The underlying real bundle has total Pontryagin class
-    ``prod (1 + x_i**2)``, so p_k is the k-th elementary symmetric function
-    of the squared Chern roots, recovered from s_2, s_4, ...
+    The complexified real bundle is T + conj(T), and c(conj T) has
+    (-1)**i c_i, so (Milnor-Stasheff, Characteristic Classes, section 15)
+    p_k = (-1)**k [c(T) c(conj T)]_2k = sum_i (-1)**(k+i) c_i c_(2k-i),
+    with c_0 = 1; every index is at most 2k <= n.
     """
-    s = profile.power_sums
-    count = profile.dim // 2
-    squared_sums = [s[2 * k - 1] for k in range(1, count + 1)]
-    return elementary_from_power_sums(squared_sums, count)
+    c = (Fraction(1),) + profile.chern
+    return tuple(
+        sum((-1) ** (k + i) * c[i] * c[2 * k - i] for i in range(2 * k + 1))
+        for k in range(1, profile.dim // 2 + 1)
+    )
 
 
 def _partitions(m: int, largest: int = 0) -> List[Tuple[int, ...]]:

@@ -197,7 +197,7 @@ def _cmd_ci(args: argparse.Namespace) -> int:
         "complex_dimension": args.n,
         "real_dimension": 2 * args.n,
         "codimension": len(args.degrees),
-        "total_degree": manifold.total_degree,
+        "total_degree": manifold.spec.total_degree,
         "spin": manifold.spin,
         "c1_sign": manifold.c1_sign,
         "invariants": {

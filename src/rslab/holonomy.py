@@ -594,9 +594,7 @@ def hyperkahler_kernel_identity(n: int) -> bool:
     Sp(n) model must be n - 1.  Returns True or raises
     ``ConsistencyError``.
     """
-    if integer(n, "quaternionic dimension") < 1:
-        raise InputError("quaternionic dimension must be at least 1")
-    model = holonomy_model("sp", n)  # refuses an n past its range before the loop
+    model = holonomy_model("sp", n)  # refuses a non-int n or one out of range before the loop
     for hodge in _unit_points((1,) * n):  # kernel_dimension refuses negatives
         h = {-1: 1, **dict(enumerate(hodge, start=1))}
         kernel, index = -(n + 1), n + 1

@@ -62,7 +62,6 @@ C1_NEGATIVE = "NEGATIVE"
 class CIManifold:
     spec: CISpec
     profile: ChernProfile
-    total_degree: int
     spin: bool
     c1_sign: str
 
@@ -103,7 +102,6 @@ def build_ci(spec: CISpec) -> CIManifold:
     return CIManifold(
         spec=spec,
         profile=ChernProfile(n, chern, pairing),
-        total_degree=spec.total_degree,
         spin=(n + r - spec.total_degree) % 2 == 1,
         c1_sign=sign,
     )
@@ -294,7 +292,7 @@ def ci_rs_kernel(m: CIManifold) -> CIKernelReport:
 
     window = None
     if m.spec.codimension == 1:
-        d = m.total_degree
+        d = m.spec.total_degree
         window = 2 * d >= m.spec.n + 1 and d <= m.spec.n + 1
     check("Ahat under positive c1", inv.ahat == 0, spec=m.spec, ahat=inv.ahat)
     bound = abs(int(inv.rs_index)) if inv.rs_index.denominator == 1 else 0

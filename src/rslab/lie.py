@@ -23,13 +23,14 @@ Inside a system a weight is the int tuple of its Dynkin labels
 <w, alpha_i^vee>: ``to_dominant``, Freudenthal, ``weight_multiplicities``
 (tables keyed by labels), the memoized Weyl dimension and Klimyk (memoized
 per label pair) all run on labels.  Labels miss only the constant tuple on
-an A or G2 block, which no root sees; every weight of V(lam) has the block
-sums of lam, and every summand of V(lam) (x) V(mu) those of lam + mu.  So a
-``RepSum`` keys each term by its labels plus its block sums (ints where
-integral), and adds, subtracts, measures and multiplies on those keys; its
-``terms`` are a coordinate view, built through ``from_labels`` once per
-sum.  Coordinates appear only at the API, where the highest weights a
-caller passes are checked once.  Every call returns a fresh dict or RepSum.
+an A block, which no root sees (a G2 weight lies on the trace-zero plane,
+so a G2 block has none); every weight of V(lam) has the block sums of lam,
+and every summand of V(lam) (x) V(mu) those of lam + mu.  So a ``RepSum``
+keys each term by its labels plus its block sums (ints where integral),
+and adds, subtracts, measures and multiplies on those keys; its ``terms``
+are a coordinate view, built through ``from_labels`` once per sum.
+Coordinates appear only at the API, where the highest weights a caller
+passes are checked once.  Every call returns a fresh dict or RepSum.
 
 Equal factory calls (``type_b(3)`` twice, or ``product_system`` over the
 same factor objects) return one shared RootSystem while it is kept, so its
@@ -54,7 +55,7 @@ from .errors import ConsistencyError, InputError, check, integer
 
 Weight = Tuple[Fraction, ...]
 Labels = Tuple[int, ...]
-Key = Tuple[Labels, tuple]  # a RepSum term: labels and A/G2 block sums
+Key = Tuple[Labels, tuple]  # a RepSum term: labels and A block sums
 Sparse = Tuple[Tuple[int, int], ...]
 
 
@@ -113,7 +114,7 @@ class RootSystem:
         starts = itertools.accumulate((c.coords for c in self.components), initial=0)
         blocks = [(c.kind, lo, lo + c.coords) for c, lo in zip(self.components, starts)]
         # blocks whose constant tuple no root sees: labels omit their sums
-        self._central = [(lo, hi) for kind, lo, hi in blocks if kind in ("A", "G2")]
+        self._central = [(lo, hi) for kind, lo, hi in blocks if kind == "A"]
         self._g2 = [(lo, hi) for kind, lo, hi in blocks if kind == "G2"]
         self._dims: Dict[Labels, int] = {}
         self._weights_cache: Dict[Labels, Dict[Labels, int]] = {}
@@ -223,7 +224,7 @@ class RootSystem:
     def from_labels(self, labels: Sequence[int], like: Optional[Sequence] = None,
                     sums: Optional[Sequence] = None) -> Weight:
         """Euclidean coordinates of the weight with these Dynkin labels whose
-        sum over each A or G2 block is ``sums``, or that of the weight
+        sum over each A block is ``sums``, or that of the weight
         ``like`` (zero without either); every weight of V(lam) has the block
         sums of lam."""
         if sums is None:

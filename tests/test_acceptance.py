@@ -11,10 +11,10 @@ from fractions import Fraction
 import pytest
 
 from characters import assert_tensor_character
+from newton import elementary_from_power_sums
 from rslab.charclass import (
     evaluate_genus,
     ChernProfile,
-    elementary_from_power_sums,
     euler_characteristic,
     product_rs_index,
     rs_index,

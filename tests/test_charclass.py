@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from newton import elementary_from_power_sums
 from rslab import charclass
 from rslab.charclass import (
     GENUS_NAMES,
     ChernProfile,
     chern_to_pontryagin,
     ch_complexified_tangent,
-    elementary_from_power_sums,
     euler_characteristic,
     evaluate_genus,
     GenusSpec,
@@ -311,12 +311,6 @@ def test_profile_validation():
             ChernProfile(dim, chern, pairing)
 
 
-def test_elementary_from_power_sums_needs_count_sums():
-    message = "not enough power sums for count 3, got 2"
-    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-        elementary_from_power_sums([Fraction(1, 2), 1], 3)
-
-
 @pytest.mark.parametrize(
     "dim, chern, pairing, named",
     [
@@ -333,15 +327,6 @@ def test_profile_refuses_inexact_and_bool_data(dim, chern, pairing, named):
     with pytest.raises(InputError, match=re.escape(named)) as info:
         ChernProfile(dim, chern, pairing)
     assert "exactly" not in str(info.value)
-
-
-@pytest.mark.parametrize(
-    "sums, count, named",
-    [([0.1], 1, "power sum 0.1"), ([True], 1, "power sum True"), ([1], 1.0, "count 1.0")],
-)
-def test_elementary_from_power_sums_refuses_inexact_inputs(sums, count, named):
-    with pytest.raises(InputError, match=f"^{re.escape(named)} is not an"):
-        elementary_from_power_sums(sums, count)
 
 
 # -- property tests (hypothesis; skipped where it is not installed) ------------
@@ -428,5 +413,28 @@ def test_property_non_integral_chern_data_match_the_total_degree_route():
         for name in GENUS_NAMES:
             assert evaluate_genus(name, profile) == values[name], name
         assert rs_index(profile) == index
+
+    prop()
+
+
+def test_property_pontryagin_classes_match_the_squared_power_sums():
+    """p_k read off c(T) c(conj T) is e_k of the squared Chern roots, whose
+    power sums are s_2, s_4, ..., on random non-integral profiles."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    profiles = st.integers(1, 14).flatmap(lambda n: st.builds(
+        ChernProfile,
+        st.just(n),
+        st.lists(fractions, min_size=n, max_size=n).filter(
+            lambda chern: any(c.denominator > 1 for c in chern)).map(tuple),
+        fractions.filter(bool)))
+
+    @hypothesis.settings(**_SETTINGS)
+    @hypothesis.given(profiles)
+    def prop(profile):
+        squared_sums = profile.power_sums[1::2]  # s_2, s_4, ..., n // 2 of them
+        assert chern_to_pontryagin(profile) == elementary_from_power_sums(
+            squared_sums, len(squared_sums))
 
     prop()

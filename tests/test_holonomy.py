@@ -193,7 +193,7 @@ def test_topological_input_numbers_must_be_ints(family, fields, named):
     "call, named",
     [
         (lambda: sphere_check(7.0), "sphere dimension 7.0"),
-        (lambda: hyperkahler_kernel_identity(2.0), "quaternionic dimension 2.0"),
+        (lambda: hyperkahler_kernel_identity(2.0), "parameter 2.0"),
         (lambda: qk_casimir_bound(2.0, QKSummand(0, 0, 0)), "quaternionic dimension m 2.0"),
         (lambda: qk_casimir_bound(2, QKSummand(0, 1.0, 1)), "a 1.0"),
         (lambda: QKSummand(True, 0, 0).validate(3), "d True"),
