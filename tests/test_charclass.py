@@ -1,5 +1,6 @@
 """Genus engine: multiplicative sequences, Newton identities, index functionals."""
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -78,6 +79,14 @@ def test_pontryagin_of_quartic_surface():
     # p1 = c1^2 - 2 c2 = -12 h^2, pairing 4
     assert chern_to_pontryagin(K3) == (Fraction(-12),)
     assert pontryagin_numbers(K3) == {"p1": Fraction(-48)}
+
+
+@pytest.mark.parametrize("n", [2, 5, 8], ids=lambda n: f"CP{n}")
+def test_pontryagin_classes_of_projective_space(n):
+    # c(CP^n) = (1 + h)**(n+1), so p(CP^n) = (1 + h**2)**(n+1)
+    profile = ChernProfile(n, tuple(math.comb(n + 1, k) for k in range(1, n + 1)), 1)
+    assert chern_to_pontryagin(profile) == tuple(
+        math.comb(n + 1, k) for k in range(1, n // 2 + 1))
 
 
 def test_pontryagin_monomials_dim8():

@@ -141,6 +141,7 @@ def test_model_dispatch_validation():
         (lambda: holonomy_model("sp", 65), "sp needs a parameter <= 64, got 65"),
         (lambda: holonomy_model("sp1sp", 33), "sp1sp needs a parameter <= 32, got 33"),
         (lambda: holonomy_model("so", 401), "so needs a parameter <= 400, got 401"),
+        (lambda: hyperkahler_kernel_identity(0), "sp needs a parameter >= 1, got 0"),
         (lambda: hyperkahler_kernel_identity(65), "sp needs a parameter <= 64, got 65"),
         (lambda: qk_kernel_analysis(33), "sp1sp needs a parameter <= 32, got 33"),
         (lambda: TopologicalInput("SPIN7", b2=1, b3=1), "SPIN7 input needs b4_minus"),
