@@ -22,15 +22,17 @@ rows with int arithmetic; the per-root table (labels, coroot coefficients,
 Inside a system a weight is the int tuple of its Dynkin labels
 <w, alpha_i^vee>: ``to_dominant``, Freudenthal, ``weight_multiplicities``
 (tables keyed by labels), the memoized Weyl dimension and Klimyk (memoized
-per label pair) all run on labels.  Labels miss only the constant tuple on
-an A block, which no root sees (a G2 weight lies on the trace-zero plane,
-so a G2 block has none); every weight of V(lam) has the block sums of lam,
-and every summand of V(lam) (x) V(mu) those of lam + mu.  So a ``RepSum``
-keys each term by its labels plus its block sums (ints where integral),
-and adds, subtracts, measures and multiplies on those keys; its ``terms``
-are a coordinate view, built through ``from_labels`` once per sum.
-Coordinates appear only at the API, where the highest weights a caller
-passes are checked once.  Every call returns a fresh dict or RepSum.
+per label pair, reading the smaller factor's cached table by its labels)
+all run on labels.  Labels miss only the constant tuple on an A block,
+which no root sees (a G2 weight lies on the trace-zero plane, so a G2 block
+has none); every weight of V(lam) has the block sums of lam, and every
+summand of V(lam) (x) V(mu) those of lam + mu.  So a ``RepSum`` keys each
+term by its labels plus its block sums (ints where integral), and adds,
+subtracts, measures and multiplies on those keys; its ``terms`` are a
+coordinate view built once per sum, sorted on the int numerators of
+``from_labels`` before any Fraction is made (the Casimir uses the same
+ints).  Coordinates appear only at the API, where the highest weights a
+caller passes are checked once.  Every call returns a fresh dict or RepSum.
 
 Equal factory calls (``type_b(3)`` twice, or ``product_system`` over the
 same factor objects) return one shared RootSystem while it is kept, so its
@@ -110,6 +112,7 @@ class RootSystem:
         for row in self._positive:
             for i, v in row:
                 acc[i] += v
+        self._twice_delta = tuple(acc)
         self.delta = tuple(Fraction(x, 2) for x in acc)
         starts = itertools.accumulate((c.coords for c in self.components), initial=0)
         blocks = [(c.kind, lo, lo + c.coords) for c, lo in zip(self.components, starts)]
@@ -229,20 +232,26 @@ class RootSystem:
         sums of lam."""
         if sums is None:
             sums = [0 if like is None else sum(like[lo:hi]) for lo, hi in self._central]
+        return tuple(map(Fraction, *self._numerators(labels, [Fraction(s) for s in sums])))
+
+    def _numerators(self, labels: Sequence[int], sums: Sequence) -> Tuple[List[int], tuple]:
+        """``from_labels`` as int numerators and denominators, not reduced,
+        for block sums given as ints or Fractions: the omega denominator,
+        times k t on an A block of k coordinates whose sum has denominator t."""
         den, omega = self._omega
         acc = [0] * self.coords
         for x, row in zip(labels, omega):
-            for i, v in row:
-                acc[i] += x * v
+            if x:
+                for i, v in row:
+                    acc[i] += x * v
         dens = [den] * self.coords
         for (lo, hi), target in zip(self._central, sums):
             # each entry moves by (target - block sum) / k, over den * k * t
-            target = Fraction(target)
             k, t = hi - lo, target.denominator
             shift = target.numerator * den - sum(acc[lo:hi]) * t
             acc[lo:hi] = [a * k * t + shift for a in acc[lo:hi]]
             dens[lo:hi] = [den * k * t] * k
-        return tuple(map(Fraction, acc, dens))
+        return acc, tuple(dens)
 
     # -- chamber geometry ----------------------------------------------------
 
@@ -319,8 +328,14 @@ class RootSystem:
         The central (trace) part of a GL weight does not act through the
         simple Lie algebra: the weight with its labels and block sums zero."""
         _, labels = self._require_dominant(lam)
-        p = self.from_labels(labels)
-        return sum((x * (x + 2 * d) for x, d in zip(p, self.delta) if x), Fraction(0))
+        nums, dens = self._numerators(labels, [0] * len(self._central))
+        # x = n / den = n' / common: x (x + 2 delta) = n' (n' + common 2delta) / common^2
+        common, total = math.lcm(*dens), 0
+        for n, den, twice in zip(nums, dens, self._twice_delta):
+            if n:
+                n *= common // den
+                total += n * (n + common * twice)
+        return Fraction(total, common * common)
 
     # -- weight systems ---------------------------------------------------------
 
@@ -592,9 +607,15 @@ class RepSum:
         return dict(self.sorted_terms())
 
     def sorted_terms(self) -> List[Tuple[Weight, int]]:
+        """The terms in the order of their coordinate tuples, sorted on int
+        numerators over one lcm denominator per coordinate (no two keys
+        share coordinates, so multiplicities are never compared)."""
         if self._view is None:
-            point = self.system.from_labels
-            self._view = sorted((point(w, sums=s), m) for (w, s), m in self._keys.items())
+            core = self.system._numerators
+            rows = [(core(w, s), m) for (w, s), m in self._keys.items()]
+            common = [math.lcm(*column) for column in zip(*{dens for (_, dens), _ in rows})]
+            rows.sort(key=lambda row: [n * (c // d) for n, d, c in zip(*row[0], common)])
+            self._view = [(tuple(map(Fraction, nums, dens)), m) for (nums, dens), m in rows]
         return list(self._view)
 
     def is_virtual(self) -> bool:
@@ -641,37 +662,45 @@ def irreducible(system: RootSystem, lam) -> RepSum:
 def _klimyk(system: RootSystem, a: Key, b: Key) -> Dict[Labels, int]:
     """V(a) (x) V(b) by Klimyk's dominant-reflection rule, on labels.
 
-    The weight system of the smaller factor is enumerated; each shifted
-    weight lam + nu + delta, whose labels are those of lam and nu plus one,
-    is reflected into the dominant chamber, drops out on a wall, and
-    otherwise contributes its sign at the reflected labels less one.  The
-    result is checked to be an honest representation of the right total
-    dimension and memoized per system under both label orders.  Its terms
-    carry no block sums (those of a + b, which the callers add), and the
-    callers must not modify it.
+    The weight system of the smaller factor (the second on a tie) is read
+    from the system's tables by its labels, and built through the public
+    ``weight_multiplicities`` when missing; each shifted weight
+    lam + nu + delta, whose labels are those of lam and nu plus one, is
+    reflected into the dominant chamber, drops out on a wall, and otherwise
+    contributes its sign at the reflected labels less one.  The result is
+    checked to be an honest representation of the right total dimension
+    (the factors' coordinates are formed only to name them in a failure)
+    and memoized per system under both label orders.  Its terms carry no
+    block sums (those of a + b, which the callers add), and the callers
+    must not modify it.
     """
     if (a[0], b[0]) in system._products:
         return system._products[a[0], b[0]]
     left, right = system._dimension(a[0]), system._dimension(b[0])
     if right > left:
         a, b = b, a
-    lam, mu = (system.from_labels(k[0], sums=k[1]) for k in (a, b))
+    table = system._weights_cache.get(b[0])
+    if table is None:  # built through the public call, which checks and stores it
+        table = system.weight_multiplicities(system.from_labels(b[0], sums=b[1]))
     shift = tuple(x + 1 for x in a[0])
     counts: Dict[Labels, int] = {}
-    for nu, mult in system.weight_multiplicities(mu).items():
+    for nu, mult in table.items():
         dom, sign = system.to_dominant(tuple(x + y for x, y in zip(shift, nu)))
         if 0 not in dom:
             w = tuple(x - 1 for x in dom)
             counts[w] = counts.get(w, 0) + sign * mult
     counts = {w: m for w, m in counts.items() if m}
     if any(m < 0 for m in counts.values()):
+        lam, mu = (system.from_labels(k[0], sums=k[1]) for k in (a, b))
         both = tuple(x + y for x, y in zip(lam, mu))
         w, m = min((system.from_labels(w, both), m) for w, m in counts.items() if m < 0)
         raise ConsistencyError(f"{system.name}: V{_fmt(lam)} (x) V{_fmt(mu)}: Klimyk "
                                f"produced a negative multiplicity {m} at {_fmt(w)}")
     dimension, expected = sum(m * system._dimension(w) for w, m in counts.items()), left * right
-    check("Klimyk tensor dimension", dimension == expected, system=system.name, left=lam,
-          right=mu, dimension=dimension, expected=expected)
+    if dimension != expected:
+        lam, mu = (system.from_labels(k[0], sums=k[1]) for k in (a, b))
+        check("Klimyk tensor dimension", False, system=system.name, left=lam, right=mu,
+              dimension=dimension, expected=expected)
     system._products[a[0], b[0]] = system._products[b[0], a[0]] = counts
     return counts
 

@@ -342,8 +342,9 @@ SPINOR = ["1/2"] * 4
         ("rep b4 --weight 12,9,6,3 --point 1,0,0,0", None, B4_PAST, []),
         ("rep b4 --weight 12,9,6,3 --tensor 13,9,6,3", None, B4_PAST, []),
         ("rep b4 --weight 1/2,1/2,1/2,1/2 --tensor 12,9,6,3", None, None, [SPINOR]),
+        # Klimyk reads the table --multiplicities built
         ("rep b4 --weight 1/2,1/2,1/2,1/2 --multiplicities --tensor 12,9,6,3", None, None,
-         [SPINOR, SPINOR]),
+         [SPINOR]),
         ("rep b4 --weight 12,9,6,3 --multiplicities --tensor 1/2,1/2,1/2,1/2", None, B4_PAST, []),
         ("rep a2 --weight 1,0,0 --multiplicities", 9, None, [["1", "0", "0"]]),
         ("rep a2 --weight 1,0,0 --multiplicities", 8, "got 3 x 3 = 9 for (1, 0, 0)", []),

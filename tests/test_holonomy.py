@@ -262,9 +262,11 @@ def test_sigma_three_half_runs_klimyk_once_per_pair(monkeypatch, n):
     model.sigma_three_half()
     # Sigma+ (x) T and Sigma- (x) T, whose sum is the total: two spinor terms, one tangent
     assert len(model.spinor.terms) == 2 and len(model.tangent.terms) == 1
-    # two label Klimyk calls, one per half and one weight system each; the memo
-    # holds each pair in both orders
-    assert calls == {"klimyk": 2, "weights": 2}
+    # two label Klimyk calls, one per half; both enumerate the tangent (the
+    # smaller factor, or the second on a tie), whose table the first builds
+    # and the second reads from the cache; the memo holds each pair in both orders
+    assert calls == {"klimyk": 2, "weights": 1}
+    assert list(model.system._weights_cache) == [next(iter(model.tangent._keys))[0]]
     assert len(model.system._products) == 4
 
 

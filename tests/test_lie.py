@@ -401,6 +401,62 @@ def test_klimyk_failure_names_its_inputs(monkeypatch):
     )
 
 
+# A3 weights with half-integral block sums, both of labels (1, 0, 0): on the
+# tie Klimyk enumerates the second factor, whose table any weight of those
+# labels builds
+HALF_LEFT = _w(F(3, 2), F(1, 2), F(1, 2), F(1, 2))
+HALF_RIGHT = _w(F(1, 2), F(-1, 2), F(-1, 2), F(-1, 2))
+
+
+@pytest.mark.parametrize(
+    "doctored, message",
+    [
+        (-3, "A3: V(3/2, 1/2, 1/2, 1/2) (x) V(1/2, -1/2, -1/2, -1/2): Klimyk produced a "
+             "negative multiplicity -3 at (2, 0, 0, 0)"),
+        (2, "Klimyk tensor dimension: system = A3, left = (3/2, 1/2, 1/2, 1/2), "
+            "right = (1/2, -1/2, -1/2, -1/2), dimension = 26, expected = 16"),
+    ],
+)
+def test_klimyk_failures_name_both_factors_from_a_cached_table(monkeypatch, doctored, message):
+    """Klimyk reads the cached table by labels and builds the factors'
+    coordinates only to report a failure, with their block sums."""
+    sys = type_a(4)
+    sys.weight_multiplicities(_w(1, 0, 0, 0))  # the table of labels (1, 0, 0)
+    monkeypatch.setitem(sys._weights_cache[1, 0, 0], (1, 0, 0), doctored)
+    with pytest.raises(ConsistencyError) as failure:
+        tensor_decompose(sys, HALF_LEFT, HALF_RIGHT)
+    assert str(failure.value) == message
+    assert sys._products == {}
+
+
+@pytest.mark.parametrize(
+    "factory, lam, mu, cache",
+    [
+        (partial(type_b, 3), _w(F(1, 2), F(1, 2), F(1, 2)), _w(1, 0, 0), _w(1, 0, 0)),
+        (partial(type_a, 4), HALF_LEFT, HALF_RIGHT, _w(2, 1, 1, 1)),
+        (lambda: product_system(type_a(2), g2()), _w(1, 0, -1, -1, 2),
+         _w(F(1, 2), F(1, 2), 0, -1, 1), _w(0, 0, 0, -1, 1)),
+    ],
+)
+def test_klimyk_on_a_cached_table_matches_a_fresh_system(monkeypatch, factory, lam, mu, cache):
+    """A product whose smaller factor's table is cached, here built from a
+    weight of the same labels but other block sums, never calls the public
+    weight-system lookup and equals the product on a freshly built system."""
+    sys = factory()
+    labels = sys._key(mu)[0]
+    sys.weight_multiplicities(cache)
+    assert list(sys._weights_cache) == [labels]
+    monkeypatch.setattr(sys, "weight_multiplicities", lambda w: pytest.fail(f"rebuilt {w}"))
+    cached = tensor_decompose(sys, lam, mu)
+    lie._kept.clear()
+    fresh = factory()
+    assert fresh is not sys and fresh._weights_cache == {}
+    built = tensor_decompose(fresh, lam, mu)
+    assert list(fresh._weights_cache) == [labels]
+    assert cached.terms == built.terms and cached.sorted_terms() == built.sorted_terms()
+    assert repr(cached) == repr(built)
+
+
 
 def test_cached_products_and_weights_are_independent_copies():
     sys = type_b(3)
@@ -440,9 +496,11 @@ def test_product_memo_hits_skip_the_input_checks(monkeypatch):
     for a, b in ((left, right), (right, left)):
         assert tensor_product_sum(sys, a, b) == first
     assert checks == []
-    # a fresh pair: only the public weight-system lookup of a factor checks it
+    # a fresh pair whose smaller factor's table is cached runs no check either;
+    # one whose table is missing builds it through the public call, which checks it
     square = tensor_product_sum(sys, right, right)
-    assert square.dimension == 36 and checks == [mu]
+    assert square.dimension == 36 and checks == []
+    assert tensor_product_sum(sys, left, left).dimension == 196 and checks == [lam]
     checks.clear()
     for args in ((lam, mu), (mu, lam), ((1, 1, 0), (1, 0, 0)), ((1, 0, 0), (1, 1, 0))):
         assert tensor_decompose(sys, *args) == first
@@ -841,6 +899,58 @@ def test_property_product_memo_hit_adds_block_sums(name):
         assert all(sum(w[:block]) == want for w in shifted.terms)
         (stored,) = {sums[0] for _, sums in shifted._keys}
         assert (type(stored) is int) == (F(want).denominator == 1)
+
+    prop()
+
+
+# RepSum views against the rule they replace: sort the Fraction tuples
+SORT_SYSTEMS = {
+    "A1": partial(type_a, 2),
+    "A2": partial(type_a, 3),
+    "A3": partial(type_a, 4),
+    "B3": partial(type_b, 3),
+    "C3": partial(type_c, 3),
+    "D4": partial(type_d, 4),
+    "G2": g2,
+    "A2xG2": lambda: product_system(type_a(3), g2()),
+}
+BLOCK_SUMS = (0, 1, -2, F(1, 2), F(-3, 2), F(1, 3), F(5, 4))
+
+
+def _fraction_view(rep):
+    """The coordinate view as ``sorted_terms`` once built it: a sort of the
+    Fraction tuples."""
+    point = rep.system.from_labels
+    return sorted((point(w, sums=s), m) for (w, s), m in rep._keys.items())
+
+
+@pytest.mark.parametrize("name", sorted(SORT_SYSTEMS))
+def test_property_sorted_terms_match_the_fraction_sort(name):
+    """Sums of random label keys, A block sums integral or not and mixed in
+    one sum, plus the U(n) spinor terms on an A system: ``sorted_terms``,
+    ``terms`` and ``repr`` read as the Fraction sort gives them."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    sys = SORT_SYSTEMS[name]()
+    rank, blocks = len(sys._cartan), len(sys._central)
+    spinors = {}
+    if name.startswith("A") and "x" not in name:  # U(n) spinors: block sums p - n/2
+        spinors = holonomy.holonomy_model("u", sys.coords).spinor._keys
+    labels = st.tuples(*[st.integers(0, 3)] * rank)
+    sums = st.tuples(*[st.sampled_from(BLOCK_SUMS)] * blocks).map(lie._sums)
+    keys = st.dictionaries(st.tuples(labels, sums), st.integers(-2, 3), max_size=12)
+    some_spinors = st.lists(st.sampled_from(sorted(spinors)), unique=True) if spinors else st.just([])
+
+    @hypothesis.settings(**{**_SETTINGS, "max_examples": 30})
+    @hypothesis.given(keys, some_spinors)
+    def prop(drawn, chosen):
+        rep = RepSum._of(sys, {**drawn, **{k: spinors[k] for k in chosen}})
+        expected = _fraction_view(rep)
+        assert rep.sorted_terms() == expected
+        assert all(type(x) is Fraction for w, _ in rep.sorted_terms() for x in w)
+        assert list(rep.terms.items()) == expected
+        shown = ", ".join(f"{lie._fmt(w)}: {m}" for w, m in expected)
+        assert repr(rep) == f"RepSum({sys.name}; {shown})"
 
     prop()
 
