@@ -6,22 +6,31 @@ by ``v**(cutoff_v + 1)`` for each variable ``v``.  Multiplication silently
 drops monomials past a cutoff, which is exactly the truncation an
 n-dimensional cohomology ring or an order-n series expansion wants.
 
-Coefficients are stored in a dict keyed by exponent tuples; zero
-coefficients are never stored, so dict equality is polynomial equality.
-Coefficients must be ``int`` or ``Fraction``; floats and bools are refused.
-Cutoffs and exponents must be ``int``.
+The coefficients, read as ``coeffs``, form a dict keyed by exponent
+tuples; zero coefficients never appear in it, so dict equality is
+polynomial equality.  Coefficients must be ``int`` or ``Fraction``; floats
+and bools are refused.  Cutoffs and exponents must be ``int``.
 
 ``Fraction`` is the boundary type only.  The product and the three series
 operations split their operands into homogeneous components p_k of total
 degree k and hold each component as int numerators over one positive,
-gcd-reduced denominator.  Their inner loops multiply and add ints; each
-output coefficient becomes one ``Fraction`` when the result is built (the
-fraction-free idea of Bareiss, Math. Comp. 22, 1968: divide once per
-result, not once per product).  A one-variable series has one coefficient
-per degree, so each component is one numerator over one denominator, and
-a degree-k convolution is one running int sum whose denominator grows by
-one gcd per term; the Ahat, L and Todd classes, the genus specs and
-``intersections.build_ci`` run on that path.
+gcd-reduced denominator.  Their inner loops multiply and add ints, and
+their results keep those components (the fraction-free idea of Bareiss,
+Math. Comp. 22, 1968: divide once per result, not once per product).  A
+one-variable series has one coefficient per degree, so each component is
+one numerator over one denominator, and a degree-k convolution is one
+running int sum whose denominator grows by one gcd per term; the Ahat, L
+and Todd classes, the genus specs and ``intersections.build_ci`` run on
+that path.
+
+A poly holds whichever form it was made in, the components or the
+``Fraction`` dict, and derives the other on first use and keeps it.
+``coeffs``, ``items()``, ``repr`` and ``==`` read the dict, which lists a
+poly made from components by total degree; ``coefficient`` and
+``constant_term`` read one entry of the components; a constructor given
+only int values fills the components over denominator 1.  Stored
+components carry no zero numerator and are shared, so callers must not
+mutate them.
 
 ``series_inverse``, ``series_exp`` and ``series_log`` are graded
 recurrences over the components:
@@ -57,7 +66,7 @@ Components = List[Component]
 
 
 class TruncatedPoly:
-    __slots__ = ("variables", "cutoffs", "coeffs")
+    __slots__ = ("variables", "cutoffs", "_coeffs", "_comps")
 
     def __init__(
         self,
@@ -74,23 +83,35 @@ class TruncatedPoly:
         if any(c < 0 for c in self.cutoffs):
             raise InputError("cutoffs must be nonnegative")
         count, cutoffs = len(self.variables), self.cutoffs
-        clean: Dict[Exponent, Fraction] = {}
-        for exps, value in (coeffs or {}).items():
+        given = coeffs or {}
+        ints = all(type(v) is int for v in given.values())
+        clean: Dict[Exponent, RationalLike] = {}
+        for exps, value in given.items():
             key = tuple(exps)
-            if len(key) != count or not all(type(e) is int and e >= 0 for e in key):
+            inside = len(key) == count and all(
+                type(e) is int and 0 <= e <= c for e, c in zip(key, cutoffs)
+            )
+            if not inside and (
+                len(key) != count or not all(type(e) is int and e >= 0 for e in key)
+            ):
                 for e in key:
                     integer(e, "exponent")
                 raise InputError(f"bad exponent tuple {exps!r}")
-            if type(value) is not Fraction:
+            if not ints and type(value) is not Fraction:
                 value = rational(value)
-            if not value or not all(map(int.__le__, key, cutoffs)):
+            if not value or not inside:
                 continue  # zero, or truncated away by construction
             total = clean[key] + value if key in clean else value
             if total:
                 clean[key] = total
             else:
                 del clean[key]
-        self.coeffs = clean
+        self._coeffs: Dict[Exponent, Fraction] | None = None if ints else clean
+        self._comps: Components | None = None
+        if ints:  # int numerators over denominator 1, straight into the components
+            self._comps = [(1, []) for _ in range(sum(cutoffs) + 1)]
+            for key, value in clean.items():
+                self._comps[sum(key)][1].append((key[0], value))
 
     # -- constructors ----------------------------------------------------
 
@@ -105,21 +126,50 @@ class TruncatedPoly:
         variables = tuple(variables)
         return cls(variables, cutoffs, {(0,) * len(variables): value})
 
-    def _like(self, coeffs: Mapping[Exponent, Fraction]) -> "TruncatedPoly":
+    def _like(
+        self, coeffs: Mapping[Exponent, Fraction] | None = None, comps: Components | None = None
+    ) -> "TruncatedPoly":
+        """A poly in this ring, held as a dict (zeros dropped) or as components,
+        which must be gcd-reduced and free of zero numerators, as ``_reduced``
+        gives them."""
         out = TruncatedPoly.__new__(TruncatedPoly)
         out.variables = self.variables
         out.cutoffs = self.cutoffs
-        out.coeffs = {k: v for k, v in coeffs.items() if v}
+        out._coeffs = None if coeffs is None else {k: v for k, v in coeffs.items() if v}
+        out._comps = comps
         return out
 
     # -- inspection -------------------------------------------------------
 
+    @property
+    def coeffs(self) -> Dict[Exponent, Fraction]:
+        """Nonzero coefficients by exponent tuple, built from the components on
+        first read and kept; callers must not mutate it."""
+        if self._coeffs is None:
+            two = len(self.cutoffs) == 2
+            self._coeffs = {
+                ((i, k - i) if two else (i,)): Fraction(c, den)
+                for k, (den, terms) in enumerate(self._comps)
+                for i, c in terms
+            }
+        return self._coeffs
+
     def coefficient(self, exponents: Exponent) -> Fraction:
-        return self.coeffs.get(tuple(exponents), Fraction(0))
+        key = tuple(exponents)
+        if self._coeffs is None and len(key) == len(self.cutoffs):
+            k = sum(key)
+            if type(k) is int and 0 <= k < len(self._comps):
+                den, terms = self._comps[k]  # the monomial of degree k with first exponent key[0]
+                for i, c in terms:
+                    if i == key[0]:
+                        return Fraction(c, den)
+                return Fraction(0)
+        # any other key, such as (1.0,), which equals (1,), looks in the dict
+        return self.coeffs.get(key, Fraction(0))
 
     @property
     def constant_term(self) -> Fraction:
-        return self.coeffs.get((0,) * len(self.variables), Fraction(0))
+        return self.coefficient((0,) * len(self.variables))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -156,9 +206,11 @@ class TruncatedPoly:
         if isinstance(other, TruncatedPoly):
             self._check_compatible(other)
             a, b = _components(self), _components(other)
-            return _from_components(
-                self, [_convolve(a, b, k, self.cutoffs, first=0) for k in range(len(a))]
-            )
+            comps = []
+            for k in range(len(a)):
+                den, terms = _convolve(a, b, k, self.cutoffs, first=0)
+                comps.append(_reduced(terms, den))
+            return self._like(comps=comps)
         factor = rational(other)
         return self._like({k: v * factor for k, v in self.coeffs.items()})
 
@@ -223,20 +275,25 @@ def _components(p: TruncatedPoly) -> Components:
     (the second, if any, is k - i), so component k is (den, [(i, num)]):
     int numerators over the lcm of the component's denominators, which is
     already gcd-reduced against them.  In one variable component k is
-    (den, [(k, num)]), or (1, []) when p has no term of degree k.
+    (den, [(k, num)]), or (1, []) when p has no term of degree k.  They are
+    the stored components, derived from the dict on first use and kept;
+    callers must not mutate them.
     """
+    if p._comps is not None:
+        return p._comps
     if len(p.cutoffs) == 1:
         out: Components = [(1, []) for _ in range(p.cutoffs[0] + 1)]
-        for (k,), c in p.coeffs.items():
+        for (k,), c in p._coeffs.items():
             out[k] = (c.denominator, [(k, c.numerator)])
-        return out
-    comps: List[List[Tuple[int, Fraction]]] = [[] for _ in range(sum(p.cutoffs) + 1)]
-    for exps, c in p.coeffs.items():
-        comps[sum(exps)].append((exps[0], c))
-    out = []
-    for comp in comps:
-        den = lcm(*[c.denominator for _, c in comp])
-        out.append((den, [(i, c.numerator * (den // c.denominator)) for i, c in comp]))
+    else:
+        comps: List[List[Tuple[int, Fraction]]] = [[] for _ in range(sum(p.cutoffs) + 1)]
+        for exps, c in p._coeffs.items():
+            comps[sum(exps)].append((exps[0], c))
+        out = []
+        for comp in comps:
+            den = lcm(*[c.denominator for _, c in comp])
+            out.append((den, [(i, c.numerator * (den // c.denominator)) for i, c in comp]))
+    p._comps = out
     return out
 
 
@@ -294,18 +351,6 @@ def _convolve(
     return den, list(out.items())
 
 
-def _from_components(p: TruncatedPoly, comps: Components) -> TruncatedPoly:
-    """The polynomial in ``p``'s ring with these components: one Fraction per coefficient."""
-    two = len(p.variables) == 2
-    return p._like(
-        {
-            ((i, k - i) if two else (i,)): Fraction(c, den)
-            for k, (den, terms) in enumerate(comps)
-            for i, c in terms
-        }
-    )
-
-
 def series_inverse(p: TruncatedPoly) -> TruncatedPoly:
     """Multiplicative inverse of a series with nonzero constant term.
 
@@ -319,7 +364,7 @@ def series_inverse(p: TruncatedPoly) -> TruncatedPoly:
     for k in range(1, len(a)):
         den, terms = _convolve(a, q, k, p.cutoffs)
         q.append(_reduced([(i, -c0.denominator * c) for i, c in terms], c0.numerator * den))
-    return _from_components(p, q)
+    return p._like(comps=q)
 
 
 def series_exp(p: TruncatedPoly) -> TruncatedPoly:
@@ -329,7 +374,7 @@ def series_exp(p: TruncatedPoly) -> TruncatedPoly:
     """
     if p.constant_term:
         raise InputError(f"series_exp needs a zero constant term, got {p.constant_term}")
-    return _from_components(p, _exp(_components(p), p.cutoffs))
+    return p._like(comps=_exp(_components(p), p.cutoffs))
 
 
 def _exp(g: Sequence[Component], cutoffs: Exponent) -> Components:
@@ -349,7 +394,7 @@ def series_log(p: TruncatedPoly) -> TruncatedPoly:
     """
     if p.constant_term != 1:
         raise InputError(f"series_log needs constant term one, got {p.constant_term}")
-    return _from_components(p, _log(_components(p), p.cutoffs))
+    return p._like(comps=_log(_components(p), p.cutoffs))
 
 
 def _log(a: Sequence[Component], cutoffs: Exponent) -> Components:

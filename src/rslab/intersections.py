@@ -158,14 +158,12 @@ def fermat_signature(m: int, d: int) -> Fraction:
     if m % 2:
         raise NotApplicableError(f"signature needs even complex dimension, got {m}")
     order = m + 1
-    plus = {(k,): Fraction(math.comb(d, k)) for k in range(min(d, order) + 1)}
-    minus = {
-        (k,): Fraction((-1) ** k * math.comb(d, k)) for k in range(min(d, order) + 1)
-    }
-    p = TruncatedPoly(("z",), (order,), plus)
-    q = TruncatedPoly(("z",), (order,), minus)
+    # (1+z)^d - (1-z)^d is twice the odd binomial terms, (1+z)^d + (1-z)^d twice the even
+    twice = [2 * math.comb(d, k) for k in range(min(d, order) + 1)]
+    odd = TruncatedPoly(("z",), (order,), {(k,): twice[k] for k in range(1, len(twice), 2)})
+    even = TruncatedPoly(("z",), (order,), {(k,): twice[k] for k in range(0, len(twice), 2)})
     one_minus = TruncatedPoly(("z",), (order,), {(0,): 1, (2,): -1})
-    return ((p - q) * series_inverse(one_minus * (p + q))).coefficient((order,))
+    return (odd * series_inverse(one_minus * even)).coefficient((order,))
 
 
 # the classes of X_n(d) grow about as n**3 and a product's two-variable index
@@ -216,11 +214,15 @@ def hodge_numbers(m: CIManifold) -> Tuple[Tuple[int, ...], ...]:
         for p in range(n + 1)
     )
     check("middle Hodge row", integral and min(middle) >= 0, spec=m.spec, row=middle)
-    table = tuple(
-        tuple(middle[p] if p + q == n else int(p == q) for q in range(n + 1))
-        for p in range(n + 1)
-    )
-    euler = sum((-1) ** (p + q) * h for p, row in enumerate(table) for q, h in enumerate(row))
+    rows = []
+    for p in range(n + 1):
+        row = [0] * (n + 1)
+        row[p] = 1
+        row[n - p] = middle[p]
+        rows.append(tuple(row))
+    table = tuple(rows)
+    # (-1)^(p+q) h^{p,q} summed over every entry, row by row
+    euler = sum((-1) ** p * (sum(row[0::2]) - sum(row[1::2])) for p, row in enumerate(table))
     c_n = euler_characteristic(m.profile)
     check("Euler number of the Hodge table", euler == c_n, spec=m.spec, table=euler, c_n=c_n)
     return table

@@ -25,7 +25,7 @@ from rslab.charclass import (
     verify_dimension_identities,
 )
 from rslab.errors import InputError, NotApplicableError
-from rslab.exactpoly import TruncatedPoly, _from_components, series_exp
+from rslab.exactpoly import TruncatedPoly, series_exp
 from rslab.intersections import CISpec, build_ci, hodge_numbers
 
 # Tangent profile of the quartic surface: c1 = 0 and c2 h^2 pairs to 24.
@@ -186,7 +186,7 @@ def multiplicative_class(genus, profile):
     the engine's graded components: the full products below are a second
     route to the single coefficients that rs_index reads."""
     cut, comps = charclass._class_components(genus, profile)
-    return _from_components(TruncatedPoly(("h",), cut), comps)
+    return TruncatedPoly(("h",), cut)._like(comps=comps)
 
 
 def test_rs_index_matches_full_products():

@@ -1,5 +1,6 @@
 """Truncated polynomial ring and series arithmetic."""
 
+import itertools
 import math
 import random
 import re
@@ -10,6 +11,7 @@ import pytest
 from rslab.errors import InputError
 from rslab.exactpoly import (
     TruncatedPoly,
+    _components,
     _reduced,
     series_exp,
     series_inverse,
@@ -339,13 +341,15 @@ _SETTINGS = {"max_examples": 60, "deadline": None, "derandomize": True, "databas
 
 
 def _strategies():
-    """hypothesis, a polynomial strategy and a rational strategy.
+    """hypothesis, a polynomial strategy, a rational strategy and a ring strategy.
 
     Each property test calls this, so ``importorskip`` skips only the
     property tests, never the seeded loops above, when hypothesis is absent.
-    ``polys(count, constant)`` draws ``count`` polynomials of one random
-    ring (one variable, or two with independent cutoffs); ``constant``, a
-    strategy, fixes the distribution of their constant terms.
+    ``polys(count, constant, values)`` draws ``count`` polynomials of one
+    random ring (one variable, or two with independent cutoffs); ``constant``
+    and ``values``, strategies, fix the distribution of their constant terms
+    and of their other coefficients (rationals by default).  ``rings`` draws
+    the cutoffs of such a ring.
     """
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -356,22 +360,22 @@ def _strategies():
     )
 
     @st.composite
-    def polys(draw, count, constant=None):
+    def polys(draw, count, constant=None, values=rationals):
         cutoffs = draw(rings)
         exps = st.tuples(*(st.integers(0, c) for c in cutoffs))
         out = []
         for _ in range(count):
-            coeffs = draw(st.dictionaries(exps, rationals, max_size=6))
+            coeffs = draw(st.dictionaries(exps, values, max_size=6))
             if constant is not None:
                 coeffs[(0,) * len(cutoffs)] = draw(constant)
             out.append(TruncatedPoly(("x", "y")[: len(cutoffs)], cutoffs, coeffs))
         return out
 
-    return hypothesis, polys, rationals
+    return hypothesis, polys, rationals, rings
 
 
 def test_property_series_inverse():
-    hypothesis, polys, rationals = _strategies()
+    hypothesis, polys, rationals, _ = _strategies()
 
     @hypothesis.settings(**_SETTINGS)
     @hypothesis.given(polys(1, constant=rationals.filter(bool)))
@@ -383,7 +387,7 @@ def test_property_series_inverse():
 
 
 def test_property_exp_of_log():
-    hypothesis, polys, _ = _strategies()
+    hypothesis, polys, _, _ = _strategies()
 
     @hypothesis.settings(**_SETTINGS)
     @hypothesis.given(polys(1, constant=hypothesis.strategies.just(1)))
@@ -395,7 +399,7 @@ def test_property_exp_of_log():
 
 
 def test_property_mul_ring_laws():
-    hypothesis, polys, _ = _strategies()
+    hypothesis, polys, _, _ = _strategies()
 
     @hypothesis.settings(**_SETTINGS)
     @hypothesis.given(polys(3))
@@ -406,4 +410,104 @@ def test_property_mul_ring_laws():
         assert a * b == _reference_mul(a, b)
 
     prop()
+
+
+def test_property_int_and_fraction_built_polys_agree():
+    # the int-built poly holds components, the other the Fraction dict
+    hypothesis, _, _, rings = _strategies()
+    st = hypothesis.strategies
+
+    @st.composite
+    def inputs(draw):
+        cutoffs = draw(rings)
+        exps = st.tuples(*(st.integers(0, c + 1) for c in cutoffs))  # one past each cutoff too
+        return cutoffs, draw(st.dictionaries(exps, st.integers(-50, 50), max_size=8))
+
+    @hypothesis.settings(**_SETTINGS)
+    @hypothesis.given(inputs())
+    def prop(drawn):
+        cutoffs, values = drawn
+        variables = ("x", "y")[: len(cutoffs)]
+        p = TruncatedPoly(variables, cutoffs, values)
+        q = TruncatedPoly(variables, cutoffs, {e: Fraction(c) for e, c in values.items()})
+        count = len(cutoffs)
+        # negative exponents too, whose sum can be a valid degree
+        probes = list(itertools.product(*(range(-c - 2, c + 3) for c in cutoffs)))
+        probes += [(0,) * (count + 1), (0,) * (count - 1), (1.0,) * count, (True,) * count]
+        for e in probes:
+            assert p.coefficient(e) == q.coefficient(e)
+            assert type(p.coefficient(e)) is Fraction
+        assert p.constant_term == q.constant_term
+        assert type(p.constant_term) is Fraction
+        assert p == q
+        assert p.coeffs == q.coeffs
+        assert all(type(c) is Fraction for c in p.coeffs.values())
+        assert repr(p) == repr(q)
+
+    prop()
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_property_chains_match_reference_loops(kind):
+    hypothesis, polys, rationals, _ = _strategies()
+    st = hypothesis.strategies
+    if kind == "int":  # operands start as components
+        values, constant = st.integers(-9, 9), st.integers(-5, 5).filter(bool)
+    else:
+        values, constant = rationals, rationals.filter(bool)
+
+    @hypothesis.settings(**_SETTINGS)
+    @hypothesis.given(polys(3, constant=constant, values=values))
+    def prop(ps):
+        a, b, c = ps
+        one = TruncatedPoly.constant(1, a.variables, a.cutoffs)
+        assert series_inverse(a) * b == _reference_mul(_reference_inverse(a), b)
+        # every operand below is a product or series result, held as components
+        f = series_exp(_scale(b, 1 / b.constant_term) - one)
+        g = series_exp(_scale(c, 1 / c.constant_term) - one)
+        assert f == _reference_exp(_scale(b, 1 / b.constant_term) - one)
+        assert series_log(f * g) == _reference_log(f) + _reference_log(g)
+        assert series_inverse(f) * f == one
+        assert series_inverse(f * series_inverse(a)) == _reference_mul(a, _reference_inverse(f))
+
+    prop()
+
+
+def test_product_with_own_inverse_is_exactly_one():
+    for p in (
+        _poly({0: 3, 1: Fraction(1, 2), 4: -2}),
+        _poly({0: Fraction(-7, 3), 2: 5, 8: Fraction(1, 9)}),
+        TruncatedPoly(("x", "y"), (4, 3), {(0, 0): 2, (1, 0): -1, (0, 1): Fraction(3, 5), (2, 2): 7}),
+    ):
+        r = p * series_inverse(p)
+        assert r.coeffs == {(0,) * len(p.cutoffs): 1}
+        assert repr(r) == "1"
+        assert r.constant_term == 1 and r.coefficient((1,) + (0,) * (len(p.cutoffs) - 1)) == 0
+
+
+def test_shared_components_are_not_mutated():
+    # a component-backed operand feeds two chains, twice over
+    for cutoffs, coeffs in (
+        ((6,), {(0,): 2, (1,): Fraction(1, 3), (3,): -1}),
+        ((3, 4), {(0, 0): 2, (1, 0): Fraction(1, 3), (0, 2): -1, (2, 1): 5}),
+    ):
+        variables = ("x", "y")[: len(cutoffs)]
+        p = series_inverse(TruncatedPoly(variables, cutoffs, coeffs))
+        two = TruncatedPoly.constant(2, variables, cutoffs)
+        before = [(den, list(terms)) for den, terms in _components(p)]
+
+        def chains():
+            unit = p * two  # constant term one
+            return (
+                repr(series_exp(series_log(unit)) * p),
+                repr(series_inverse(p) * p**3),
+                repr(series_log(unit * unit) - series_log(unit)),
+            )
+
+        first = chains()
+        assert chains() == first
+        assert [(den, list(terms)) for den, terms in _components(p)] == before
+        assert first[0] == repr(_reference_mul(p, _reference_mul(p, two)))
+        assert first[1] == repr(_reference_mul(p, p))
+        assert first[2] == repr(_reference_log(_reference_mul(p, two)))
 

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -58,6 +59,26 @@ def test_build_ci_matches_the_complete_homogeneous_oracle(degrees):
         assert profile.chern == expected
         assert all(type(c) is Fraction for c in profile.chern)
         assert profile.pairing == math.prod(degrees)
+
+
+def _chern_by_recurrence(n, degrees):
+    """c_1..c_n of X_n(d) by ints alone: c(N) c(TX) = (1+h)^(n+r+1) reads
+    c_k = a_k - sum_{1<=j<=r} e_j c_(k-j), with a_k = C(n+r+1, k) and e_j
+    the elementary symmetric functions of the degrees."""
+    r = len(degrees)
+    e = [sum(math.prod(m) for m in itertools.combinations(degrees, j)) for j in range(r + 1)]
+    c = []
+    for k in range(n + 1):
+        c.append(math.comb(n + r + 1, k) - sum(e[j] * c[k - j] for j in range(1, min(k, r) + 1)))
+    return tuple(c[1:])
+
+
+def test_build_ci_matches_the_int_recurrence():
+    rng = random.Random(22)
+    for _ in range(60):
+        n = rng.randint(1, 60)
+        degrees = tuple(rng.randint(2, 9) for _ in range(rng.randint(1, 3)))
+        assert build_ci(CISpec(n, degrees)).profile.chern == _chern_by_recurrence(n, degrees)
 
 
 @pytest.mark.parametrize(
