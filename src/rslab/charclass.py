@@ -27,12 +27,11 @@ from .exactpoly import (
     Component,
     Components,
     TruncatedPoly,
-    _components,
     _exp,
+    _graded,
     _log,
     series_exp,
     series_inverse,
-    series_log,
 )
 
 GENUS_NAMES = ("AHAT", "L", "TODD", "CHI_Y")
@@ -179,31 +178,40 @@ class GenusSpec:
                 f"{self.name} series needs {count} variable(s), "
                 f"got {len(self.series.variables)}"
             )
-        at_x0 = tuple((e, c) for e, c in self.series.items() if not e[0])
+        # read off the components: entry i of component k is x**i y**(k-i),
+        # or x**k alone in one variable, where i is always k
+        comps = self.series._comps
+        at_x0 = tuple(
+            ((0, k)[:count], Fraction(c, den))
+            for k, (den, terms) in enumerate(comps)
+            for i, c in terms
+            if not i
+        )
         check("genus series at x = 0", at_x0 == (((0,) * count, 1),), genus=self.name, terms=at_x0)
-        above = [e for e in self.series.coeffs if count == 2 and e[1] > e[0]]
+        above = [(i, k - i) for k, (_, terms) in enumerate(comps) for i, _ in terms if k - i > i]
         if above:
             i, j = min(above)
             raise InputError(f"{self.name} series has x^{i}*y^{j}, a power of y above that of x")
 
     @cached_property
-    def log_series(self) -> TruncatedPoly:
-        """log Q, computed once per spec."""
-        return series_log(self.series)
-
-    @cached_property
     def _log_components(self) -> Tuple[Component, ...]:
         """log Q graded by the power of x, as int numerators over one
-        denominator per component.
+        denominator per component; computed once per spec.
 
         Component d holds the x**d part of log Q, keyed by the power of u in
         u = x, v = xy (x**i y**j is u**(i-j) v**j), so x**(order+1) is the
         only truncation and no product is formed only to be cut away.
         """
         q = self.series
-        if len(q.variables) == 2:
-            q = TruncatedPoly(("u", "v"), q.cutoffs, {(i - j, j): c for (i, j), c in q.items()})
-        graded = _components(q)[: q.cutoffs[0] + 1]
+        graded = q._comps
+        if len(q.variables) == 2:  # entry i of component k is u**(2i-k) v**(k-i)
+            uv = {
+                (2 * i - k, k - i): Fraction(c, den)
+                for k, (den, terms) in enumerate(graded)
+                for i, c in terms
+            }
+            graded = _graded(uv, q.cutoffs)
+        graded = graded[: q.cutoffs[0] + 1]
         return tuple((den, tuple(terms)) for den, terms in _log(graded, q.cutoffs))
 
 
@@ -254,12 +262,12 @@ def _build_spec(name: str, order: int) -> GenusSpec:
         half_exp = {(k,): Fraction(-1, 2) ** k / math.factorial(k) for k in range(order + 1)}
         return GenusSpec(name, todd * TruncatedPoly(*one_var, half_exp))
     if name == "L":
-        doubled = TruncatedPoly(*one_var, {(k,): 2**k * c for k, c in enumerate(t)})
-        return GenusSpec(name, doubled - TruncatedPoly(*one_var, {(1,): 1}))
-    two_var = (("x", "y"), (order, order))
+        doubled = {(k,): 2**k * c for k, c in enumerate(t)}
+        doubled[(1,)] -= 1
+        return GenusSpec(name, TruncatedPoly(*one_var, doubled))
     binomial = {(k, j): math.comb(k, j) * c for k, c in enumerate(t) for j in range(k + 1)}
-    xy = TruncatedPoly(*two_var, {(1, 1): 1})
-    return GenusSpec(name, TruncatedPoly(*two_var, binomial) - xy)
+    binomial[(1, 1)] -= 1
+    return GenusSpec(name, TruncatedPoly(("x", "y"), (order, order), binomial))
 
 
 def _class_components(genus: str, profile: ChernProfile) -> Tuple[Tuple[int, ...], Components]:
@@ -517,11 +525,13 @@ def product_rs_index(left: ChernProfile, right: ChernProfile) -> Fraction:
     # the product's root power sums are s_k(M) hL**k + s_k(N) hR**k
     cut = (left.dim, right.dim)
     log_ahat: Dict[Tuple[int, int], Fraction] = {}
-    for (k,), c in genus_spec("AHAT", max(cut)).log_series.items():
-        if k <= left.dim:
-            log_ahat[(k, 0)] = c * left.power_sums[k - 1]
-        if k <= right.dim:
-            log_ahat[(0, k)] = c * right.power_sums[k - 1]
+    for k, (den, terms) in enumerate(genus_spec("AHAT", max(cut))._log_components):
+        for _, num in terms:  # one variable: component k holds x**k alone, if anything
+            c = Fraction(num, den)
+            if k <= left.dim:
+                log_ahat[(k, 0)] = c * left.power_sums[k - 1]
+            if k <= right.dim:
+                log_ahat[(0, k)] = c * right.power_sums[k - 1]
     ahat_cls = series_exp(TruncatedPoly(("hL", "hR"), cut, log_ahat))
 
     def lift(profile: ChernProfile, slot: int) -> TruncatedPoly:

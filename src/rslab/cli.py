@@ -292,6 +292,11 @@ def _cmd_rep(args: argparse.Namespace) -> int:
     system = _parse_system(args.system)
     lam = _parse_fraction_list(args.weight)
     mu = _parse_fraction_list(args.tensor) if args.tensor else None
+    point = _parse_fraction_list(args.point) if args.point else None
+    if point is not None and len(point) != system.coords:
+        raise InputError(
+            f"{system.name} points take {system.coords} coordinates, got {len(point)}"
+        )
     dim = system.weyl_dimension(lam)
     results: Dict[str, Any] = {
         "system": system.name,
@@ -324,12 +329,7 @@ def _cmd_rep(args: argparse.Namespace) -> int:
         results["tensor_with"] = [str(c) for c in mu]
         results["tensor_decomposition"] = _entries(product)
         results["tensor_dimension"] = product.dimension
-    if args.point:
-        point = _parse_fraction_list(args.point)
-        if len(point) != system.coords:
-            raise InputError(
-                f"{system.name} points take {system.coords} coordinates, got {len(point)}"
-            )
+    if point is not None:
         # moments sum(mult * <nu, point>^k), k = 0..4, over the weights nu of V(lam)
         values = [
             (sum((a * b for a, b in zip(nu, point)), Fraction(0)), m) for nu, m in weights.items()

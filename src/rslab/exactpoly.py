@@ -6,31 +6,25 @@ by ``v**(cutoff_v + 1)`` for each variable ``v``.  Multiplication silently
 drops monomials past a cutoff, which is exactly the truncation an
 n-dimensional cohomology ring or an order-n series expansion wants.
 
-The coefficients, read as ``coeffs``, form a dict keyed by exponent
-tuples; zero coefficients never appear in it, so dict equality is
-polynomial equality.  Coefficients must be ``int`` or ``Fraction``; floats
-and bools are refused.  Cutoffs and exponents must be ``int``.
+A poly stores one form: its homogeneous components p_k of total degree
+k, each held as int numerators over one positive, gcd-reduced
+denominator, with no zero numerator.  The constructor grades its dict
+into them; ``coeffs``, ``items()``, ``repr`` and ``==`` read a dict view
+keyed by exponent tuples, built on first use and listed by total degree;
+``coefficient`` and ``constant_term`` read one entry of the components.
+Zero coefficients never appear in the view, so dict equality is
+polynomial equality.  Coefficients must be ``int`` or ``Fraction``;
+floats and bools are refused.  Cutoffs and exponents must be ``int``.
+Stored components and views are shared, so callers must not mutate them.
 
-``Fraction`` is the boundary type only.  The product and the three series
-operations split their operands into homogeneous components p_k of total
-degree k and hold each component as int numerators over one positive,
-gcd-reduced denominator.  Their inner loops multiply and add ints, and
-their results keep those components (the fraction-free idea of Bareiss,
-Math. Comp. 22, 1968: divide once per result, not once per product).  A
-one-variable series has one coefficient per degree, so each component is
-one numerator over one denominator, and a degree-k convolution is one
-running int sum whose denominator grows by one gcd per term; the Ahat, L
-and Todd classes, the genus specs and ``intersections.build_ci`` run on
-that path.
-
-A poly holds whichever form it was made in, the components or the
-``Fraction`` dict, and derives the other on first use and keeps it.
-``coeffs``, ``items()``, ``repr`` and ``==`` read the dict, which lists a
-poly made from components by total degree; ``coefficient`` and
-``constant_term`` read one entry of the components; a constructor given
-only int values fills the components over denominator 1.  Stored
-components carry no zero numerator and are shared, so callers must not
-mutate them.
+``Fraction`` is the boundary type only.  The inner loops of the product
+and the three series operations multiply and add ints, and their results
+are components again (the fraction-free idea of Bareiss, Math. Comp. 22,
+1968: divide once per result, not once per product).  A one-variable
+series has one coefficient per degree, so each component is one
+numerator over one denominator, and a degree-k convolution is one running
+int sum whose denominator grows by one gcd per term; the Ahat, L and Todd
+classes, the genus specs and ``intersections.build_ci`` run on that path.
 
 ``series_inverse``, ``series_exp`` and ``series_log`` are graded
 recurrences over the components:
@@ -66,7 +60,7 @@ Components = List[Component]
 
 
 class TruncatedPoly:
-    __slots__ = ("variables", "cutoffs", "_coeffs", "_comps")
+    __slots__ = ("variables", "cutoffs", "_comps", "_view")
 
     def __init__(
         self,
@@ -83,10 +77,8 @@ class TruncatedPoly:
         if any(c < 0 for c in self.cutoffs):
             raise InputError("cutoffs must be nonnegative")
         count, cutoffs = len(self.variables), self.cutoffs
-        given = coeffs or {}
-        ints = all(type(v) is int for v in given.values())
         clean: Dict[Exponent, RationalLike] = {}
-        for exps, value in given.items():
+        for exps, value in (coeffs or {}).items():
             key = tuple(exps)
             inside = len(key) == count and all(
                 type(e) is int and 0 <= e <= c for e, c in zip(key, cutoffs)
@@ -97,21 +89,12 @@ class TruncatedPoly:
                 for e in key:
                     integer(e, "exponent")
                 raise InputError(f"bad exponent tuple {exps!r}")
-            if not ints and type(value) is not Fraction:
+            if type(value) is not int and type(value) is not Fraction:
                 value = rational(value)
-            if not value or not inside:
-                continue  # zero, or truncated away by construction
-            total = clean[key] + value if key in clean else value
-            if total:
-                clean[key] = total
-            else:
-                del clean[key]
-        self._coeffs: Dict[Exponent, Fraction] | None = None if ints else clean
-        self._comps: Components | None = None
-        if ints:  # int numerators over denominator 1, straight into the components
-            self._comps = [(1, []) for _ in range(sum(cutoffs) + 1)]
-            for key, value in clean.items():
-                self._comps[sum(key)][1].append((key[0], value))
+            if value and inside:  # else zero, or truncated away by construction
+                clean[key] = clean[key] + value if key in clean else value
+        self._comps: Components = _graded(clean, cutoffs)
+        self._view: Dict[Exponent, Fraction] | None = None
 
     # -- constructors ----------------------------------------------------
 
@@ -126,53 +109,53 @@ class TruncatedPoly:
         variables = tuple(variables)
         return cls(variables, cutoffs, {(0,) * len(variables): value})
 
-    def _like(
-        self, coeffs: Mapping[Exponent, Fraction] | None = None, comps: Components | None = None
-    ) -> "TruncatedPoly":
-        """A poly in this ring, held as a dict (zeros dropped) or as components,
-        which must be gcd-reduced and free of zero numerators, as ``_reduced``
-        gives them."""
+    def _like(self, comps: Components) -> "TruncatedPoly":
+        """A poly in this ring with components ``comps``, which must be in the
+        form ``_graded`` and ``_reduced`` give: positive gcd-reduced
+        denominators and no zero numerator."""
         out = TruncatedPoly.__new__(TruncatedPoly)
         out.variables = self.variables
         out.cutoffs = self.cutoffs
-        out._coeffs = None if coeffs is None else {k: v for k, v in coeffs.items() if v}
         out._comps = comps
+        out._view = None
         return out
 
     # -- inspection -------------------------------------------------------
 
     @property
     def coeffs(self) -> Dict[Exponent, Fraction]:
-        """Nonzero coefficients by exponent tuple, built from the components on
-        first read and kept; callers must not mutate it."""
-        if self._coeffs is None:
+        """Nonzero coefficients by exponent tuple, listed by total degree: a
+        view built from the components on first read and kept; callers must
+        not mutate it."""
+        if self._view is None:
             two = len(self.cutoffs) == 2
-            self._coeffs = {
+            self._view = {
                 ((i, k - i) if two else (i,)): Fraction(c, den)
                 for k, (den, terms) in enumerate(self._comps)
                 for i, c in terms
             }
-        return self._coeffs
+        return self._view
 
     def coefficient(self, exponents: Exponent) -> Fraction:
         key = tuple(exponents)
-        if self._coeffs is None and len(key) == len(self.cutoffs):
-            k = sum(key)
-            if type(k) is int and 0 <= k < len(self._comps):
-                den, terms = self._comps[k]  # the monomial of degree k with first exponent key[0]
-                for i, c in terms:
-                    if i == key[0]:
-                        return Fraction(c, den)
-                return Fraction(0)
-        # any other key, such as (1.0,), which equals (1,), looks in the dict
-        return self.coeffs.get(key, Fraction(0))
+        if len(key) != len(self.cutoffs):
+            return Fraction(0)
+        k = sum(key)
+        if type(k) is not int:  # such as (1.0,), which equals (1,): look in the view
+            return self.coeffs.get(key, Fraction(0))
+        if 0 <= k < len(self._comps):
+            den, terms = self._comps[k]  # the monomial of degree k with first exponent key[0]
+            for i, c in terms:
+                if i == key[0]:
+                    return Fraction(c, den)
+        return Fraction(0)
 
     @property
     def constant_term(self) -> Fraction:
         return self.coefficient((0,) * len(self.variables))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(terms for _, terms in self._comps)
 
     def items(self):
         return self.coeffs.items()
@@ -189,30 +172,26 @@ class TruncatedPoly:
         self._check_compatible(other)
         merged = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            merged[k] = merged.get(k, Fraction(0)) + v
-        return self._like(merged)
+            merged[k] = merged.get(k, 0) + v
+        return self._like(_graded(merged, self.cutoffs))
 
     def __sub__(self, other: "TruncatedPoly") -> "TruncatedPoly":
-        self._check_compatible(other)
-        merged = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            merged[k] = merged.get(k, Fraction(0)) - v
-        return self._like(merged)
+        return self + -other
 
     def __neg__(self) -> "TruncatedPoly":
-        return self._like({k: -v for k, v in self.coeffs.items()})
+        return self._like([(den, [(i, -c) for i, c in terms]) for den, terms in self._comps])
 
     def __mul__(self, other: Union["TruncatedPoly", RationalLike]) -> "TruncatedPoly":
         if isinstance(other, TruncatedPoly):
             self._check_compatible(other)
-            a, b = _components(self), _components(other)
+            a, b = self._comps, other._comps
             comps = []
             for k in range(len(a)):
                 den, terms = _convolve(a, b, k, self.cutoffs, first=0)
                 comps.append(_reduced(terms, den))
-            return self._like(comps=comps)
+            return self._like(comps)
         factor = rational(other)
-        return self._like({k: v * factor for k, v in self.coeffs.items()})
+        return self._like(_graded({k: v * factor for k, v in self.coeffs.items()}, self.cutoffs))
 
     __rmul__ = __mul__
 
@@ -268,32 +247,30 @@ def _ring(p: TruncatedPoly) -> str:
     return f"Q[{','.join(p.variables)}]/({ideal})"
 
 
-def _components(p: TruncatedPoly) -> Components:
-    """Homogeneous components of ``p`` by total degree 0 .. sum(cutoffs).
+def _graded(coeffs: Mapping[Exponent, RationalLike], cutoffs: Exponent) -> Components:
+    """Homogeneous components of the poly ``coeffs`` by total degree 0 .. sum(cutoffs).
 
     A monomial of total degree k is determined by its first exponent i
     (the second, if any, is k - i), so component k is (den, [(i, num)]):
     int numerators over the lcm of the component's denominators, which is
-    already gcd-reduced against them.  In one variable component k is
-    (den, [(k, num)]), or (1, []) when p has no term of degree k.  They are
-    the stored components, derived from the dict on first use and kept;
-    callers must not mutate them.
+    already gcd-reduced against them.  Zero coefficients are dropped, so a
+    degree with no term is (1, []).  In one variable component k is at most
+    (den, [(k, num)]), one coefficient's own numerator and denominator.
     """
-    if p._comps is not None:
-        return p._comps
-    if len(p.cutoffs) == 1:
-        out: Components = [(1, []) for _ in range(p.cutoffs[0] + 1)]
-        for (k,), c in p._coeffs.items():
-            out[k] = (c.denominator, [(k, c.numerator)])
-    else:
-        comps: List[List[Tuple[int, Fraction]]] = [[] for _ in range(sum(p.cutoffs) + 1)]
-        for exps, c in p._coeffs.items():
-            comps[sum(exps)].append((exps[0], c))
-        out = []
-        for comp in comps:
-            den = lcm(*[c.denominator for _, c in comp])
-            out.append((den, [(i, c.numerator * (den // c.denominator)) for i, c in comp]))
-    p._comps = out
+    if len(cutoffs) == 1:
+        out: Components = [(1, []) for _ in range(cutoffs[0] + 1)]
+        for (k,), c in coeffs.items():
+            if c:
+                out[k] = (c.denominator, [(k, c.numerator)])
+        return out
+    grouped: List[List[Tuple[int, RationalLike]]] = [[] for _ in range(sum(cutoffs) + 1)]
+    for (i, j), c in coeffs.items():
+        if c:
+            grouped[i + j].append((i, c))
+    out = []
+    for comp in grouped:
+        den = lcm(*[c.denominator for _, c in comp])
+        out.append((den, [(i, c.numerator * (den // c.denominator)) for i, c in comp]))
     return out
 
 
@@ -359,12 +336,12 @@ def series_inverse(p: TruncatedPoly) -> TruncatedPoly:
     c0 = p.constant_term
     if not c0:
         raise InputError("series has no inverse: constant term is zero")
-    a = _components(p)
+    a = p._comps
     q = [_reduced([(0, c0.denominator)], c0.numerator)]
     for k in range(1, len(a)):
         den, terms = _convolve(a, q, k, p.cutoffs)
         q.append(_reduced([(i, -c0.denominator * c) for i, c in terms], c0.numerator * den))
-    return p._like(comps=q)
+    return p._like(q)
 
 
 def series_exp(p: TruncatedPoly) -> TruncatedPoly:
@@ -374,7 +351,7 @@ def series_exp(p: TruncatedPoly) -> TruncatedPoly:
     """
     if p.constant_term:
         raise InputError(f"series_exp needs a zero constant term, got {p.constant_term}")
-    return p._like(comps=_exp(_components(p), p.cutoffs))
+    return p._like(_exp(p._comps, p.cutoffs))
 
 
 def _exp(g: Sequence[Component], cutoffs: Exponent) -> Components:
@@ -394,7 +371,7 @@ def series_log(p: TruncatedPoly) -> TruncatedPoly:
     """
     if p.constant_term != 1:
         raise InputError(f"series_log needs constant term one, got {p.constant_term}")
-    return p._like(comps=_log(_components(p), p.cutoffs))
+    return p._like(_log(p._comps, p.cutoffs))
 
 
 def _log(a: Sequence[Component], cutoffs: Exponent) -> Components:

@@ -264,7 +264,7 @@ def holonomy_model(kind: str, parameter: Optional[int] = None) -> HolonomyModel:
     refused before any model is built.  Each call builds its model on the
     shared root system of ``lie``, whose memos make a repeated build cheap.
     """
-    token = kind.strip().lower()
+    token = kind.strip().lower() if isinstance(kind, str) else None
     if token not in _KINDS:
         raise InputError(f"unknown holonomy kind {kind!r}; expected {HOLONOMY_KINDS}")
     build, bounds, _ = _KINDS[token]

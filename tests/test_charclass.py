@@ -24,8 +24,8 @@ from rslab.charclass import (
     rs_index,
     verify_dimension_identities,
 )
-from rslab.errors import InputError, NotApplicableError
-from rslab.exactpoly import TruncatedPoly, series_exp
+from rslab.errors import ConsistencyError, InputError, NotApplicableError
+from rslab.exactpoly import TruncatedPoly, series_exp, series_log
 from rslab.intersections import CISpec, build_ci, hodge_numbers
 
 # Tangent profile of the quartic surface: c1 = 0 and c2 h^2 pairs to 24.
@@ -241,7 +241,8 @@ def test_genus_spec_is_cut_from_the_highest_order_built(monkeypatch, name):
         assert spec is charclass._SPECS[name] and spec.series.cutoffs[0] == max(built)
         # Q and log Q cut to this order are those of the spec built at it
         direct = real(name, order)
-        for full, own in ((spec.series, direct.series), (spec.log_series, direct.log_series)):
+        pairs = (spec.series, direct.series), (series_log(spec.series), series_log(direct.series))
+        for full, own in pairs:
             assert TruncatedPoly(full.variables, own.cutoffs, full.coeffs) == own
     assert built == [3, 9, 11]  # each new highest order once, a lower one never
 
@@ -260,6 +261,23 @@ def test_chi_y_spec_refuses_a_power_of_y_above_that_of_x():
     message = "CHI_Y series has x^1*y^3, a power of y above that of x"
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         GenusSpec("CHI_Y", chi_y + above)
+
+
+@pytest.mark.parametrize(
+    "name, cutoffs, coeffs, terms",
+    [
+        ("TODD", (3,), {(0,): 2, (1,): Fraction(1, 2)}, "(((0,), 2),)"),
+        # the x**0 terms are listed by the power of y, whatever the dict's order
+        ("CHI_Y", (3, 3), {(0, 0): 1, (0, 2): Fraction(-3, 4), (1, 0): 5, (0, 1): 7},
+         "(((0, 0), 1), ((0, 1), 7), ((0, 2), -3/4))"),
+        ("CHI_Y", (3, 3), {(1, 0): 1}, "()"),
+    ],
+)
+def test_genus_series_must_be_one_at_x_0(name, cutoffs, coeffs, terms):
+    series = TruncatedPoly(("x", "y")[: len(cutoffs)], cutoffs, coeffs)
+    message = f"genus series at x = 0: genus = {name}, terms = {terms}"
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+        GenusSpec(name, series)
 
 
 @pytest.mark.parametrize("real_dim", [4, 8, 12])
@@ -384,7 +402,7 @@ def _total_degree_route(profile):
     n, pairing, sums = profile.dim, profile.pairing, profile.power_sums
     classes = {}
     for name in GENUS_NAMES:
-        log_q = genus_spec(name, n).log_series
+        log_q = series_log(genus_spec(name, n).series)
         cut = (n,) * len(log_q.variables)
         scaled = {e: c * sums[e[0] - 1] for e, c in log_q.items() if max(e) <= n}
         classes[name] = series_exp(TruncatedPoly(("h", "y")[: len(cut)], cut, scaled))

@@ -350,6 +350,11 @@ SPINOR = ["1/2"] * 4
         ("rep a2 --weight 1,0,0 --multiplicities", 8, "got 3 x 3 = 9 for (1, 0, 0)", []),
         # equal dimensions: Klimyk enumerates the second factor
         ("rep a2 --weight 1,0,0 --tensor 0,0,-1", 8, "got 3 x 3 = 9 for (0, 0, -1)", []),
+        # a bad point is refused before any table or Klimyk product is built
+        ("rep b4 --weight 1/2,1/2,1/2,1/2 --multiplicities --tensor 12,9,6,3 --point 1,2", None,
+         "B4 points take 4 coordinates, got 2", []),
+        ("rep b4 --weight 1/2,1/2,1/2,1/2 --multiplicities --tensor 12,9,6,3 --point 1,x", None,
+         "bad rational list '1,x'", []),
     ],
 )
 def test_weight_systems_past_the_limit_exit_2_before_they_are_built(
@@ -374,8 +379,9 @@ def test_weight_systems_past_the_limit_exit_2_before_they_are_built(
         assert code == 0 and captured.err == ""
     else:
         assert code == 2 and captured.out == ""
-        message = f"weight systems need dimension x coordinates <= {limit}, {refusal}"
-        assert captured.err == f"error: {message}\n"
+        if refusal.startswith("got "):
+            refusal = f"weight systems need dimension x coordinates <= {limit}, {refusal}"
+        assert captured.err == f"error: {refusal}\n"
     assert requested == built
 
 

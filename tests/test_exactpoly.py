@@ -11,7 +11,7 @@ import pytest
 from rslab.errors import InputError
 from rslab.exactpoly import (
     TruncatedPoly,
-    _components,
+    _graded,
     _reduced,
     series_exp,
     series_inverse,
@@ -413,7 +413,8 @@ def test_property_mul_ring_laws():
 
 
 def test_property_int_and_fraction_built_polys_agree():
-    # the int-built poly holds components, the other the Fraction dict
+    # both are graded from their dict into the same components; so is every
+    # mixed-built poly and every result, in the canonical form _like assumes
     hypothesis, _, _, rings = _strategies()
     st = hypothesis.strategies
 
@@ -443,6 +444,18 @@ def test_property_int_and_fraction_built_polys_agree():
         assert p.coeffs == q.coeffs
         assert all(type(c) is Fraction for c in p.coeffs.values())
         assert repr(p) == repr(q)
+        mixed = TruncatedPoly(
+            variables, cutoffs, {e: Fraction(c) if c % 2 else c for e, c in values.items()}
+        )
+        one = TruncatedPoly.constant(1, variables, cutoffs)
+        nil = q - TruncatedPoly.constant(q.constant_term, variables, cutoffs)
+        unit = one + nil * Fraction(1, 3)
+        results = [
+            p, q, mixed, p + q, p - mixed * 2, -q, q * Fraction(-2, 7), p * mixed, unit * unit,
+            series_inverse(unit), series_exp(nil * Fraction(1, 5)), series_log(unit),
+        ]
+        for r in results:
+            assert r._comps == _graded(r.coeffs, r.cutoffs)
 
     prop()
 
@@ -451,7 +464,7 @@ def test_property_int_and_fraction_built_polys_agree():
 def test_property_chains_match_reference_loops(kind):
     hypothesis, polys, rationals, _ = _strategies()
     st = hypothesis.strategies
-    if kind == "int":  # operands start as components
+    if kind == "int":
         values, constant = st.integers(-9, 9), st.integers(-5, 5).filter(bool)
     else:
         values, constant = rationals, rationals.filter(bool)
@@ -462,7 +475,7 @@ def test_property_chains_match_reference_loops(kind):
         a, b, c = ps
         one = TruncatedPoly.constant(1, a.variables, a.cutoffs)
         assert series_inverse(a) * b == _reference_mul(_reference_inverse(a), b)
-        # every operand below is a product or series result, held as components
+        # every operand below is a product or series result
         f = series_exp(_scale(b, 1 / b.constant_term) - one)
         g = series_exp(_scale(c, 1 / c.constant_term) - one)
         assert f == _reference_exp(_scale(b, 1 / b.constant_term) - one)
@@ -486,7 +499,7 @@ def test_product_with_own_inverse_is_exactly_one():
 
 
 def test_shared_components_are_not_mutated():
-    # a component-backed operand feeds two chains, twice over
+    # a series result feeds two chains, twice over
     for cutoffs, coeffs in (
         ((6,), {(0,): 2, (1,): Fraction(1, 3), (3,): -1}),
         ((3, 4), {(0, 0): 2, (1, 0): Fraction(1, 3), (0, 2): -1, (2, 1): 5}),
@@ -494,7 +507,7 @@ def test_shared_components_are_not_mutated():
         variables = ("x", "y")[: len(cutoffs)]
         p = series_inverse(TruncatedPoly(variables, cutoffs, coeffs))
         two = TruncatedPoly.constant(2, variables, cutoffs)
-        before = [(den, list(terms)) for den, terms in _components(p)]
+        before = [(den, list(terms)) for den, terms in p._comps]
 
         def chains():
             unit = p * two  # constant term one
@@ -506,7 +519,7 @@ def test_shared_components_are_not_mutated():
 
         first = chains()
         assert chains() == first
-        assert [(den, list(terms)) for den, terms in _components(p)] == before
+        assert [(den, list(terms)) for den, terms in p._comps] == before
         assert first[0] == repr(_reference_mul(p, _reference_mul(p, two)))
         assert first[1] == repr(_reference_mul(p, p))
         assert first[2] == repr(_reference_log(_reference_mul(p, two)))

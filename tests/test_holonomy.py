@@ -126,6 +126,13 @@ def test_model_dispatch_validation():
         holonomy_model("so", 2)
 
 
+@pytest.mark.parametrize("kind", [5, None, b"g2", ("g2",)])
+def test_non_string_kind_is_refused_as_input(kind):
+    message = f"unknown holonomy kind {kind!r}; expected {holonomy.HOLONOMY_KINDS}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        holonomy_model(kind)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [

@@ -248,9 +248,11 @@ def test_check_parameter_lists():
         ("ci_rs_kernel", {"n": 1, "degrees": [3]},
          "X_1(3): the kernel is determined only when c1 = 0 and n >= 2"),
         ("holonomy_graded_dims", {"kind": "g2"}, "G2 has no graded spin-3/2 bundle"),
+        ("parallel_rs", {"kind": 5},
+         "unknown holonomy kind 5; expected ('su', 'u', 'sp', 'sp1sp', 'g2', 'spin7', 'so')"),
     ],
     ids=["hodge-negative-index", "hodge-index-past-n", "signature-odd-dimension",
-         "kernel-positive-c1", "kernel-torus", "graded-g2"],
+         "kernel-positive-c1", "kernel-torus", "graded-g2", "parallel-int-kind"],
 )
 def test_out_of_domain_args_name_the_entry(tmp_path, check, args, message):
     chosen = tmp_path / "manifest.json"
