@@ -6,8 +6,10 @@ of the tangent bundle together with the pairing ``<h**n, [M]>``.  Everything
 else is derived from it with exact rational arithmetic: Pontryagin classes
 come straight from c(T) c(conj T), Newton's identities convert Chern classes
 to power sums of the formal roots, and any multiplicative genus is evaluated
-through ``exp(sum_k log(Q)_k * s_k)``, one Q per genus read by truncation.
-The genus values and index report of a profile are kept on it.
+through ``exp(sum_k log(Q)_k * s_k)``.  A genus spec is log Q itself, read
+off the Todd coefficients: the Todd, Ahat and L logs in closed form, and
+only chi_y's through the log recurrence.  The genus values and index report
+of a profile are kept on it.
 
 The spin-3/2 index functional is ``<Ahat(TM) * (ch(TM x C) + 1), [M]>``; it
 splits as a tangent-twisted Dirac index plus a plain Dirac index, and both
@@ -154,120 +156,61 @@ def pontryagin_numbers(profile: ChernProfile) -> Dict[str, Fraction]:
 # -- multiplicative genera ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenusSpec:
-    """Characteristic power series Q(x) of a multiplicative genus.
-
-    ``series`` is Q expanded in the formal Chern-root variable x (plus the
-    parameter y for the CHI_Y family) with Q(0, y) = 1, so log Q has no
-    pure-y part.  CHI_Y series have two variables, every other genus one,
-    and no monomial x**i y**j with j > i: in u = x, v = xy each monomial is
-    then u**(i-j) v**j, of total degree i, so Q, log Q and every genus class
-    are graded by the power of x alone.
-    """
-
-    name: str
-    series: TruncatedPoly
-
-    def __post_init__(self):
-        if self.name not in GENUS_NAMES:
-            raise InputError(f"unknown genus {self.name!r}")
-        count = 2 if self.name == "CHI_Y" else 1
-        if len(self.series.variables) != count:
-            raise InputError(
-                f"{self.name} series needs {count} variable(s), "
-                f"got {len(self.series.variables)}"
-            )
-        # read off the components: entry i of component k is x**i y**(k-i),
-        # or x**k alone in one variable, where i is always k
-        comps = self.series._comps
-        at_x0 = tuple(
-            ((0, k)[:count], Fraction(c, den))
-            for k, (den, terms) in enumerate(comps)
-            for i, c in terms
-            if not i
-        )
-        check("genus series at x = 0", at_x0 == (((0,) * count, 1),), genus=self.name, terms=at_x0)
-        above = [(i, k - i) for k, (_, terms) in enumerate(comps) for i, _ in terms if k - i > i]
-        if above:
-            i, j = min(above)
-            raise InputError(f"{self.name} series has x^{i}*y^{j}, a power of y above that of x")
-
-    @cached_property
-    def _log_components(self) -> Tuple[Component, ...]:
-        """log Q graded by the power of x, as int numerators over one
-        denominator per component; computed once per spec.
-
-        Component d holds the x**d part of log Q, keyed by the power of u in
-        u = x, v = xy (x**i y**j is u**(i-j) v**j), so x**(order+1) is the
-        only truncation and no product is formed only to be cut away.
-        """
-        q = self.series
-        graded = q._comps
-        if len(q.variables) == 2:  # entry i of component k is u**(2i-k) v**(k-i)
-            uv = {
-                (2 * i - k, k - i): Fraction(c, den)
-                for k, (den, terms) in enumerate(graded)
-                for i, c in terms
-            }
-            graded = _graded(uv, q.cutoffs)
-        graded = graded[: q.cutoffs[0] + 1]
-        return tuple((den, tuple(terms)) for den, terms in _log(graded, q.cutoffs))
+# name -> log Q of that genus, built at the highest order asked for so far
+_SPECS: Dict[str, Tuple[Component, ...]] = {}
 
 
-# name -> the one spec of that genus, built at the highest order asked for so far
-_SPECS: Dict[str, GenusSpec] = {}
+def genus_spec(name: str, order: int) -> Tuple[Component, ...]:
+    """log Q of the named genus to at least x**order, as graded components.
 
-
-def genus_spec(name: str, order: int) -> GenusSpec:
-    """The named genus with Q(x) expanded to at least x**order.
-
-    One spec per genus is kept, with its log Q, and rebuilt only for a
-    higher order; readers cut it to their own order, which is exact since the
-    truncation ideal is monomial and the series recurrences are graded.  The
-    spec is shared, so callers must not modify its series.
+    Component d holds the x**d part of log Q as int numerators over one
+    denominator: (den, ((d, num),)) for the one-variable genera, and for
+    CHI_Y the entries (i, num) of u**i v**(d-i) in u = x, v = xy.  One spec
+    per genus is kept and rebuilt only for a higher order; readers cut it to
+    their own order, which is exact since the log recurrence is graded.
     """
     if integer(order, "order") < 1:
         raise InputError(f"order must be positive, got {order}")
     spec = _SPECS.get(name)
-    if spec is None or spec.series.cutoffs[0] < order:
+    if spec is None or len(spec) <= order:
         spec = _SPECS[name] = _build_spec(name, order)
     return spec
 
 
-def _build_spec(name: str, order: int) -> GenusSpec:
-    """Q of the named genus, from the Todd series T(u) = u/(1 - e^-u) = sum_k t_k u**k.
+def _build_spec(name: str, order: int) -> Tuple[Component, ...]:
+    """log Q of the named genus, from the Todd series T(u) = u/(1 - e^-u) = sum_k t_k u**k.
 
     Every genus here is T after a substitution (Hirzebruch, Topological
-    Methods in Algebraic Geometry):
+    Methods in Algebraic Geometry, section 1):
 
         TODD   x/(1 - e^-x)                             T(x)
         AHAT   (x/2)/sinh(x/2)                          T(x) e^(-x/2)
-        L      x/tanh(x)                                T(2x) - x
-        CHI_Y  x(1 + y e^-x(1+y))/(1 - e^-x(1+y))       T(x(1+y)) - xy
+        L      x/tanh(x)                                Ahat(2x)**2 / Ahat(4x)
+        CHI_Y  x(1 + y e^-x(1+y))/(1 - e^-x(1+y))       T(u + v) - v
 
-    so L has 2**k t_k at x**k, and CHI_Y has C(k, j) t_k at x**k y**j
-    (less one at xy); it is Todd at y = 0 and L at y = 1.
+    Since d/du log T = 1/u - 1/(e^u - 1), log T(u) = u/2 - sum_k t_2k u**2k / 2k,
+    so the logs of TODD, AHAT and L are read off the t_2k directly.  CHI_Y
+    is Todd at y = 0 and L at y = 1; its Q has C(k, j) t_k at u**(k-j) v**j
+    (less one at v), and only its log runs the recurrence.
     """
     if name not in GENUS_NAMES:
         raise InputError(f"unknown genus {name!r}")
-    one_var = (("x",), (order,))
     # T is the inverse of g(u) = (1 - e^-u)/u = sum_j (-u)**j/(j+1)!
     g = {(j,): Fraction((-1) ** j, math.factorial(j + 1)) for j in range(order + 1)}
-    todd = series_inverse(TruncatedPoly(*one_var, g))
-    t = [todd.coefficient((k,)) for k in range(order + 1)]
-    if name == "TODD":
-        return GenusSpec(name, todd)
-    if name == "AHAT":
-        half_exp = {(k,): Fraction(-1, 2) ** k / math.factorial(k) for k in range(order + 1)}
-        return GenusSpec(name, todd * TruncatedPoly(*one_var, half_exp))
-    if name == "L":
-        doubled = {(k,): 2**k * c for k, c in enumerate(t)}
-        doubled[(1,)] -= 1
-        return GenusSpec(name, TruncatedPoly(*one_var, doubled))
-    binomial = {(k, j): math.comb(k, j) * c for k, c in enumerate(t) for j in range(k + 1)}
-    binomial[(1, 1)] -= 1
-    return GenusSpec(name, TruncatedPoly(("x", "y"), (order, order), binomial))
+    todd = series_inverse(TruncatedPoly(("u",), (order,), g))._comps
+    if name == "CHI_Y":
+        q = [
+            (den, [(k - j, math.comb(k, j) * c) for _, c in terms for j in range(k + 1)])
+            for k, (den, terms) in enumerate(todd)
+        ]
+        q[1] = (2, [(1, 1), (0, -1)])  # t_1 (u + v) - v
+        return tuple((den, tuple(terms)) for den, terms in _log(q, (order, order)))
+    log_q: Dict[Tuple[int, ...], Fraction] = {(1,): Fraction(1, 2)} if name == "TODD" else {}
+    for k in range(1, order // 2 + 1):
+        den, ((_, num),) = todd[2 * k]
+        scale = 2 * 4**k - 16**k if name == "L" else 1
+        log_q[(2 * k,)] = Fraction(-num * scale, 2 * k * den)
+    return tuple((den, tuple(terms)) for den, terms in _graded(log_q, (order,)))
 
 
 def _class_components(genus: str, profile: ChernProfile) -> Tuple[Tuple[int, ...], Components]:
@@ -280,13 +223,13 @@ def _class_components(genus: str, profile: ChernProfile) -> Tuple[Tuple[int, ...
     since the recurrence is graded.
     """
     n = profile.dim
-    g = genus_spec(genus, n)
+    log_q = genus_spec(genus, n)
     den_s, sums = profile._power_sum_numerators
     scaled = [(1, [])] + [
         (den * den_s**d, [(i, c * sums[d - 1]) for i, c in terms])
-        for d, (den, terms) in enumerate(g._log_components[1 : n + 1], 1)
+        for d, (den, terms) in enumerate(log_q[1 : n + 1], 1)
     ]
-    cut = (n,) * len(g.series.variables)
+    cut = (n, n) if genus == "CHI_Y" else (n,)
     return cut, _exp(scaled, cut)
 
 
@@ -525,7 +468,7 @@ def product_rs_index(left: ChernProfile, right: ChernProfile) -> Fraction:
     # the product's root power sums are s_k(M) hL**k + s_k(N) hR**k
     cut = (left.dim, right.dim)
     log_ahat: Dict[Tuple[int, int], Fraction] = {}
-    for k, (den, terms) in enumerate(genus_spec("AHAT", max(cut))._log_components):
+    for k, (den, terms) in enumerate(genus_spec("AHAT", max(cut))):
         for _, num in terms:  # one variable: component k holds x**k alone, if anything
             c = Fraction(num, den)
             if k <= left.dim:

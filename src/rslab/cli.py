@@ -252,6 +252,7 @@ def _topological_data(args: argparse.Namespace) -> Optional[TopologicalInput]:
 
 def _cmd_holonomy(args: argparse.Namespace) -> int:
     model = holonomy_model(args.kind, args.parameter)
+    data = _topological_data(args)  # refused before Sigma_3/2 is built
     sigma = model.sigma_three_half()
     results: Dict[str, Any] = {
         "group": model.group,
@@ -275,7 +276,6 @@ def _cmd_holonomy(args: argparse.Namespace) -> int:
         ]
         results["survivors"] = list(qk.survivor_labels)
         results["kernel_formula"] = qk.kernel_formula
-    data = _topological_data(args)
     if data is not None:
         block: Dict[str, Any] = {"kernel_dimension": kernel_dimension(data)}
         try:

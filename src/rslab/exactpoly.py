@@ -24,7 +24,8 @@ are components again (the fraction-free idea of Bareiss, Math. Comp. 22,
 series has one coefficient per degree, so each component is one
 numerator over one denominator, and a degree-k convolution is one running
 int sum whose denominator grows by one gcd per term; the Ahat, L and Todd
-classes, the genus specs and ``intersections.build_ci`` run on that path.
+classes, the Todd series of the genus specs and ``intersections.build_ci``
+run on that path.
 
 ``series_inverse``, ``series_exp`` and ``series_log`` are graded
 recurrences over the components:
@@ -40,8 +41,9 @@ coefficient products in two variables at cutoff n, against O(n^5) for the
 n full truncated products of a geometric or power series.
 
 The exp and log recurrences themselves are ``_exp`` and ``_log``, lists of
-components in and out; ``charclass`` runs them on genus series graded by
-the power of x, where the only truncation is the length of the list.
+components in and out; ``charclass`` runs them on series graded by the
+power of x, where the only truncation is the length of the list: ``_exp``
+on every genus class, ``_log`` on the chi_y series alone.
 """
 
 from __future__ import annotations

@@ -36,6 +36,8 @@ class CISpec:
     degrees: Tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.degrees, (list, tuple)):
+            raise InputError(f"degrees {self.degrees!r} is not a list of degrees")
         object.__setattr__(self, "degrees", tuple(integer(d, "degree") for d in self.degrees))
         if integer(self.n, "complex dimension") < 1:
             raise InputError(f"complex dimension must be at least 1, got {self.n}")

@@ -51,7 +51,7 @@ def _as_int(value: Fraction) -> int:
 
 
 def _build(n: int, degrees: Sequence[int]) -> intersections.CIManifold:
-    return intersections.build_within_limit(intersections.CISpec(n, tuple(degrees)))[0]
+    return intersections.build_within_limit(intersections.CISpec(n, degrees))[0]
 
 
 def _bind_ci(name: str, value: object) -> None:
@@ -145,7 +145,7 @@ def _symmetric_catalog() -> Dict[str, int]:
 
 def _product_rs_index(left: Dict[str, object], right: Dict[str, object]) -> int:
     sides = intersections.build_within_limit(
-        *(intersections.CISpec(s["n"], tuple(s["degrees"])) for s in (left, right)))
+        *(intersections.CISpec(s["n"], s["degrees"]) for s in (left, right)))
     return _as_int(charclass.product_rs_index(*(m.profile for m in sides)))
 
 

@@ -16,7 +16,6 @@ from rslab.charclass import (
     ch_complexified_tangent,
     euler_characteristic,
     evaluate_genus,
-    GenusSpec,
     RSIndexReport,
     genus_spec,
     pontryagin_numbers,
@@ -24,8 +23,8 @@ from rslab.charclass import (
     rs_index,
     verify_dimension_identities,
 )
-from rslab.errors import ConsistencyError, InputError, NotApplicableError
-from rslab.exactpoly import TruncatedPoly, series_exp, series_log
+from rslab.errors import InputError, NotApplicableError
+from rslab.exactpoly import TruncatedPoly, series_exp, series_inverse, series_log
 from rslab.intersections import CISpec, build_ci, hodge_numbers
 
 # Tangent profile of the quartic surface: c1 = 0 and c2 h^2 pairs to 24.
@@ -219,7 +218,7 @@ def test_genus_spec_is_memoized_and_stable(monkeypatch):
     monkeypatch.setattr(charclass, "_SPECS", {})
     for name in GENUS_NAMES:
         first = genus_spec(name, 6)
-        assert first.series.cutoffs == (6,) * len(first.series.variables)
+        assert len(first) == 7  # log Q components of x**0 .. x**6
         assert genus_spec(name, 6) is first
         assert genus_spec(name, 5) is first  # a lower order reads the same spec
     assert set(charclass._SPECS) == set(GENUS_NAMES)
@@ -238,46 +237,58 @@ def test_genus_spec_is_cut_from_the_highest_order_built(monkeypatch, name):
     monkeypatch.setattr(charclass, "_SPECS", {})
     for order in (3, 1, 9, 5, 9, 2, 11, 4):
         spec = genus_spec(name, order)
-        assert spec is charclass._SPECS[name] and spec.series.cutoffs[0] == max(built)
-        # Q and log Q cut to this order are those of the spec built at it
-        direct = real(name, order)
-        pairs = (spec.series, direct.series), (series_log(spec.series), series_log(direct.series))
-        for full, own in pairs:
-            assert TruncatedPoly(full.variables, own.cutoffs, full.coeffs) == own
+        assert spec is charclass._SPECS[name] and len(spec) == max(built) + 1
+        # log Q cut to this order is that of the spec built at it
+        assert _spec_view(spec[: order + 1]) == _spec_view(real(name, order))
     assert built == [3, 9, 11]  # each new highest order once, a lower one never
 
 
-def test_genus_spec_variable_count_matches_name():
-    chi_y = genus_spec("CHI_Y", 4).series
-    with pytest.raises(InputError, match="AHAT series needs 1 variable"):
-        GenusSpec("AHAT", chi_y)
-    with pytest.raises(InputError, match="CHI_Y series needs 2 variable"):
-        GenusSpec("CHI_Y", genus_spec("TODD", 4).series)
+def _one_variable(coefficient, n):
+    """sum_j coefficient(j) x**j in Q[x]/(x**(n+1))."""
+    return TruncatedPoly(("x",), (n,), {(j,): coefficient(j) for j in range(n + 1)})
 
 
-def test_chi_y_spec_refuses_a_power_of_y_above_that_of_x():
-    chi_y = genus_spec("CHI_Y", 4).series
-    above = TruncatedPoly(chi_y.variables, chi_y.cutoffs, {(1, 3): Fraction(1, 7), (2, 4): 1})
-    message = "CHI_Y series has x^1*y^3, a power of y above that of x"
-    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-        GenusSpec("CHI_Y", chi_y + above)
+def _in_z(coefficient, n):
+    """sum_j coefficient(j) z**j in Q[x, y]/(x**(n+1), y**(n+1)), z = x(1 + y)."""
+    return TruncatedPoly(("x", "y"), (n, n), {
+        (j, i): coefficient(j) * math.comb(j, i) for j in range(n + 1) for i in range(j + 1)})
 
 
-@pytest.mark.parametrize(
-    "name, cutoffs, coeffs, terms",
-    [
-        ("TODD", (3,), {(0,): 2, (1,): Fraction(1, 2)}, "(((0,), 2),)"),
-        # the x**0 terms are listed by the power of y, whatever the dict's order
-        ("CHI_Y", (3, 3), {(0, 0): 1, (0, 2): Fraction(-3, 4), (1, 0): 5, (0, 1): 7},
-         "(((0, 0), 1), ((0, 1), 7), ((0, 2), -3/4))"),
-        ("CHI_Y", (3, 3), {(1, 0): 1}, "()"),
-    ],
-)
-def test_genus_series_must_be_one_at_x_0(name, cutoffs, coeffs, terms):
-    series = TruncatedPoly(("x", "y")[: len(cutoffs)], cutoffs, coeffs)
-    message = f"genus series at x = 0: genus = {name}, terms = {terms}"
-    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
-        GenusSpec(name, series)
+def _oracle_q(name, n):
+    """Q of the named genus to x**n, from its defining quotient: no Todd
+    coefficients and no substitution, unlike the engine's specs."""
+    if name == "TODD":  # x/(1 - e^-x)
+        return series_inverse(_one_variable(lambda j: Fraction((-1) ** j, math.factorial(j + 1)), n))
+    if name == "AHAT":  # (x/2)/sinh(x/2)
+        return series_inverse(_one_variable(
+            lambda j: 0 if j % 2 else Fraction(1, 2**j * math.factorial(j + 1)), n))
+    if name == "L":  # x cosh x / sinh x
+        cosh = _one_variable(lambda j: 0 if j % 2 else Fraction(1, math.factorial(j)), n)
+        return cosh * series_inverse(_one_variable(
+            lambda j: 0 if j % 2 else Fraction(1, math.factorial(j + 1)), n))
+    # (1 + y e^-z) T(z)/(1 + y), with z = x(1 + y) and T(z) = z/(1 - e^-z)
+    todd = series_inverse(_in_z(lambda j: Fraction((-1) ** j, math.factorial(j + 1)), n))
+    exp = _in_z(lambda j: Fraction((-1) ** j, math.factorial(j)), n)
+    one = TruncatedPoly.constant(1, ("x", "y"), (n, n))
+    y = TruncatedPoly(("x", "y"), (n, n), {(0, 1): 1})
+    return (one + y * exp) * todd * series_inverse(one + y)
+
+
+def _spec_view(spec):
+    """A spec's log Q by (power of x, first exponent): the first exponent is
+    that of x in one variable and of u in u = x, v = xy for CHI_Y."""
+    return {(k, i): Fraction(c, den) for k, (den, terms) in enumerate(spec) for i, c in terms}
+
+
+@pytest.mark.parametrize("name", GENUS_NAMES)
+def test_genus_spec_is_log_of_the_defining_quotient(name):
+    for order in range(1, (20 if name == "CHI_Y" else 60) + 1):
+        log_q = series_log(_oracle_q(name, order))
+        # x**i y**j is u**(i-j) v**j, which needs j <= i
+        assert all(e[-1] <= e[0] for e in log_q.coeffs)
+        expected = {(e[0], e[0] - e[1] if len(e) == 2 else e[0]): c for e, c in log_q.items()}
+        spec = charclass._build_spec(name, order)
+        assert len(spec) == order + 1 and _spec_view(spec) == expected, order
 
 
 @pytest.mark.parametrize("real_dim", [4, 8, 12])
@@ -396,13 +407,14 @@ def test_property_values_do_not_depend_on_the_spec_order(monkeypatch):
 
 def _total_degree_route(profile):
     """The genus values and the index report by a route graded differently
-    from the engine's: log Q in (x, y) cut by total degree, each x**i y**j
-    term times the power sum s_i, then series_exp and the top coefficients;
-    the index by full products with ch_complexified_tangent."""
+    from the engine's: log Q of each defining quotient in (x, y), cut at
+    x**n and y**n, each x**i y**j term times the power sum s_i, then
+    series_exp and the top coefficients; the index by full products with
+    ch_complexified_tangent."""
     n, pairing, sums = profile.dim, profile.pairing, profile.power_sums
     classes = {}
     for name in GENUS_NAMES:
-        log_q = series_log(genus_spec(name, n).series)
+        log_q = series_log(_oracle_q(name, n))
         cut = (n,) * len(log_q.variables)
         scaled = {e: c * sums[e[0] - 1] for e, c in log_q.items() if max(e) <= n}
         classes[name] = series_exp(TruncatedPoly(("h", "y")[: len(cut)], cut, scaled))

@@ -161,9 +161,18 @@ def test_holonomy_missing_parameter(capsys):
         ("g2 --b3 1", "G2 input needs b2"),
         ("spin7 --b2 -1 --b3 1 --b4minus 1", "b2 must be nonnegative"),
         ("su 3 --hodge 1", "CY input needs n >= 2 and the row h^{1,1}..h^{1,n-1}"),
+        ("so 5 --b2 1", "no kernel formula is wired up for holonomy kind 'so'"),
+        ("su 4 --hodge 1", "CY input needs n >= 2 and the row h^{1,1}..h^{1,n-1}"),
+        ("g2 --b2 1", "G2 input needs b3"),
     ],
 )
-def test_holonomy_refuses_topology_its_family_does_not_take(capsys, argv, field):
+def test_holonomy_refuses_topology_its_family_does_not_take(monkeypatch, capsys, argv, field):
+    from rslab.holonomy import HolonomyModel
+
+    def unreachable(model):  # the flags are refused before Sigma_3/2 is built
+        raise AssertionError(f"built Sigma_3/2 of {model.group}")
+
+    monkeypatch.setattr(HolonomyModel, "sigma_three_half", unreachable)
     assert main(["holonomy", *argv.split()]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

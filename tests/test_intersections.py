@@ -35,6 +35,8 @@ def test_spec_validation():
         CISpec(2, ())
     with pytest.raises(InputError, match=re.escape("degrees must be positive integers, got (3, 0)")):
         CISpec(2, (3, 0))
+    with pytest.raises(InputError, match="^degrees 4 is not a list of degrees$"):
+        CISpec(2, 4)
 
 
 def _complete_homogeneous(j, degrees):

@@ -250,9 +250,14 @@ def test_check_parameter_lists():
         ("holonomy_graded_dims", {"kind": "g2"}, "G2 has no graded spin-3/2 bundle"),
         ("parallel_rs", {"kind": 5},
          "unknown holonomy kind 5; expected ('su', 'u', 'sp', 'sp1sp', 'g2', 'spin7', 'so')"),
+        ("ci_euler", {"n": 2, "degrees": 4}, "degrees 4 is not a list of degrees"),
+        ("product_rs_index",
+         {"left": {"n": 2, "degrees": [4]}, "right": {"n": 2, "degrees": 4}},
+         "degrees 4 is not a list of degrees"),
     ],
     ids=["hodge-negative-index", "hodge-index-past-n", "signature-odd-dimension",
-         "kernel-positive-c1", "kernel-torus", "graded-g2", "parallel-int-kind"],
+         "kernel-positive-c1", "kernel-torus", "graded-g2", "parallel-int-kind",
+         "ci-int-degrees", "product-int-degrees"],
 )
 def test_out_of_domain_args_name_the_entry(tmp_path, check, args, message):
     chosen = tmp_path / "manifest.json"
