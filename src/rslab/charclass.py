@@ -9,11 +9,15 @@ to power sums of the formal roots, and any multiplicative genus is evaluated
 through ``exp(sum_k log(Q)_k * s_k)``.  A genus spec is log Q itself, read
 off the Todd coefficients: the Todd, Ahat and L logs in closed form, and
 only chi_y's through the log recurrence.  The genus values and index report
-of a profile are kept on it.
+of a profile are kept on it.  Every class here is a list of graded int
+components run through the kernels of ``exactpoly``; none is a
+``TruncatedPoly``.
 
 The spin-3/2 index functional is ``<Ahat(TM) * (ch(TM x C) + 1), [M]>``; it
 splits as a tangent-twisted Dirac index plus a plain Dirac index, and both
-parts are reported.
+parts are reported.  On a product M x N it is the hL**m hR**n coefficient of
+one exp in (hL, hR), since Ahat is multiplicative, checked against the
+factor indices.
 """
 
 from __future__ import annotations
@@ -22,19 +26,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 from .errors import InputError, NotApplicableError, check, integer, rational
-from .exactpoly import (
-    Component,
-    Components,
-    TruncatedPoly,
-    _exp,
-    _graded,
-    _log,
-    series_exp,
-    series_inverse,
-)
+from .exactpoly import Component, Components, _exp, _graded, _inverse, _log
 
 GENUS_NAMES = ("AHAT", "L", "TODD", "CHI_Y")
 
@@ -196,8 +191,7 @@ def _build_spec(name: str, order: int) -> Tuple[Component, ...]:
     if name not in GENUS_NAMES:
         raise InputError(f"unknown genus {name!r}")
     # T is the inverse of g(u) = (1 - e^-u)/u = sum_j (-u)**j/(j+1)!
-    g = {(j,): Fraction((-1) ** j, math.factorial(j + 1)) for j in range(order + 1)}
-    todd = series_inverse(TruncatedPoly(("u",), (order,), g))._comps
+    todd = _inverse([(math.factorial(j + 1), [(j, (-1) ** j)]) for j in range(order + 1)], (order,))
     if name == "CHI_Y":
         q = [
             (den, [(k - j, math.comb(k, j) * c) for _, c in terms for j in range(k + 1)])
@@ -213,24 +207,27 @@ def _build_spec(name: str, order: int) -> Tuple[Component, ...]:
     return tuple((den, tuple(terms)) for den, terms in _graded(log_q, (order,)))
 
 
-def _class_components(genus: str, profile: ChernProfile) -> Tuple[Tuple[int, ...], Components]:
-    """Cutoffs and components of the genus class exp(sum_d s_d (log Q)_d h**d),
-    graded by the power of h as log Q is by the power of x.
+def _scaled_log(log_q: Tuple[Component, ...], profile: ChernProfile) -> Components:
+    """sum_d s_d (log Q)_d h**d to h**n, graded by the power of h as log Q is
+    by the power of x.
 
-    Component d of log Q is scaled by the one power sum s_d = S_d / D**d and
-    goes straight to the exp recurrence as int numerators.  Any spec of
-    order >= n serves: log Q is cut after h**n first, which commutes with exp
-    since the recurrence is graded.
+    Component d of log Q is scaled by the one power sum s_d = S_d / D**d, as
+    int numerators.  Any spec of order >= n serves: log Q is cut after h**n,
+    which commutes with exp since the recurrence is graded.
     """
     n = profile.dim
-    log_q = genus_spec(genus, n)
     den_s, sums = profile._power_sum_numerators
-    scaled = [(1, [])] + [
+    return [(1, [])] + [
         (den * den_s**d, [(i, c * sums[d - 1]) for i, c in terms])
         for d, (den, terms) in enumerate(log_q[1 : n + 1], 1)
     ]
+
+
+def _class_components(genus: str, profile: ChernProfile) -> Tuple[Tuple[int, ...], Components]:
+    """Cutoffs and components of the genus class exp(sum_d s_d (log Q)_d h**d)."""
+    n = profile.dim
     cut = (n, n) if genus == "CHI_Y" else (n,)
-    return cut, _exp(scaled, cut)
+    return cut, _exp(_scaled_log(genus_spec(genus, n), profile), cut)
 
 
 def evaluate_genus(genus: str, profile: ChernProfile) -> Union[Fraction, Tuple[Fraction, ...]]:
@@ -262,18 +259,18 @@ def euler_characteristic(profile: ChernProfile) -> Fraction:
     return profile.chern[-1] * profile.pairing
 
 
-def ch_complexified_tangent(profile: ChernProfile) -> TruncatedPoly:
-    """Chern character of TM tensored with C, i.e. of T + conj(T).
+def _ch(profile: ChernProfile) -> List[Tuple[int, int]]:
+    """Chern character of TM tensored with C, i.e. of T + conj(T), by degree
+    0 .. n as (denominator, int numerator).
 
-    Odd-degree components cancel in pairs, leaving
-    ``2n + 2 * sum_{k even} s_k/k! * h**k``.
+    Odd-degree components cancel in pairs, leaving 2n + 2 * sum_{k even}
+    s_k/k! * h**k, and s_k = S_k / D**k.
     """
     n = profile.dim
-    sums = profile.power_sums
-    coeffs: Dict[Tuple[int, ...], Fraction] = {(0,): Fraction(2 * n)}
-    for k in range(2, n + 1, 2):
-        coeffs[(k,)] = Fraction(2, math.factorial(k)) * sums[k - 1]
-    return TruncatedPoly(("h",), (n,), coeffs)
+    den_s, sums = profile._power_sum_numerators
+    return [(1, 2 * n)] + [
+        (math.factorial(k) * den_s**k, 0 if k % 2 else 2 * sums[k - 1]) for k in range(1, n + 1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -286,14 +283,14 @@ class RSIndexReport:
 
 
 def _paired_top(
-    ahat: List[Tuple[int, int]], factor: List[Tuple[int, int]], pairing: Fraction
+    pairs: Iterable[Tuple[Tuple[int, int], Tuple[int, int]]], pairing: Fraction
 ) -> Fraction:
-    """The h**n coefficient of Ahat * factor, paired with [M].
+    """sum a * f over matched coefficient pairs (a, f), paired with [M].
 
-    Both classes are lists of (denominator, int numerator) by degree 0 .. n;
-    the sum runs on ints over one lcm denominator, then makes one Fraction.
+    Each coefficient is (denominator, int numerator); the sum runs on ints
+    over one lcm denominator, then makes one Fraction.
     """
-    terms = [(da * df, a * f) for (da, a), (df, f) in zip(ahat, reversed(factor)) if a and f]
+    terms = [(da * df, a * f) for (da, a), (df, f) in pairs if a and f]
     den = math.lcm(*(d for d, _ in terms))
     num = sum(c * (den // d) for d, c in terms)
     return Fraction(num * pairing.numerator, den * pairing.denominator)
@@ -315,14 +312,11 @@ def rs_index(profile: ChernProfile) -> RSIndexReport:
     # Ahat_k = A_k / a_k: one variable, so component k holds at most (k, A_k)
     comps = _class_components("AHAT", profile)[1]
     ahat = [(den, terms[0][1] if terms else 0) for den, terms in comps]
-    # ch_k = 2 s_k / k! = 2 S_k / (k! D**k) for even k >= 2; odd k cancel
-    den_s, sums = profile._power_sum_numerators
-    ch = [(1, 2 * n)] + [
-        (math.factorial(k) * den_s**k, 0 if k % 2 else 2 * sums[k - 1]) for k in range(1, n + 1)
-    ]
+    ch = _ch(profile)
     pairing = profile.pairing
-    total = _paired_top(ahat, [(1, 2 * n + 1)] + ch[1:], pairing)
-    twisted = _paired_top(ahat, ch, pairing)
+    # the h**n coefficient of Ahat * factor pairs Ahat_k with factor_(n-k)
+    total = _paired_top(zip(ahat, reversed([(1, 2 * n + 1)] + ch[1:])), pairing)
+    twisted = _paired_top(zip(ahat, reversed(ch)), pairing)
     dirac = Fraction(ahat[n][1] * pairing.numerator, ahat[n][0] * pairing.denominator)
     recombined = twisted + dirac
     check("index split", total == recombined, chern=profile.chern, pairing=pairing,
@@ -459,34 +453,36 @@ def verify_dimension_identities(real_dim: int) -> DimensionIdentityReport:
 def product_rs_index(left: ChernProfile, right: ChernProfile) -> Fraction:
     """Spin-3/2 index of a product, by two routes that must agree.
 
-    Route one evaluates the index integrand directly in the two-variable
-    product ring.  Route two combines the factor indices as
-    ``indQ(M)*indD(N) - indD(M)*indD(N) + indD(M)*indQ(N)``.
+    Route one evaluates the index integrand directly in the product ring,
+    reading only its hL**m hR**n coefficient.  Route two combines the factor
+    indices as ``indQ(M)*indD(N) - indD(M)*indD(N) + indD(M)*indQ(N)``.
     Disagreement raises ConsistencyError rather than returning anything.
     Any AHAT spec of order >= max(dims) serves: log Ahat is read to each dim.
     """
-    # the product's root power sums are s_k(M) hL**k + s_k(N) hR**k
-    cut = (left.dim, right.dim)
-    log_ahat: Dict[Tuple[int, int], Fraction] = {}
-    for k, (den, terms) in enumerate(genus_spec("AHAT", max(cut))):
-        for _, num in terms:  # one variable: component k holds x**k alone, if anything
-            c = Fraction(num, den)
-            if k <= left.dim:
-                log_ahat[(k, 0)] = c * left.power_sums[k - 1]
-            if k <= right.dim:
-                log_ahat[(0, k)] = c * right.power_sums[k - 1]
-    ahat_cls = series_exp(TruncatedPoly(("hL", "hR"), cut, log_ahat))
+    m, n = left.dim, right.dim
+    # the product's root power sums are s_k(M) hL**k + s_k(N) hR**k, so degree k
+    # of log Ahat holds hL**k (first exponent k) and hR**k (first exponent 0);
+    # none lies past max(m, n), so both sides are padded to degree m + n
+    spec = genus_spec("AHAT", max(m, n))
+    pad = [(1, [])] * (m + n + 1)
+    log_ahat: Components = []
+    for (dl, tl), (dr, tr) in zip(_scaled_log(spec, left) + pad[m + 1 :],
+                                  _scaled_log(spec, right) + pad[n + 1 :]):
+        den = math.lcm(dl, dr)
+        log_ahat.append((den, [(i, c * (den // dl)) for i, c in tl]
+                         + [(0, c * (den // dr)) for _, c in tr]))
+    ahat = _exp(log_ahat, (m, n))
 
-    def lift(profile: ChernProfile, slot: int) -> TruncatedPoly:
-        ch = ch_complexified_tangent(profile)
-        return TruncatedPoly(
-            ("hL", "hR"), cut, {(k, 0) if slot == 0 else (0, k): c for (k,), c in ch.items()}
-        )
+    def at(k: int, i: int) -> Tuple[int, int]:  # hL**i hR**(k-i) of Ahat
+        den, terms = ahat[k]
+        return den, dict(terms).get(i, 0)
 
-    ch_sum = lift(left, 0) + lift(right, 1)
-    one = TruncatedPoly.constant(1, ("hL", "hR"), cut)
-    integrand = ahat_cls * (ch_sum + one)
-    direct = integrand.coefficient(cut) * left.pairing * right.pairing
+    # ch(TM x C) + 1 is 2m + 2n + 1 plus ch_M's hL**k and ch_N's hR**k, k even
+    ch_l, ch_r = _ch(left), _ch(right)
+    pairs = [(at(m + n, m), (1, 2 * m + 2 * n + 1))]
+    pairs += [(at(m + n - k, m - k), ch_l[k]) for k in range(2, m + 1, 2)]
+    pairs += [(at(m + n - k, m), ch_r[k]) for k in range(2, n + 1, 2)]
+    direct = _paired_top(pairs, left.pairing * right.pairing)
 
     li = rs_index(left)
     ri = rs_index(right)

@@ -238,21 +238,20 @@ def _cmd_ci(args: argparse.Namespace) -> int:
     return 0
 
 
-def _topological_data(args: argparse.Namespace) -> Optional[TopologicalInput]:
-    hodge = tuple(args.hodge) if args.hodge else ()
-    if not hodge and (args.b2, args.b3, args.b4minus) == (None, None, None):
-        return None
-    if args.kind not in KIND_FAMILIES:
-        raise InputError(f"no kernel formula is wired up for holonomy kind {args.kind!r}")
-    # the parameter is n for every family that takes one, None for g2 and spin7
-    return TopologicalInput(
-        KIND_FAMILIES[args.kind], args.parameter, hodge, args.b2, args.b3, args.b4minus
-    )
-
-
 def _cmd_holonomy(args: argparse.Namespace) -> int:
+    hodge = tuple(args.hodge) if args.hodge else ()
+    flagged = bool(hodge) or (args.b2, args.b3, args.b4minus) != (None, None, None)
+    # no parameter makes topology flags valid for a kind with no kernel
+    # formula, so that refusal comes before the model is built
+    if flagged and args.kind not in KIND_FAMILIES:
+        raise InputError(f"no kernel formula is wired up for holonomy kind {args.kind!r}")
     model = holonomy_model(args.kind, args.parameter)
-    data = _topological_data(args)  # refused before Sigma_3/2 is built
+    data = None
+    if flagged:  # refused before Sigma_3/2 is built
+        # the parameter is n for every family that takes one, None for g2 and spin7
+        data = TopologicalInput(
+            KIND_FAMILIES[args.kind], args.parameter, hodge, args.b2, args.b3, args.b4minus
+        )
     sigma = model.sigma_three_half()
     results: Dict[str, Any] = {
         "group": model.group,

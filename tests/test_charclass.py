@@ -13,7 +13,6 @@ from rslab.charclass import (
     GENUS_NAMES,
     ChernProfile,
     chern_to_pontryagin,
-    ch_complexified_tangent,
     euler_characteristic,
     evaluate_genus,
     RSIndexReport,
@@ -88,6 +87,12 @@ def test_pontryagin_classes_of_projective_space(n):
         math.comb(n + 1, k) for k in range(1, n // 2 + 1))
 
 
+def test_pontryagin_numbers_need_even_complex_dimension():
+    quintic = build_ci(CISpec(3, (5,))).profile
+    with pytest.raises(NotApplicableError, match="^real dimension is not divisible by four$"):
+        pontryagin_numbers(quintic)
+
+
 def test_pontryagin_monomials_dim8():
     profile = build_ci(CISpec(4, (4,))).profile
     numbers = pontryagin_numbers(profile)
@@ -153,6 +158,16 @@ def test_chi_y_specializations():
     sextic = build_ci(CISpec(4, (6,))).profile
     assert evaluate_genus("CHI_Y", sextic) == (2, -427, 1752, -427, 2)
     assert evaluate_genus("CHI_Y", sextic) is evaluate_genus("CHI_Y", sextic)
+
+
+def ch_complexified_tangent(profile):
+    """Chern character of TM tensored with C as a polynomial in h, read off
+    the power sums: 2n + 2 * sum_{k even} s_k/k! * h**k, odd degrees cancel."""
+    n = profile.dim
+    coeffs = {(0,): 2 * n}
+    for k in range(2, n + 1, 2):
+        coeffs[(k,)] = Fraction(2, math.factorial(k)) * profile.power_sums[k - 1]
+    return TruncatedPoly(("h",), (n,), coeffs)
 
 
 def test_ch_complexified_tangent_leading_terms():
@@ -372,6 +387,18 @@ def test_profile_refuses_inexact_and_bool_data(dim, chern, pairing, named):
 _SETTINGS = {"max_examples": 12, "deadline": None, "derandomize": True, "database": None}
 
 
+def _non_integral_profiles(st, max_dim):
+    """Profiles of complex dimension 1 .. max_dim with a non-integral Chern
+    coefficient, so D > 1, and any nonzero pairing."""
+    fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    return st.integers(1, max_dim).flatmap(lambda n: st.builds(
+        ChernProfile,
+        st.just(n),
+        st.lists(fractions, min_size=n, max_size=n).filter(
+            lambda chern: any(c.denominator > 1 for c in chern)).map(tuple),
+        fractions.filter(bool)))
+
+
 def test_property_values_do_not_depend_on_the_spec_order(monkeypatch):
     """Genus values, the index split and the Hodge table are the same whether
     each genus spec is built at the profile's order or read off one of
@@ -435,17 +462,9 @@ def test_property_non_integral_chern_data_match_the_total_degree_route():
     intersections all have D = 1, so random profiles with non-integral Chern
     coefficients check that scaling against the total-degree route."""
     hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
-    profiles = st.integers(1, 7).flatmap(lambda n: st.builds(
-        ChernProfile,
-        st.just(n),
-        st.lists(fractions, min_size=n, max_size=n).filter(
-            lambda chern: any(c.denominator > 1 for c in chern)).map(tuple),
-        fractions.filter(bool)))
 
     @hypothesis.settings(**_SETTINGS)
-    @hypothesis.given(profiles)
+    @hypothesis.given(_non_integral_profiles(hypothesis.strategies, 7))
     def prop(profile):
         assert profile._power_sum_numerators[0] > 1
         values, index = _total_degree_route(profile)
@@ -460,20 +479,51 @@ def test_property_pontryagin_classes_match_the_squared_power_sums():
     """p_k read off c(T) c(conj T) is e_k of the squared Chern roots, whose
     power sums are s_2, s_4, ..., on random non-integral profiles."""
     hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
-    profiles = st.integers(1, 14).flatmap(lambda n: st.builds(
-        ChernProfile,
-        st.just(n),
-        st.lists(fractions, min_size=n, max_size=n).filter(
-            lambda chern: any(c.denominator > 1 for c in chern)).map(tuple),
-        fractions.filter(bool)))
 
     @hypothesis.settings(**_SETTINGS)
-    @hypothesis.given(profiles)
+    @hypothesis.given(_non_integral_profiles(hypothesis.strategies, 14))
     def prop(profile):
         squared_sums = profile.power_sums[1::2]  # s_2, s_4, ..., n // 2 of them
         assert chern_to_pontryagin(profile) == elementary_from_power_sums(
             squared_sums, len(squared_sums))
+
+    prop()
+
+
+def _product_ring_route(left, right):
+    """The product index by full products in Q[hL, hR]/(hL**(m+1), hR**(n+1)):
+    exp of log Ahat, whose pure terms are s_k(M) hL**k + s_k(N) hR**k, times
+    1 + ch(TM x C) lifted from each factor, then the hL**m hR**n coefficient.
+    log Ahat comes from the defining quotient, not from a genus spec."""
+    cut = (left.dim, right.dim)
+    log_ahat = {}
+    for (k,), c in series_log(_oracle_q("AHAT", max(cut))).items():
+        if k <= left.dim:
+            log_ahat[(k, 0)] = c * left.power_sums[k - 1]
+        if k <= right.dim:
+            log_ahat[(0, k)] = c * right.power_sums[k - 1]
+    factor = {(0, 0): 1}
+    for slot, profile in enumerate((left, right)):
+        for (k,), c in ch_complexified_tangent(profile).items():
+            e = (k, 0) if slot == 0 else (0, k)
+            factor[e] = factor.get(e, 0) + c
+    integrand = series_exp(TruncatedPoly(("hL", "hR"), cut, log_ahat)) * TruncatedPoly(
+        ("hL", "hR"), cut, factor)
+    return integrand.coefficient(cut) * left.pairing * right.pairing
+
+
+def test_property_product_index_matches_the_product_ring_route():
+    """The engine reads one coefficient of a graded exp in (hL, hR); full
+    two-variable products give the same index on X_7(2,2,5) x X_3(5) and on
+    random non-integral profiles, of odd and unequal dimensions too."""
+    hypothesis = pytest.importorskip("hypothesis")
+    left, right = build_ci(CISpec(7, (2, 2, 5))).profile, build_ci(CISpec(3, (5,))).profile
+    assert product_rs_index(left, right) == _product_ring_route(left, right)
+    profiles = _non_integral_profiles(hypothesis.strategies, 7)
+
+    @hypothesis.settings(**_SETTINGS)
+    @hypothesis.given(profiles, profiles)
+    def prop(left, right):
+        assert product_rs_index(left, right) == _product_ring_route(left, right)
 
     prop()

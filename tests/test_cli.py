@@ -179,6 +179,19 @@ def test_holonomy_refuses_topology_its_family_does_not_take(monkeypatch, capsys,
     assert captured.err == f"error: {field}\n"
 
 
+@pytest.mark.parametrize("argv", ["so 399 --b2 1", "u 80 --hodge 1", "so 5 --b2 1"])
+def test_holonomy_refuses_topology_without_a_formula_before_any_model(monkeypatch, capsys, argv):
+    def unreachable(kind, parameter=None):  # no parameter makes these flags valid
+        raise AssertionError(f"built the {kind} model")
+
+    monkeypatch.setattr("rslab.cli.holonomy_model", unreachable)
+    assert main(["holonomy", *argv.split()]) == 2
+    captured = capsys.readouterr()
+    kind = argv.split()[0]
+    assert captured.out == ""
+    assert captured.err == f"error: no kernel formula is wired up for holonomy kind {kind!r}\n"
+
+
 def test_rep_queries(capsys):
     code, payload = _run_json(
         capsys, "rep", "b3", "--weight", "3/2,1/2,1/2", "--json"
@@ -613,6 +626,26 @@ def test_verify_paper_malformed_manifest_exits_2(tmp_path, monkeypatch, capsys, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: manifest entry 0")
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "manifest file not found: {path}"),
+        ("nope", "manifest {path} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ('{"id": "x"}', "manifest must be a JSON list of entries"),
+    ],
+    ids=["missing", "invalid-json", "object"],
+)
+def test_verify_paper_bad_manifest_file_exits_2(tmp_path, monkeypatch, capsys, content, message):
+    path = tmp_path / "manifest.json"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    monkeypatch.setenv("RSLAB_MANIFEST", str(path))
+    assert main(["verify-paper"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(path=path)}\n"
 
 
 def test_verify_paper_unreadable_manifest_exits_2(tmp_path, monkeypatch, capsys):

@@ -60,8 +60,9 @@ def _product_index(monkeypatch, capsys):
 def _index_split(monkeypatch, capsys):
     paired = charclass._paired_top
 
-    def shifted(ahat, factor, pairing):  # the total's factor starts at 2n + 1, odd
-        return paired(ahat, factor, pairing) + factor[0][1] % 2
+    def shifted(pairs, pairing):  # the total pairs Ahat_n with 2n + 1, odd
+        pairs = list(pairs)
+        return paired(pairs, pairing) + pairs[-1][1][1] % 2
 
     monkeypatch.setattr(charclass, "_paired_top", shifted)
     charclass.rs_index(build_ci(CISpec(2, (4,))).profile)

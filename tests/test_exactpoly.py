@@ -78,6 +78,12 @@ def test_add_sub_round_trip():
     assert (-a) + a == TruncatedPoly.zero(("x",), (8,))
 
 
+def test_poly_is_not_hashable():
+    # equality is by value, so a poly is no dict key or set member
+    with pytest.raises(TypeError, match="^unhashable type: 'TruncatedPoly'$"):
+        hash(_poly({0: 1}))
+
+
 def test_scalar_multiplication():
     a = _poly({0: 2, 3: Fraction(1, 2)})
     half = a * Fraction(1, 2)

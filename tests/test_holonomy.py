@@ -311,6 +311,19 @@ def test_qk_summand_parity_guard():
     assert qk_casimir_bound(2, QKSummand(0, 1, 1)) == 0
 
 
+@pytest.mark.parametrize(
+    "summand, m, message",
+    [
+        (QKSummand(0, 0, 0), 1, "quaternionic dimension m must be at least 2"),
+        (QKSummand(0, 1, 2), 2, "need 0 <= b <= a <= m, got (a, b) = (1, 2)"),
+        (QKSummand(-2, 0, 0), 2, "Sym^d H needs d >= 0"),
+    ],
+)
+def test_qk_summand_structural_guards(summand, m, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        summand.validate(m)
+
+
 def test_sphere_checks():
     for n in range(3, 21):
         chk = sphere_check(n)

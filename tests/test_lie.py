@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -207,6 +208,40 @@ def test_product_system_factors():
     assert sys.casimir(_w(1, 0, 0)) == type_c(1).casimir(_w(1))
     product = tensor_decompose(sys, _w(1, 0, 0), _w(0, 1, 0))
     assert dict(product.sorted_terms()) == {_w(1, 1, 0): 1}
+
+
+@pytest.mark.parametrize(
+    "factory, message",
+    [(type_b, "type B needs rank at least one"), (type_c, "type C needs rank at least one")],
+)
+def test_rank_zero_refused(factory, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        factory(0)
+
+
+@pytest.mark.parametrize(
+    "root, lower, message",
+    [
+        (0, 5, "B2: V(1, 1) at (0, 0): multiplicity 1/3, not in 1, 2, ..."),
+        (1, 12, "B2: V(1, 1) at (1, 0): Freudenthal denominator -22 <= 0"),
+    ],
+    ids=["multiplicity", "denominator"],
+)
+def test_freudenthal_fails_on_a_doctored_root_norm(monkeypatch, root, lower, message):
+    monkeypatch.setattr(lie, "_kept", {})  # a fresh B2, dropped after the test
+    sys = type_b(2)
+    alpha, coroot, norm = sys._roots[root]
+    sys._roots[root] = (alpha, coroot, norm - lower)
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+        sys.weight_multiplicities(_w(1, 1))
+
+
+def test_weyl_dimension_fails_on_a_doctored_denominator(monkeypatch):
+    monkeypatch.setattr(lie, "_kept", {})
+    sys = type_b(2)
+    sys._weyl_den = 7  # the true product of <delta, alpha^vee> is 6
+    with pytest.raises(ConsistencyError, match=r"^B2: dim V at labels \(1, 0\) = 30/7$"):
+        sys.weyl_dimension(_w(1, 0))
 
 
 def test_product_system_needs_two_factors():
